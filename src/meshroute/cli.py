@@ -69,8 +69,6 @@ def _build_parser() -> argparse.ArgumentParser:
     bch.add_argument("--out", required=True, help="output directory")
     bch.add_argument("--include-large", action="store_true",
                      help="keep node counts above 100 (hours of runtime)")
-    bch.add_argument("--serial-timing", action="store_true",
-                     help="accepted for plan compatibility; runs are always serial")
     return parser
 
 

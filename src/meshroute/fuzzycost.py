@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -208,12 +208,15 @@ class CostMatrix:
     neighbors[i] lists the out-neighbors of i in ascending id order, so path
     decoding and exact search iterate links identically. adjacency is the
     boolean link matrix (kept alongside values for vectorized reachability).
+    memo holds search data derived from the links (the path decoder's
+    per-terminal guides); it lives and dies with the instance.
     """
 
     values: np.ndarray
     neighbors: tuple[tuple[int, ...], ...]
     in_neighbors: tuple[tuple[int, ...], ...]
     adjacency: np.ndarray
+    memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     @property
     def n(self) -> int:

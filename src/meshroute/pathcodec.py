@@ -1,22 +1,33 @@
 """Random-keys path encoding shared by both optimizers.
 
 A candidate solution is a vector of priorities, one key in [0, 1] per node.
-Decoding walks from the source, always descending into the unvisited neighbor
-with the highest key (ties ascending node id) and backtracking out of dead
-ends, so every key vector maps to the same loop-free path on the same cost
-matrix regardless of which optimizer produced it.
+A key vector decodes to the path of the priority-ordered depth-first search:
+from the source, always descend into the unvisited neighbor with the highest
+key (ties ascending node id) and backtrack out of dead ends. So every key
+vector maps to the same loop-free path on the same cost matrix regardless of
+which optimizer produced it. Equivalently, each step takes the highest-key
+free neighbor from which the terminal is still reachable without revisiting
+the walk so far; that is how the path is computed, in two steps:
 
-Two equivalent executions of that search are used. The plain depth-first walk
-is fastest when it does not trap itself, but its backtracking is exponential
-in the worst case, so it runs under a step budget; past the budget the decode
-restarts as a greedy walk that only ever descends into neighbors from which
-the terminal is still reachable, with reachability maintained incrementally.
-A depth-first node with a reachable continuation is never popped, so both
-executions return the identical path.
+1. A probe follows the highest-key free neighbor. If it reaches the terminal,
+   every choice it made led on to the terminal, so it is the search's path.
+2. Otherwise the walk starts again from the source and checks a candidate
+   only when it is about to take it. The check is a depth-first search over
+   free, non-dead nodes that tries neighbors nearest the terminal first and
+   succeeds as soon as it meets the witness route, the route to the terminal
+   that the last successful check found. Every node a failed check visited
+   is dead for the rest of the decode: the walk only ever blocks more nodes,
+   so this holds on directed graphs too.
+
+The distance-ordered neighbor lists and the nodes that cannot reach the
+terminal at all depend only on (CostMatrix, terminal), so they are built on
+first use and kept on the matrix.
 """
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,17 +43,12 @@ class BrokenPathError(RuntimeError):
     """A hop in the path has no defined cost."""
 
 
-class _StepBudgetExceeded(Exception):
-    pass
-
-
-# Depth-first push budget: floor + scale * n keeps the common case on the
-# fast path while bounding pathological backtracking.
-DFS_BUDGET_FLOOR = 64
-DFS_BUDGET_SCALE = 1
-# A single viability repair may churn at most edges // REPAIR_CAP_DIVISOR
-# queue pops before the levels are rebuilt outright.
-REPAIR_CAP_DIVISOR = 32
+# Node states of the checked walk. A check visiting node x stamps it with the
+# check's number, so one comparison against the current stamp skips visited
+# and blocked (on the walk, or dead) nodes alike.
+_FREE = 0
+_WITNESS = -1
+_BLOCKED = sys.maxsize
 
 
 @dataclass(frozen=True)
@@ -59,136 +65,131 @@ def random_vector(rng: np.random.Generator, n: int) -> np.ndarray:
     return rng.random(n)
 
 
-def _decode_dfs(
-    key_list: list[float], cm: CostMatrix, source: int, terminal: int, budget: int | None
-) -> tuple[int, ...]:
-    """Priority-ordered DFS with backtracking; raises past the push budget."""
-    adjacency = cm.neighbors
-    on_path = bytearray(cm.n)
-    on_path[source] = 1
-    path = [source]
-    # sorted() is stable and adjacency is ascending, so equal keys keep
-    # ascending id; orders are memoized since backtracking revisits nodes
-    orders: list[list[int] | None] = [None] * cm.n
-    key_of = key_list.__getitem__
+def _guide(cm: CostMatrix, terminal: int) -> tuple[tuple[tuple[int, ...], ...], list[int]]:
+    """Out-neighbors nearest the terminal first, and the walk's initial states.
 
-    def order_of(v: int) -> list[int]:
-        o = orders[v]
-        if o is None:
-            o = sorted(adjacency[v], key=key_of, reverse=True)
-            orders[v] = o
-        return o
-
-    iters = [iter(order_of(source))]
-    pushes = 0
-    while iters:
-        advanced = False
-        for nxt in iters[-1]:
-            if on_path[nxt]:
-                continue
-            if nxt == terminal:
-                return tuple(path) + (terminal,)
-            pushes += 1
-            if budget is not None and pushes > budget:
-                raise _StepBudgetExceeded
-            on_path[nxt] = 1
-            path.append(nxt)
-            iters.append(iter(order_of(nxt)))
-            advanced = True
-            break
-        if not advanced:
-            iters.pop()
-            on_path[path.pop()] = 0
-    raise NoPathError(f"no path from {source} to {terminal}")
-
-
-def _decode_checked(
-    key_list: list[float], cm: CostMatrix, source: int, terminal: int
-) -> tuple[int, ...]:
-    """Greedy walk over viability-checked neighbors; never backtracks.
-
-    Viability (a route to the terminal avoiding the walk so far) is tracked
-    as each node's hop distance to the terminal, repaired after every block:
-    a node must keep an out-neighbor one level below it, otherwise its level
-    rises to one past its best remaining neighbor and the change cascades to
-    its in-neighbors. Levels only rise, so cut-off cycles cannot prop each
-    other up; a level past n means dead. When a single repair churns more
-    than the edge count the levels are rebuilt from scratch instead, which
-    caps any one block at breadth-first cost.
+    Nodes with no route to the terminal start blocked and are left out of
+    the neighbor lists; the terminal starts as the whole witness route.
     """
-    n = cm.n
-    out_nb = cm.neighbors
-    in_nb = cm.in_neighbors
-    inf = n + 1
-    m_edges = sum(len(nb) for nb in out_nb)
-    repair_cap = max(16, m_edges // REPAIR_CAP_DIVISOR)
-    blocked = bytearray(n)
-    blocked[source] = 1
-    level = [inf] * n
-
-    def rebuild() -> None:
-        for i in range(n):
-            level[i] = inf
-        level[terminal] = 0
+    memo_key = ("decode_guide", terminal)
+    guide = cm.memo.get(memo_key)
+    if guide is None:
+        dist = [-1] * cm.n
+        dist[terminal] = 0
         frontier = [terminal]
-        depth = 0
         while frontier:
-            depth += 1
             grown = []
             for w in frontier:
-                for u in in_nb[w]:
-                    if not blocked[u] and level[u] == inf:
-                        level[u] = depth
+                for u in cm.in_neighbors[w]:
+                    if dist[u] < 0:
+                        dist[u] = dist[w] + 1
                         grown.append(u)
             frontier = grown
+        toward = tuple(
+            tuple(sorted((u for u in nb if dist[u] >= 0), key=dist.__getitem__))
+            for nb in cm.neighbors
+        )
+        states = [_FREE if d >= 0 else _BLOCKED for d in dist]
+        states[terminal] = _WITNESS
+        guide = cm.memo[memo_key] = (toward, states)
+    return guide
 
-    rebuild()
 
-    def block(b: int) -> None:
-        was_dead = level[b] == inf
-        blocked[b] = 1
-        level[b] = inf
-        if was_dead:
-            return
-        pops = 0
-        work = [u for u in in_nb[b] if not blocked[u]]
-        while work:
-            pops += 1
-            if pops > repair_cap:
-                rebuild()
-                return
-            u = work.pop()
-            if u == terminal or blocked[u] or level[u] == inf:
-                continue
-            lu = level[u]
-            best_l = inf
-            for p in out_nb[u]:
-                if not blocked[p]:
-                    lp = level[p]
-                    if lp == lu - 1:
-                        break
-                    if lp < best_l:
-                        best_l = lp
-            else:
-                level[u] = best_l + 1 if best_l + 1 <= n else inf
-                for q in in_nb[u]:
-                    if not blocked[q]:
-                        work.append(q)
-
+def _probe(key_list: list[float], cm: CostMatrix, source: int, terminal: int) -> tuple[int, ...] | None:
+    """Greedy highest-key walk; None when it runs into a dead end."""
+    out_nb = cm.neighbors
+    on_path = bytearray(cm.n)
+    on_path[source] = 1
     path = [source]
     v = source
     while v != terminal:
         best = -1
-        best_key = -1.0
+        best_key = -math.inf
         for u in out_nb[v]:
-            if not blocked[u] and level[u] < inf and key_list[u] > best_key:
+            if not on_path[u] and key_list[u] > best_key:
                 best = u
                 best_key = key_list[u]
         if best < 0:
-            raise NoPathError(f"no path from {source} to {terminal}")
-        block(best)
+            return None
+        on_path[best] = 1
         path.append(best)
         v = best
+    return tuple(path)
+
+
+def _check(u: int, stamp: int, state: list[int], toward) -> list[int] | None:
+    """Route from u to the witness route over free nodes, nearest-first.
+
+    On failure every node the search visited is marked dead and None is
+    returned.
+    """
+    state[u] = stamp
+    route = [u]
+    visited = [u]
+    iters = [iter(toward[u])]
+    while iters:
+        for x in iters[-1]:
+            s = state[x]
+            if s >= stamp:
+                continue
+            if s == _WITNESS:
+                route.append(x)
+                return route
+            state[x] = stamp
+            visited.append(x)
+            route.append(x)
+            iters.append(iter(toward[x]))
+            break
+        else:
+            iters.pop()
+            route.pop()
+    for x in visited:
+        state[x] = _BLOCKED
+    return None
+
+
+def _walk_checked(key_list: list[float], cm: CostMatrix, source: int, terminal: int) -> tuple[int, ...]:
+    """Greedy walk that takes a candidate only once a check shows it viable."""
+    toward, initial = _guide(cm, terminal)
+    out_nb = cm.neighbors
+    state = initial.copy()
+    state[source] = _BLOCKED
+    # next-pointers of the witness route, which runs from the walk's head to
+    # the terminal; before the first check it is the terminal alone
+    succ = [terminal] * cm.n
+    stamp = 0
+    path = [source]
+    v = source
+    while v != terminal:
+        while True:
+            best = -1
+            best_key = -math.inf
+            for u in out_nb[v]:
+                if state[u] != _BLOCKED and key_list[u] > best_key:
+                    best = u
+                    best_key = key_list[u]
+            if best < 0:
+                raise NoPathError(f"no path from {source} to {terminal}")
+            if state[best] == _WITNESS:
+                route = [best]
+                break
+            stamp += 1
+            route = _check(best, stamp, state, toward)
+            if route is not None:
+                break
+        # splice: the route joins the witness at its last node; the old
+        # witness stretch it bypasses is free again
+        joint = route[-1]
+        x = succ[v]
+        while x != joint:
+            state[x] = _FREE
+            x = succ[x]
+        for a, b in zip(route, route[1:]):
+            succ[a] = b
+            state[a] = _WITNESS
+        v = route[0]
+        state[v] = _BLOCKED
+        path.append(v)
     return tuple(path)
 
 
@@ -206,21 +207,17 @@ def decode(keys: np.ndarray, cm: CostMatrix, source: int, terminal: int) -> tupl
     if source == terminal:
         raise ValueError("source and terminal must differ")
     key_list = keys.tolist()
-    budget = max(DFS_BUDGET_FLOOR, DFS_BUDGET_SCALE * n)
-    try:
-        return _decode_dfs(key_list, cm, source, terminal, budget=budget)
-    except _StepBudgetExceeded:
-        return _decode_checked(key_list, cm, source, terminal)
+    return _probe(key_list, cm, source, terminal) or _walk_checked(key_list, cm, source, terminal)
 
 
 def path_cost(nodes: tuple[int, ...], cm: CostMatrix) -> float:
-    """Sum of hop costs in hop order."""
+    """Sum of hop costs, added left to right in hop order."""
+    hops = cm.values[nodes[:-1], nodes[1:]].tolist()
     total = 0.0
-    for src, dst in zip(nodes, nodes[1:]):
-        v = cm.values[src, dst]
-        if not np.isfinite(v):
+    for src, dst, v in zip(nodes, nodes[1:], hops):
+        if not math.isfinite(v):
             raise BrokenPathError(f"hop {src} -> {dst} has no defined cost")
-        total += float(v)
+        total += v
     return total
 
 

@@ -183,27 +183,63 @@ def scenario_to_dict(scenario: NetworkScenario) -> dict:
 
 
 def scenario_from_dict(data: dict) -> NetworkScenario:
+    """Parse scenario JSON; malformed input raises ValueError naming the fault.
+
+    Node ids must be 0..n-1 in order, and links must join two distinct
+    in-range nodes, appear once per direction and carry finite, non-negative
+    metrics.
+    """
+    if not isinstance(data, dict):
+        raise ValueError("a scenario must be a JSON object")
     version = data.get("version")
     if version != SCENARIO_FORMAT_VERSION:
         raise ValueError(f"unsupported scenario format version {version!r}")
-    nodes = tuple(NodeSite(int(d["id"]), float(d["x_m"]), float(d["y_m"])) for d in data["nodes"])
-    links = tuple(
-        LinkObservation(
-            int(d["from"]),
-            int(d["to"]),
-            float(d["throughput_mbps"]),
-            float(d["delay_ms"]),
-            float(d["jitter_ms"]),
+    try:
+        nodes = tuple(
+            NodeSite(int(d["id"]), float(d["x_m"]), float(d["y_m"])) for d in data["nodes"]
         )
-        for d in data["links"]
-    )
-    return NetworkScenario(
-        seed=int(data["seed"]),
-        area_side=float(data["area_side_m"]),
-        radio_range=float(data["radio_range_m"]),
-        nodes=nodes,
-        links=links,
-    )
+        for i, site in enumerate(nodes):
+            if site.id != i:
+                raise ValueError(f"node {i} has id {site.id}; ids must be 0..n-1 in order")
+        n = len(nodes)
+        seen = set()
+        links = []
+        for d in data["links"]:
+            link = LinkObservation(
+                int(d["from"]),
+                int(d["to"]),
+                float(d["throughput_mbps"]),
+                float(d["delay_ms"]),
+                float(d["jitter_ms"]),
+            )
+            src, dst = link.src, link.dst
+            if not (0 <= src < n and 0 <= dst < n):
+                raise ValueError(f"link {src} -> {dst} has an endpoint outside 0..{n - 1}")
+            if src == dst:
+                raise ValueError(f"self-loop link at node {src}")
+            pair = src * n + dst
+            if pair in seen:
+                raise ValueError(f"duplicate link {src} -> {dst}")
+            seen.add(pair)
+            # the chained comparisons are false for NaN as well
+            if not (
+                0.0 <= link.throughput < math.inf
+                and 0.0 <= link.delay < math.inf
+                and 0.0 <= link.jitter < math.inf
+            ):
+                raise ValueError(f"link {src} -> {dst} has a metric that is negative or not finite")
+            links.append(link)
+        return NetworkScenario(
+            seed=int(data["seed"]),
+            area_side=float(data["area_side_m"]),
+            radio_range=float(data["radio_range_m"]),
+            nodes=nodes,
+            links=tuple(links),
+        )
+    except KeyError as exc:
+        raise ValueError(f"scenario is missing the required key {exc}") from None
+    except TypeError as exc:
+        raise ValueError(f"malformed scenario: {exc}") from None
 
 
 def save_scenario(scenario: NetworkScenario, path: str | Path) -> None:

@@ -138,6 +138,27 @@ def test_oracle_unreachable(tmp_path):
     assert main(["oracle", "--scenario", str(scenario)]) == EXIT_DOMAIN
 
 
+@pytest.mark.parametrize(
+    "fault",
+    [
+        lambda d: d["links"][0].update(to=50),
+        lambda d: d["links"][0].update(delay_ms=float("nan")),
+        lambda d: d["links"].append(dict(d["links"][0])),
+    ],
+    ids=["endpoint-out-of-range", "nan-delay", "duplicate-link"],
+)
+def test_oracle_rejects_malformed_scenario(tmp_path, capsys, fault):
+    scenario = tmp_path / "line.json"
+    write_line_scenario(scenario)
+    data = json.loads(scenario.read_text())
+    fault(data)
+    scenario.write_text(json.dumps(data))
+    assert main(["oracle", "--scenario", str(scenario)]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
 def test_bench_tiny_plan(tmp_path, capsys):
     plan = {
         "node_counts": [9],

@@ -1,34 +1,97 @@
-"""Random-keys decoding: priority DFS, bounded-work fallback, path costing."""
+"""Random-keys decoding against reference searches, and path costing."""
+
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from meshroute.fuzzycost import CostMatrix
+from meshroute import pathcodec
+from meshroute.fuzzycost import CostMatrix, build_cost_matrix
 from meshroute.pathcodec import (
-    DFS_BUDGET_FLOOR,
     BrokenPathError,
     NoPathError,
     Path,
-    _decode_checked,
-    _decode_dfs,
     decode,
     decode_path,
     path_cost,
     random_vector,
 )
+from meshroute.topology import generate_scenario
 
 
 def cm_of(n, pairs):
     return CostMatrix.from_entries(n, {p: 0.1 for p in pairs})
 
 
+def reference_dfs(key_list, cm, source, terminal):
+    """Priority-ordered DFS with backtracking and no work bound.
+
+    The definition of a decode; exponential in the worst case, so it serves
+    as the reference on small graphs only.
+    """
+    adjacency = cm.neighbors
+    on_path = bytearray(cm.n)
+    on_path[source] = 1
+    path = [source]
+    # sorted() is stable and adjacency is ascending, so equal keys keep
+    # ascending id
+    iters = [iter(sorted(adjacency[source], key=key_list.__getitem__, reverse=True))]
+    while iters:
+        for nxt in iters[-1]:
+            if on_path[nxt]:
+                continue
+            if nxt == terminal:
+                return tuple(path) + (terminal,)
+            on_path[nxt] = 1
+            path.append(nxt)
+            iters.append(iter(sorted(adjacency[nxt], key=key_list.__getitem__, reverse=True)))
+            break
+        else:
+            iters.pop()
+            on_path[path.pop()] = 0
+    raise NoPathError(f"no path from {source} to {terminal}")
+
+
+def reference_walk(key_list, cm, source, terminal):
+    """Highest-key step into a node that still reaches the terminal.
+
+    Which nodes reach the terminal without touching the walk is rebuilt by a
+    backward breadth-first search before every step: slow but simple, and
+    polynomial, so it serves as the reference on large graphs.
+    """
+    path = [source]
+    on_path = {source}
+    while path[-1] != terminal:
+        alive = {terminal}
+        frontier = [terminal]
+        while frontier:
+            grown = {u for w in frontier for u in cm.in_neighbors[w]} - alive - on_path
+            alive |= grown
+            frontier = list(grown)
+        options = [u for u in cm.neighbors[path[-1]] if u in alive]
+        if not options:
+            raise NoPathError(f"no path from {source} to {terminal}")
+        # max() keeps the first of equal keys, and neighbors ascend by id
+        step = max(options, key=key_list.__getitem__)
+        path.append(step)
+        on_path.add(step)
+    return tuple(path)
+
+
+def decode_or_none(decoder, *args):
+    try:
+        return decoder(*args)
+    except NoPathError:
+        return None
+
+
 def clique_trap(with_exit=True):
     """Source feeds a 7-clique of dead ends; the only exit is via node 8.
 
     Exhaustive DFS burns through every clique permutation before touching the
-    low-key exit, so the step budget trips and the checked walk takes over.
+    low-key exit.
     """
     pairs = [(0, v) for v in range(1, 8)]
     pairs += [(u, v) for u in range(1, 8) for v in range(1, 8) if u != v]
@@ -78,21 +141,17 @@ def test_no_path_raises():
         decode(np.array([0.1, 0.2, 0.3]), cm, 0, 2)
 
 
-def test_budget_fallback_returns_exit_path():
+def test_decode_escapes_clique_trap():
     cm, keys = clique_trap(with_exit=True)
     assert decode(keys, cm, 0, 9) == (0, 8, 9)
-    # the uncapped search agrees once it exhausts the clique
-    assert _decode_dfs(keys.tolist(), cm, 0, 9, budget=None) == (0, 8, 9)
+    # the reference search agrees once it exhausts the clique
+    assert reference_dfs(keys.tolist(), cm, 0, 9) == (0, 8, 9)
 
 
-def test_budget_fallback_detects_no_path():
+def test_clique_trap_without_exit_raises_no_path():
     cm, keys = clique_trap(with_exit=False)
     with pytest.raises(NoPathError):
         decode(keys, cm, 0, 9)
-
-
-def test_budget_floor_constant():
-    assert DFS_BUDGET_FLOOR >= 1
 
 
 def test_decode_deterministic(grid25):
@@ -134,20 +193,103 @@ def digraph_and_keys(draw):
 def test_decode_matches_uncapped_dfs(case):
     n, edges, keys = case
     cm = cm_of(n, edges)
-    key_list = list(keys)
-    try:
-        reference = _decode_dfs(key_list, cm, 0, n - 1, budget=None)
-    except NoPathError:
-        reference = None
-    for attempt in (
-        lambda: decode(np.array(keys), cm, 0, n - 1),
-        lambda: _decode_checked(key_list, cm, 0, n - 1),
-    ):
-        try:
-            got = attempt()
-        except NoPathError:
-            got = None
-        assert got == reference
+    reference = decode_or_none(reference_dfs, list(keys), cm, 0, n - 1)
+    assert decode_or_none(decode, np.array(keys), cm, 0, n - 1) == reference
+    # the large-graph reference below is checked against the definition here
+    assert decode_or_none(reference_walk, list(keys), cm, 0, n - 1) == reference
+
+
+def perturbed_genomes(rng, n, count):
+    """Fresh genomes, and offspring of one genome clipped to [0, 1] the way
+    BB-BC makes them, which puts many equal keys at 0 and 1."""
+    center = random_vector(rng, n)
+    genomes = []
+    for i in range(count):
+        if i % 2:
+            genomes.append(random_vector(rng, n))
+        else:
+            spread = 0.05 + 0.5 * i / count
+            genomes.append(np.clip(center + spread * rng.standard_normal(n), 0.0, 1.0))
+    return genomes
+
+
+@pytest.mark.parametrize("n, placement", [(100, "grid"), (400, "random")])
+def test_decode_matches_reference_walk_on_large_scenarios(n, placement):
+    cm = build_cost_matrix(generate_scenario(n, placement=placement, seed=101))
+    rng = np.random.default_rng(101)
+    for keys in perturbed_genomes(rng, n, 200):
+        expected = reference_walk(keys.tolist(), cm, 0, n - 1)
+        assert decode(keys, cm, 0, n - 1) == expected
+
+
+def test_decode_matches_reference_walk_on_one_way_links():
+    # sparse random digraphs: most links have no reverse, so checks fail
+    # often and mark pockets dead
+    rng = np.random.default_rng(5)
+    for _ in range(60):
+        n = int(rng.integers(10, 40))
+        density = 1.5 / n + 2.5 * rng.random() / n
+        pairs = [(i, j) for i in range(n) for j in range(n) if i != j and rng.random() < density]
+        cm = cm_of(n, pairs)
+        for _ in range(10):
+            keys = np.round(random_vector(rng, n), 1)
+            expected = decode_or_none(reference_walk, keys.tolist(), cm, 0, n - 1)
+            assert decode_or_none(decode, keys, cm, 0, n - 1) == expected
+
+
+def one_way_pocket(exit_link):
+    """0 -> 1 -> 2 -> 3 -> 1 is a one-way cycle whose only link out, 3 -> 0,
+    goes back to the source; the route to terminal 6 is 0 -> 4 -> 5 -> 6,
+    and 4 also has a one-way link into the cycle at 2."""
+    pairs = [(0, 1), (1, 2), (2, 3), (3, 1), (3, 0), (0, 4), (4, 2), (4, 5), (5, 6)]
+    if exit_link:
+        pairs.append((2, 5))
+    keys = np.array([0.5, 0.9, 0.8, 0.7, 0.3, 0.2, 0.1])
+    return cm_of(7, pairs), keys
+
+
+def spy_checks(monkeypatch):
+    calls = []
+    original = pathcodec._check
+
+    def spy(u, *args):
+        route = original(u, *args)
+        calls.append((u, route))
+        return route
+
+    monkeypatch.setattr(pathcodec, "_check", spy)
+    return calls
+
+
+def test_failed_check_marks_one_way_pocket_dead(monkeypatch):
+    cm, keys = one_way_pocket(exit_link=False)
+    calls = spy_checks(monkeypatch)
+    assert decode(keys, cm, 0, 6) == (0, 4, 5, 6)
+    assert reference_dfs(keys.tolist(), cm, 0, 6) == (0, 4, 5, 6)
+    # every node of the cycle still reaches the terminal through the source,
+    # so none starts dead; once the check from 1 fails, 2 is skipped at 4
+    # without a second check
+    assert calls[0] == (1, None)
+    assert [u for u, _ in calls[1:]] == [4]
+
+
+def test_one_way_exit_keeps_pocket_viable():
+    cm, keys = one_way_pocket(exit_link=True)
+    assert decode(keys, cm, 0, 6) == (0, 1, 2, 5, 6)
+    assert reference_dfs(keys.tolist(), cm, 0, 6) == (0, 1, 2, 5, 6)
+
+
+def test_decode_guide_is_memoised_per_matrix():
+    pairs = [(0, 1), (1, 2), (2, 3), (0, 2), (3, 0)]
+    cm = cm_of(4, pairs)
+    guide = pathcodec._guide(cm, 3)
+    assert pathcodec._guide(cm, 3) is guide
+    assert list(cm.memo) == [("decode_guide", 3)]
+    # out-neighbors nearest the terminal first: 2 is one hop away, 1 two
+    assert guide[0][0] == (2, 1)
+    # the memo belongs to the instance and is not part of its value
+    assert cm_of(4, pairs).memo == {}
+    assert "memo" not in repr(cm)
 
 
 def enumerate_simple_paths(cm, source, terminal):
@@ -202,6 +344,23 @@ def test_path_cost_broken_hop():
     cm = cm_of(3, [(0, 1)])
     with pytest.raises(BrokenPathError):
         path_cost((0, 1, 2), cm)
+
+
+def test_path_cost_names_first_undefined_hop():
+    cm = cm_of(5, [(0, 1), (2, 3)])
+    with pytest.raises(BrokenPathError, match=r"hop 1 -> 2 "):
+        path_cost((0, 1, 2, 3, 4), cm)
+
+
+def test_path_cost_adds_left_to_right():
+    # each 1.0 vanishes into 1e16 when added in hop order; compensated
+    # (math.fsum, or sum() from Python 3.12) and pairwise (np.sum) summation
+    # keep the first seven and give 14.0
+    costs = [1e16] + [1.0] * 7 + [-1e16] + [1.0] * 7
+    cm = CostMatrix.from_entries(17, {(i, i + 1): c for i, c in enumerate(costs)})
+    got = path_cost(tuple(range(17)), cm)
+    assert got == 7.0 and type(got) is float
+    assert math.fsum(costs) == float(np.sum(costs)) == 14.0
 
 
 def test_random_vector_contract():

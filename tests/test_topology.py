@@ -166,6 +166,68 @@ def test_scenario_version_check():
         scenario_from_dict(d)
 
 
+def grid9_dict():
+    return scenario_to_dict(generate_scenario(9, placement="grid", seed=0))
+
+
+def test_load_rejects_node_ids_not_in_order():
+    d = grid9_dict()
+    d["nodes"][3]["id"] = 7
+    with pytest.raises(ValueError, match="ids must be 0..n-1"):
+        scenario_from_dict(d)
+
+
+@pytest.mark.parametrize("end, node", [("to", 50), ("to", 9), ("from", -1)])
+def test_load_rejects_link_endpoint_out_of_range(end, node):
+    d = grid9_dict()
+    d["links"][4][end] = node
+    with pytest.raises(ValueError, match="outside 0..8"):
+        scenario_from_dict(d)
+
+
+def test_load_rejects_self_loop():
+    d = grid9_dict()
+    d["links"][0]["to"] = d["links"][0]["from"]
+    with pytest.raises(ValueError, match="self-loop"):
+        scenario_from_dict(d)
+
+
+def test_load_rejects_duplicate_link():
+    d = grid9_dict()
+    d["links"].append(dict(d["links"][5]))
+    with pytest.raises(ValueError, match="duplicate link"):
+        scenario_from_dict(d)
+
+
+@pytest.mark.parametrize("key", ["throughput_mbps", "delay_ms", "jitter_ms"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -0.5])
+def test_load_rejects_bad_metric(key, value):
+    d = grid9_dict()
+    d["links"][2][key] = value
+    with pytest.raises(ValueError, match="negative or not finite"):
+        scenario_from_dict(d)
+
+
+@pytest.mark.parametrize("where, key", [("top", "seed"), ("top", "links"), ("node", "x_m"), ("link", "delay_ms")])
+def test_load_rejects_missing_key(where, key):
+    d = grid9_dict()
+    holder = {"top": d, "node": d["nodes"][1], "link": d["links"][1]}[where]
+    del holder[key]
+    with pytest.raises(ValueError, match=f"required key '{key}'"):
+        scenario_from_dict(d)
+
+
+def test_load_rejects_non_object():
+    with pytest.raises(ValueError, match="JSON object"):
+        scenario_from_dict([1, 2, 3])
+
+
+def test_load_accepts_zero_metrics():
+    d = grid9_dict()
+    d["links"][0].update(throughput_mbps=0.0, delay_ms=0.0, jitter_ms=0.0)
+    assert scenario_from_dict(d).links[0].delay == 0.0
+
+
 def test_scenario_links_sorted_in_file(tmp_path):
     s = generate_scenario(25, placement="grid", seed=4)
     path = tmp_path / "s.json"
