@@ -39,7 +39,7 @@ DEFAULT_SEED_PAIRS = tuple((101 + i, 9001 + i) for i in range(10))
 
 @dataclass(frozen=True)
 class BenchPlan:
-    node_counts: tuple[int, ...] = (25, 64, 100, 2500)
+    node_counts: tuple[int, ...] = (25, 64, 100)
     generation_budgets: tuple[int, ...] = (30, 50, 100)
     seeds: tuple[tuple[int, int], ...] = DEFAULT_SEED_PAIRS  # (scenario_seed, opt_seed)
     algorithms: tuple[str, ...] = ALGORITHMS

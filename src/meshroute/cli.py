@@ -149,6 +149,8 @@ def _cmd_bench(args) -> int:
         if not kept:
             raise ValueError("all node counts exceed 100; pass --include-large to run them")
         if kept != plan.node_counts:
+            dropped = ", ".join(str(n) for n in plan.node_counts if n > 100)
+            print(f"skipping node counts {dropped}; pass --include-large to run them", file=sys.stderr)
             plan = dataclasses.replace(plan, node_counts=kept)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -8,6 +8,18 @@ product of the antecedent memberships, implication scales the consequent set,
 and the rule outputs are summed before a discrete 101-sample centroid
 defuzzifies the aggregate. High throughput pulls cost down; high delay or
 jitter pushes it up.
+
+All links are scored in one batch (`ilc_costs`); the scalar entry points are
+one-link calls of it. Three choices keep every cost bit-identical to scoring
+links one at a time with a per-rule loop:
+- rule weights are added into each output level in (throughput, delay,
+  jitter) rule order, so each level sums the same terms in the same order
+  (the zero terms a loop would skip add +0.0, which is exact);
+- the aggregate is a stacked vector-matrix product, which numpy sends to the
+  same gemv kernel as a single vector @ matrix; a 2-D matrix product, np.dot
+  or einsum rounds differently on some links;
+- the centroid's two sums are exact `math.fsum` reductions per link, so a
+  mirror-symmetric aggregate defuzzifies to exactly 0.5.
 """
 
 from __future__ import annotations
@@ -30,10 +42,14 @@ OUTPUT_PEAK_STEP = 0.25
 OUTPUT_LEVEL_NAMES = ("very-low", "low", "medium", "high", "very-high")
 
 
+def _memberships(x: np.ndarray) -> np.ndarray:
+    """(*x.shape, 3) degrees of membership of each value in the input sets."""
+    return np.maximum(0.0, 1.0 - np.abs(x[..., None] - np.asarray(INPUT_PEAKS)) / 0.5)
+
+
 def input_memberships(x: float) -> np.ndarray:
     """Degrees of membership of x in the three input sets; sums to 1 on [0, 1]."""
-    peaks = np.asarray(INPUT_PEAKS)
-    return np.maximum(0.0, 1.0 - np.abs(x - peaks) / 0.5)
+    return _memberships(np.asarray(x, dtype=float))
 
 
 def _output_samples() -> np.ndarray:
@@ -49,6 +65,8 @@ def _output_samples() -> np.ndarray:
 
 
 OUT_SAMPLES = _output_samples()
+# (j - 50) for sample j: the centroid's first moment is taken about the grid midpoint
+SAMPLE_OFFSETS = np.arange(CENTROID_SAMPLES) - 50.0
 
 
 def consequent_of(i_thr: int, i_delay: int, i_jitter: int) -> int:
@@ -142,19 +160,55 @@ class MetricBounds:
                 raise ValueError(f"{name} bounds degenerate: [{lo}, {hi}]")
 
 
+def _normalize(raw: np.ndarray, bounds: MetricBounds) -> np.ndarray:
+    """Affine-map (..., 3) raw (throughput, delay, jitter) onto [0, 1], clamping."""
+    lo = np.array([bounds.throughput_min, bounds.delay_min, bounds.jitter_min])
+    hi = np.array([bounds.throughput_max, bounds.delay_max, bounds.jitter_max])
+    # fmax/fmin map NaN to the lower clamp, as the builtin max(0.0, nan) does
+    return np.fmin(1.0, np.fmax(0.0, (raw - lo) / (hi - lo)))
+
+
 def normalize_inputs(
     throughput: float, delay: float, jitter: float, bounds: MetricBounds
 ) -> tuple[float, float, float]:
     """Affine-map raw metrics onto [0, 1], clamping out-of-range values."""
+    t, d, j = _normalize(np.array([throughput, delay, jitter], dtype=float), bounds).tolist()
+    return t, d, j
 
-    def norm(x, lo, hi):
-        return min(1.0, max(0.0, (x - lo) / (hi - lo)))
 
-    return (
-        norm(throughput, bounds.throughput_min, bounds.throughput_max),
-        norm(delay, bounds.delay_min, bounds.delay_max),
-        norm(jitter, bounds.jitter_min, bounds.jitter_max),
-    )
+def ilc_costs(inputs: np.ndarray, rules: RuleBase | None = None) -> np.ndarray:
+    """Integrated link costs of (L, 3) normalized (throughput, delay, jitter) rows.
+
+    Returns L costs in [ILC_FLOOR, 1]. The centroid is computed as an offset
+    from the grid midpoint with exact (fsum) reductions, so a mirror-symmetric
+    aggregate defuzzifies to 0.5 with no rounding residue.
+    """
+    x = np.asarray(inputs, dtype=float).reshape(-1, 3)
+    outside = ~((x >= 0.0) & (x <= 1.0))
+    if outside.any():
+        row, col = np.argwhere(outside)[0]
+        name = ("throughput", "delay", "jitter")[col]
+        raise ValueError(f"normalized {name} out of [0, 1]: {x[row, col]}")
+    table = (rules or DEFAULT_RULES).table
+
+    m = _memberships(x)
+    mt, md, mj = m[:, 0], m[:, 1], m[:, 2]
+    weights = np.zeros((len(x), OUTPUT_LEVELS))
+    for i in range(INPUT_LEVELS):
+        for j in range(INPUT_LEVELS):
+            wij = mt[:, i] * md[:, j]
+            for k in range(INPUT_LEVELS):
+                weights[:, table[i, j, k]] += wij * mj[:, k]
+
+    mu = (weights[:, None, :] @ OUT_SAMPLES)[:, 0, :]
+    moments = mu * SAMPLE_OFFSETS
+    # memoryview slices hand fsum Python floats without building lists
+    flat_mu = memoryview(mu.reshape(-1))
+    flat_moments = memoryview(moments.reshape(-1))
+    rows = range(0, mu.size, CENTROID_SAMPLES)
+    total = np.array([math.fsum(flat_mu[r : r + CENTROID_SAMPLES]) for r in rows])
+    offset = np.array([math.fsum(flat_moments[r : r + CENTROID_SAMPLES]) for r in rows])
+    return np.maximum(0.5 + offset / (100.0 * total), ILC_FLOOR)
 
 
 def evaluate_ilc(
@@ -163,45 +217,14 @@ def evaluate_ilc(
     jitter_n: float,
     rules: RuleBase | None = None,
 ) -> float:
-    """Integrated link cost of normalized inputs; in [ILC_FLOOR, 1].
-
-    The centroid is computed as an offset from the grid midpoint with an exact
-    (fsum) reduction, so a mirror-symmetric aggregate defuzzifies to 0.5 with
-    no rounding residue.
-    """
-    for name, v in (("throughput", throughput_n), ("delay", delay_n), ("jitter", jitter_n)):
-        if not 0.0 <= v <= 1.0:
-            raise ValueError(f"normalized {name} out of [0, 1]: {v}")
-    table = (rules or DEFAULT_RULES).table
-
-    mt = input_memberships(throughput_n)
-    md = input_memberships(delay_n)
-    mj = input_memberships(jitter_n)
-
-    weights = np.zeros(OUTPUT_LEVELS)
-    for i in range(INPUT_LEVELS):
-        if mt[i] == 0.0:
-            continue
-        for j in range(INPUT_LEVELS):
-            wij = mt[i] * md[j]
-            if wij == 0.0:
-                continue
-            for k in range(INPUT_LEVELS):
-                w = wij * mj[k]
-                if w > 0.0:
-                    weights[table[i, j, k]] += w
-
-    mu = weights @ OUT_SAMPLES
-    total = math.fsum(mu)
-    offset = math.fsum((idx - 50) * m for idx, m in enumerate(mu))
-    centroid = 0.5 + offset / (100.0 * total)
-    return max(centroid, ILC_FLOOR)
+    """Integrated link cost of one link's normalized inputs; in [ILC_FLOOR, 1]."""
+    return float(ilc_costs(np.array([throughput_n, delay_n, jitter_n], dtype=float), rules)[0])
 
 
 DEFAULT_RULES = default_rule_base()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CostMatrix:
     """Dense directed link costs; NaN marks absent links.
 
@@ -209,14 +232,15 @@ class CostMatrix:
     decoding and exact search iterate links identically. adjacency is the
     boolean link matrix (kept alongside values for vectorized reachability).
     memo holds search data derived from the links (the path decoder's
-    per-terminal guides); it lives and dies with the instance.
+    per-terminal guides); it lives and dies with the instance. Matrices
+    compare by identity.
     """
 
     values: np.ndarray
     neighbors: tuple[tuple[int, ...], ...]
     in_neighbors: tuple[tuple[int, ...], ...]
     adjacency: np.ndarray
-    memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    memo: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def n(self) -> int:
@@ -232,20 +256,44 @@ class CostMatrix:
         return float(v)
 
     @classmethod
-    def from_entries(cls, n: int, entries: dict[tuple[int, int], float]) -> "CostMatrix":
+    def from_arrays(cls, n: int, src, dst, costs) -> "CostMatrix":
+        """Matrix of links src[l] -> dst[l] with cost costs[l].
+
+        A repeated link keeps its last cost; a non-finite cost leaves no link.
+        """
+        src = np.asarray(src, dtype=np.int64)
+        dst = np.asarray(dst, dtype=np.int64)
+        loops = np.flatnonzero(src == dst)
+        if len(loops):
+            raise ValueError(f"self-loop cost at node {src[loops[0]]}")
+        if len(src) and (min(src.min(), dst.min()) < 0 or max(src.max(), dst.max()) >= n):
+            raise ValueError(f"link endpoint outside 0..{n - 1}")
         values = np.full((n, n), np.nan)
-        for (src, dst), cost in entries.items():
-            if src == dst:
-                raise ValueError(f"self-loop cost at node {src}")
-            values[src, dst] = cost
+        values[src, dst] = costs
         adjacency = np.isfinite(values)
-        neighbors = tuple(
-            tuple(int(j) for j in np.nonzero(adjacency[i])[0]) for i in range(n)
-        )
-        in_neighbors = tuple(
-            tuple(int(j) for j in np.nonzero(adjacency[:, i])[0]) for i in range(n)
-        )
-        return cls(values, neighbors, in_neighbors, adjacency)
+        linked = adjacency[src, dst]
+        src, dst = src[linked], dst[linked]
+        return cls(values, _grouped(src * n + dst, n), _grouped(dst * n + src, n), adjacency)
+
+    @classmethod
+    def from_entries(cls, n: int, entries: dict[tuple[int, int], float]) -> "CostMatrix":
+        pairs = np.array(list(entries), dtype=np.int64).reshape(-1, 2)
+        costs = np.fromiter(entries.values(), dtype=float, count=len(entries))
+        return cls.from_arrays(n, pairs[:, 0], pairs[:, 1], costs)
+
+
+def _grouped(keys: np.ndarray, n: int) -> tuple[tuple[int, ...], ...]:
+    """Per-head tuples of tails for keys head * n + tail, tails ascending, repeats dropped.
+
+    Sorting plus a neighbour comparison stands in for np.unique, whose first
+    call costs more resident memory than the rest of the build.
+    """
+    keys = np.sort(keys)
+    keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))] if len(keys) else keys
+    heads, tails = np.divmod(keys, n)
+    ends = np.cumsum(np.bincount(heads, minlength=n)).tolist()
+    tails = tails.tolist()
+    return tuple(tuple(tails[a:b]) for a, b in zip([0] + ends, ends))
 
 
 def build_cost_matrix(
@@ -254,9 +302,8 @@ def build_cost_matrix(
     rules: RuleBase | None = None,
 ) -> CostMatrix:
     """Score every observed link of a scenario with the fuzzy system."""
-    bounds = bounds or MetricBounds()
-    entries = {}
-    for link in scenario.links:
-        tn, dn, jn = normalize_inputs(link.throughput, link.delay, link.jitter, bounds)
-        entries[(link.src, link.dst)] = evaluate_ilc(tn, dn, jn, rules)
-    return CostMatrix.from_entries(scenario.n, entries)
+    links = scenario.links
+    pairs = np.array([(k.src, k.dst) for k in links], dtype=np.int64).reshape(-1, 2)
+    raw = np.array([(k.throughput, k.delay, k.jitter) for k in links], dtype=float).reshape(-1, 3)
+    costs = ilc_costs(_normalize(raw, bounds or MetricBounds()), rules)
+    return CostMatrix.from_arrays(scenario.n, pairs[:, 0], pairs[:, 1], costs)

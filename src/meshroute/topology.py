@@ -4,6 +4,13 @@ A scenario is a pure function of (n, placement, seed, radio_range): node sites,
 plus one directed link observation for every ordered pair within radio range.
 Link metrics stand in for measured values and are drawn from fixed uniform
 ranges in (from, to)-sorted order so regeneration is bit-identical.
+
+Links are enumerated with np.nonzero over the adjacency matrix, which yields
+them in row-major (from, to) order, and all metrics come from one (L, 3)
+uniform draw. A generator fills such a draw row by row, column by column, so
+it consumes the stream exactly as L successive (throughput, delay, jitter)
+scalar draws would: scenarios and their JSON stay bit-identical to drawing
+link by link, and any change to that order changes every scenario.
 """
 
 from __future__ import annotations
@@ -69,18 +76,28 @@ class NetworkScenario:
         return np.array([[s.x, s.y] for s in self.nodes], dtype=float)
 
 
-def synthesize_metrics(rng: np.random.Generator) -> tuple[float, float, float]:
-    """Draw one (throughput, delay, jitter) triple for a directed link."""
-    throughput = rng.uniform(*THROUGHPUT_RANGE_MBPS)
-    delay = rng.uniform(*DELAY_RANGE_MS)
-    jitter = rng.uniform(*JITTER_RANGE_MS)
-    return throughput, delay, jitter
+METRIC_LOW = (THROUGHPUT_RANGE_MBPS[0], DELAY_RANGE_MS[0], JITTER_RANGE_MS[0])
+METRIC_HIGH = (THROUGHPUT_RANGE_MBPS[1], DELAY_RANGE_MS[1], JITTER_RANGE_MS[1])
+
+
+def _draw_metrics(rng: np.random.Generator, count: int) -> np.ndarray:
+    """(count, 3) rows of (throughput, delay, jitter), one row per link in order."""
+    return rng.uniform(METRIC_LOW, METRIC_HIGH, size=(count, 3))
 
 
 def _adjacency(positions: np.ndarray, radio_range: float) -> np.ndarray:
-    """Boolean adjacency by squared euclidean distance; diagonal false."""
-    deltas = positions[:, None, :] - positions[None, :, :]
-    dist_sq = np.einsum("ijk,ijk->ij", deltas, deltas)
+    """Boolean adjacency by squared euclidean distance; diagonal false.
+
+    dx*dx + dy*dy adds the same two rounded squares as a dot product over the
+    coordinate axis and matches it bit for bit; building it in place from two
+    (n, n) arrays avoids an (n, n, 2) temporary.
+    """
+    x, y = positions[:, 0], positions[:, 1]
+    dist_sq = x[:, None] - x[None, :]
+    dist_sq *= dist_sq
+    dy = y[:, None] - y[None, :]
+    dy *= dy
+    dist_sq += dy
     adj = dist_sq <= radio_range * radio_range
     np.fill_diagonal(adj, False)
     return adj
@@ -123,15 +140,16 @@ def generate_scenario(
         side = math.isqrt(n)
         if side * side != n:
             raise ValueError(f"grid placement needs a perfect-square node count, {n} is not a perfect square")
-        coords = np.array(
-            [[(i % side) * GRID_SPACING_M, (i // side) * GRID_SPACING_M] for i in range(n)]
-        )
+        idx = np.arange(n)
+        coords = np.stack([(idx % side) * GRID_SPACING_M, (idx // side) * GRID_SPACING_M], axis=1)
+        adj = _adjacency(coords, radio_range)
         area_side = (side - 1) * GRID_SPACING_M
     elif placement in ("random", "uniform-random"):
         area_side = REFERENCE_AREA_SIDE_M * math.sqrt(n / REFERENCE_NODE_COUNT)
         for _ in range(MAX_PLACEMENT_RETRIES):
             coords = rng.uniform(0.0, area_side, size=(n, 2))
-            if _reachable(_adjacency(coords, radio_range), 0, n - 1):
+            adj = _adjacency(coords, radio_range)
+            if _reachable(adj, 0, n - 1):
                 break
         else:
             raise ConnectivityError(
@@ -140,20 +158,16 @@ def generate_scenario(
     else:
         raise ValueError(f"unknown placement {placement!r} (expected 'grid' or 'random')")
 
-    nodes = tuple(NodeSite(i, float(coords[i, 0]), float(coords[i, 1])) for i in range(n))
-    adj = _adjacency(coords, radio_range)
-    links = []
-    for i in range(n):
-        for j in range(n):
-            if adj[i, j]:
-                throughput, delay, jitter = synthesize_metrics(rng)
-                links.append(LinkObservation(i, j, throughput, delay, jitter))
+    nodes = tuple(map(NodeSite, range(n), coords[:, 0].tolist(), coords[:, 1].tolist()))
+    src, dst = np.nonzero(adj)
+    metrics = _draw_metrics(rng, len(src))
+    links = tuple(map(LinkObservation, src.tolist(), dst.tolist(), *metrics.T.tolist()))
     return NetworkScenario(
         seed=seed,
         area_side=float(area_side),
         radio_range=float(radio_range),
         nodes=nodes,
-        links=tuple(links),
+        links=links,
     )
 
 

@@ -194,6 +194,19 @@ def test_bench_filters_large_cells(tmp_path):
     assert rows and all(row.split(",")[1] == "9" for row in rows)
 
 
+def test_bench_names_dropped_large_cells(tmp_path, capsys):
+    plan = {
+        "node_counts": [9, 121, 2500],
+        "generation_budgets": [2],
+        "seeds": [[101, 9001]],
+        "population_size": 8,
+    }
+    plan_path = tmp_path / "plan.json"
+    plan_path.write_text(json.dumps(plan))
+    assert main(["bench", "--plan", str(plan_path), "--out", str(tmp_path / "b")]) == EXIT_OK
+    assert "skipping node counts 121, 2500; pass --include-large" in capsys.readouterr().err
+
+
 def test_bench_all_cells_large_without_flag(tmp_path):
     plan = {"node_counts": [2500], "generation_budgets": [2], "seeds": [[101, 9001]]}
     plan_path = tmp_path / "plan.json"

@@ -1,6 +1,7 @@
 """Fuzzy link-cost evaluator: memberships, rule base, centroid, cost matrix."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -8,7 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from meshroute.fuzzycost import (
+    DEFAULT_RULES,
     ILC_FLOOR,
+    OUT_SAMPLES,
     CostMatrix,
     MetricBounds,
     RuleBase,
@@ -16,15 +19,68 @@ from meshroute.fuzzycost import (
     consequent_of,
     default_rule_base,
     evaluate_ilc,
+    ilc_costs,
     input_memberships,
     load_rule_base,
     normalize_inputs,
 )
-from meshroute.topology import generate_scenario
+from meshroute.topology import LinkObservation, NetworkScenario, NodeSite, generate_scenario
 
 LATTICE = np.linspace(0.0, 1.0, 11)
 
 unit_floats = st.floats(min_value=0.0, max_value=1.0)
+
+# (nodes, placement, seeds) on which cost matrices must match the reference exactly
+GOLDEN_CASES = [
+    (25, "grid", (0, 1, 42)),
+    (100, "grid", (0, 101, 102)),
+    (400, "grid", (0, 101)),
+    (100, "random", (0, 5, 101)),
+    (400, "random", (0, 101)),
+]
+
+
+def reference_ilc(throughput_n, delay_n, jitter_n, rules=None):
+    """One link at a time: the 27-rule loop, a vector-matrix product, two fsums."""
+    table = (rules or DEFAULT_RULES).table
+    peaks = np.array([0.0, 0.5, 1.0])
+    mt, md, mj = (np.maximum(0.0, 1.0 - np.abs(x - peaks) / 0.5) for x in (throughput_n, delay_n, jitter_n))
+    weights = np.zeros(5)
+    for i in range(3):
+        if mt[i] == 0.0:
+            continue
+        for j in range(3):
+            wij = mt[i] * md[j]
+            if wij == 0.0:
+                continue
+            for k in range(3):
+                w = wij * mj[k]
+                if w > 0.0:
+                    weights[table[i, j, k]] += w
+    mu = weights @ OUT_SAMPLES
+    total = math.fsum(mu)
+    offset = math.fsum((idx - 50) * m for idx, m in enumerate(mu))
+    return max(0.5 + offset / (100.0 * total), ILC_FLOOR)
+
+
+def reference_cost_matrix(scenario, bounds=MetricBounds()):
+    """Link-by-link scoring into a dense matrix, neighbour lists by per-row scans."""
+    n = scenario.n
+    values = np.full((n, n), np.nan)
+    for link in scenario.links:
+        t, d, j = (
+            min(1.0, max(0.0, (x - lo) / (hi - lo)))
+            for x, lo, hi in (
+                (link.throughput, bounds.throughput_min, bounds.throughput_max),
+                (link.delay, bounds.delay_min, bounds.delay_max),
+                (link.jitter, bounds.jitter_min, bounds.jitter_max),
+            )
+        )
+        values[link.src, link.dst] = reference_ilc(t, d, j)
+    adjacency = np.isfinite(values)
+    neighbors = tuple(tuple(np.nonzero(adjacency[i])[0].tolist()) for i in range(n))
+    in_neighbors = tuple(tuple(np.nonzero(adjacency[:, i])[0].tolist()) for i in range(n))
+    return values, adjacency, neighbors, in_neighbors
 
 
 def test_input_memberships_partition():
@@ -175,6 +231,28 @@ def test_ilc_range_property(t, d, j):
     assert ILC_FLOOR <= v <= 1.0
 
 
+@given(unit_floats, unit_floats, unit_floats)
+@settings(max_examples=300)
+def test_ilc_matches_reference_property(t, d, j):
+    assert evaluate_ilc(t, d, j) == reference_ilc(t, d, j)
+
+
+def test_ilc_batch_matches_reference_on_lattice():
+    grid = np.array([(t, d, j) for t in LATTICE for d in LATTICE for j in LATTICE])
+    expected = [reference_ilc(*row) for row in grid.tolist()]
+    assert ilc_costs(grid).tolist() == expected
+    # a rule base whose consequents differ from the default
+    rules = RuleBase(np.minimum(default_rule_base().table, 2))
+    expected = [reference_ilc(*row, rules=rules) for row in grid.tolist()]
+    assert ilc_costs(grid, rules).tolist() == expected
+
+
+def test_ilc_batch_rejects_out_of_range_row():
+    rows = np.array([[0.2, 0.3, 0.4], [0.5, 0.5, 1.5]])
+    with pytest.raises(ValueError, match="normalized jitter out of"):
+        ilc_costs(rows)
+
+
 def test_ilc_purity():
     assert evaluate_ilc(0.3, 0.7, 0.2) == evaluate_ilc(0.3, 0.7, 0.2)
 
@@ -219,3 +297,45 @@ def test_cost_matrix_neighbor_lists():
     assert cm.neighbors[0] == (1, 2)
     assert cm.in_neighbors[0] == (3,)
     assert cm.neighbors[3] == (0,)
+
+
+def test_cost_matrix_equality_is_identity():
+    a = CostMatrix.from_entries(3, {(0, 1): 0.5})
+    b = CostMatrix.from_entries(3, {(0, 1): 0.5})
+    assert (a == b) is False
+    assert (a == a) is True
+
+
+def test_cost_matrix_duplicate_and_undefined_entries():
+    cm = CostMatrix.from_arrays(3, [0, 1, 0, 2], [1, 2, 1, 0], [0.2, np.nan, 0.7, 0.3])
+    assert cm.entry(0, 1) == 0.7
+    assert not cm.defined(1, 2)
+    assert cm.neighbors == ((1,), (), (0,))
+    assert cm.in_neighbors == ((2,), (0,), ())
+
+
+def test_cost_matrix_rejects_out_of_range_endpoint():
+    with pytest.raises(ValueError, match="outside 0..2"):
+        CostMatrix.from_arrays(3, [0, -1], [1, 0], [0.5, 0.5])
+
+
+def test_build_rejects_hand_built_self_loop():
+    nodes = (NodeSite(0, 0.0, 0.0), NodeSite(1, 200.0, 0.0))
+    links = (LinkObservation(0, 1, 1.0, 10.0, 2.0), LinkObservation(1, 1, 1.5, 20.0, 1.0))
+    s = NetworkScenario(seed=0, area_side=200.0, radio_range=250.0, nodes=nodes, links=links)
+    with pytest.raises(ValueError, match="self-loop"):
+        build_cost_matrix(s)
+
+
+@pytest.mark.parametrize(
+    "n, placement, seed",
+    [(n, placement, seed) for n, placement, seeds in GOLDEN_CASES for seed in seeds],
+)
+def test_cost_matrix_matches_reference(n, placement, seed):
+    scenario = generate_scenario(n, placement=placement, seed=seed)
+    cm = build_cost_matrix(scenario)
+    values, adjacency, neighbors, in_neighbors = reference_cost_matrix(scenario)
+    assert cm.values.tobytes() == values.tobytes()
+    assert np.array_equal(cm.adjacency, adjacency)
+    assert cm.neighbors == neighbors
+    assert cm.in_neighbors == in_neighbors

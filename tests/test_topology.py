@@ -7,21 +7,74 @@ import numpy as np
 import pytest
 
 from meshroute.topology import (
+    DEFAULT_RADIO_RANGE_M,
+    DELAY_RANGE_MS,
+    GRID_SPACING_M,
+    JITTER_RANGE_MS,
+    MAX_PLACEMENT_RETRIES,
+    REFERENCE_AREA_SIDE_M,
+    REFERENCE_NODE_COUNT,
+    THROUGHPUT_RANGE_MBPS,
     ConnectivityError,
     LinkObservation,
     NetworkScenario,
     NodeSite,
+    _draw_metrics,
+    _reachable,
     connectivity_matrix,
     generate_scenario,
     load_scenario,
     save_scenario,
     scenario_from_dict,
     scenario_to_dict,
-    synthesize_metrics,
 )
 
 GRID25_LINKS = 80  # 2 * 2 * (5 * 4) orthogonal adjacencies on a 5x5 lattice
 GRID100_LINKS = 360
+
+# (nodes, placement, seeds) on which generation must match the reference exactly
+GOLDEN_CASES = [
+    (25, "grid", (0, 1, 42)),
+    (100, "grid", (0, 101, 102)),
+    (400, "grid", (0, 101)),
+    (100, "random", (0, 5, 101)),
+    (400, "random", (0, 101)),
+]
+
+
+def reference_adjacency(positions, radio_range):
+    deltas = positions[:, None, :] - positions[None, :, :]
+    adj = np.einsum("ijk,ijk->ij", deltas, deltas) <= radio_range * radio_range
+    np.fill_diagonal(adj, False)
+    return adj
+
+
+def reference_generate_scenario(n, placement, seed, radio_range=DEFAULT_RADIO_RANGE_M):
+    """Link-by-link generation: visit every ordered pair, draw each metric as a scalar."""
+    rng = np.random.default_rng(seed)
+    if placement == "grid":
+        side = math.isqrt(n)
+        coords = np.array(
+            [[(i % side) * GRID_SPACING_M, (i // side) * GRID_SPACING_M] for i in range(n)]
+        )
+        area_side = (side - 1) * GRID_SPACING_M
+    else:
+        area_side = REFERENCE_AREA_SIDE_M * math.sqrt(n / REFERENCE_NODE_COUNT)
+        for _ in range(MAX_PLACEMENT_RETRIES):
+            coords = rng.uniform(0.0, area_side, size=(n, 2))
+            if _reachable(reference_adjacency(coords, radio_range), 0, n - 1):
+                break
+    nodes = tuple(NodeSite(i, float(coords[i, 0]), float(coords[i, 1])) for i in range(n))
+    adj = reference_adjacency(coords, radio_range)
+    links = []
+    for i in range(n):
+        for j in range(n):
+            if adj[i, j]:
+                throughput = rng.uniform(*THROUGHPUT_RANGE_MBPS)
+                delay = rng.uniform(*DELAY_RANGE_MS)
+                jitter = rng.uniform(*JITTER_RANGE_MS)
+                links.append(LinkObservation(i, j, throughput, delay, jitter))
+    return NetworkScenario(seed, float(area_side), float(radio_range), nodes, tuple(links))
 
 
 def test_grid25_geometry():
@@ -86,10 +139,27 @@ def test_metric_ranges():
         assert 0.0 <= link.jitter <= 20.0
 
 
-def test_synthesize_metrics_deterministic():
-    a = synthesize_metrics(np.random.default_rng(5))
-    b = synthesize_metrics(np.random.default_rng(5))
-    assert a == b
+def test_batch_metric_draw_matches_per_link_draws():
+    rng = np.random.default_rng(5)
+    scalar = [
+        [rng.uniform(*THROUGHPUT_RANGE_MBPS), rng.uniform(*DELAY_RANGE_MS), rng.uniform(*JITTER_RANGE_MS)]
+        for _ in range(500)
+    ]
+    batch = _draw_metrics(np.random.default_rng(5), 500)
+    assert batch.tolist() == scalar
+
+
+@pytest.mark.parametrize(
+    "n, placement, seed",
+    [(n, placement, seed) for n, placement, seeds in GOLDEN_CASES for seed in seeds],
+)
+def test_generation_matches_reference(n, placement, seed, tmp_path):
+    s = generate_scenario(n, placement=placement, seed=seed)
+    ref = reference_generate_scenario(n, placement, seed)
+    assert s == ref
+    save_scenario(s, tmp_path / "new.json")
+    save_scenario(ref, tmp_path / "ref.json")
+    assert (tmp_path / "new.json").read_bytes() == (tmp_path / "ref.json").read_bytes()
 
 
 def test_connectivity_matrix_grid():
