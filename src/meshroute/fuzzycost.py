@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -231,16 +231,12 @@ class CostMatrix:
     neighbors[i] lists the out-neighbors of i in ascending id order, so path
     decoding and exact search iterate links identically. adjacency is the
     boolean link matrix (kept alongside values for vectorized reachability).
-    memo holds search data derived from the links (the path decoder's
-    per-terminal guides); it lives and dies with the instance. Matrices
-    compare by identity.
+    Matrices compare by identity.
     """
 
     values: np.ndarray
     neighbors: tuple[tuple[int, ...], ...]
-    in_neighbors: tuple[tuple[int, ...], ...]
     adjacency: np.ndarray
-    memo: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def n(self) -> int:
@@ -273,7 +269,7 @@ class CostMatrix:
         adjacency = np.isfinite(values)
         linked = adjacency[src, dst]
         src, dst = src[linked], dst[linked]
-        return cls(values, _grouped(src * n + dst, n), _grouped(dst * n + src, n), adjacency)
+        return cls(values, _grouped(src * n + dst, n), adjacency)
 
     @classmethod
     def from_entries(cls, n: int, entries: dict[tuple[int, int], float]) -> "CostMatrix":

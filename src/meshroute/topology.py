@@ -85,22 +85,33 @@ def _draw_metrics(rng: np.random.Generator, count: int) -> np.ndarray:
     return rng.uniform(METRIC_LOW, METRIC_HIGH, size=(count, 3))
 
 
-def _adjacency(positions: np.ndarray, radio_range: float) -> np.ndarray:
+def _adjacency(positions: np.ndarray, radio_range: float, out=None) -> np.ndarray:
     """Boolean adjacency by squared euclidean distance; diagonal false.
 
     dx*dx + dy*dy adds the same two rounded squares as a dot product over the
     coordinate axis and matches it bit for bit; building it in place from two
-    (n, n) arrays avoids an (n, n, 2) temporary.
+    (n, n) arrays avoids an (n, n, 2) temporary. out, from _adjacency_buffers,
+    holds those arrays and the result, so placement retries reuse one set
+    instead of allocating (and faulting in) three fresh (n, n) arrays each;
+    the returned matrix is then out's, overwritten by the next call.
     """
+    if out is None:
+        out = _adjacency_buffers(len(positions))
+    dist_sq, dy, adj = out
     x, y = positions[:, 0], positions[:, 1]
-    dist_sq = x[:, None] - x[None, :]
+    np.subtract(x[:, None], x[None, :], out=dist_sq)
     dist_sq *= dist_sq
-    dy = y[:, None] - y[None, :]
+    np.subtract(y[:, None], y[None, :], out=dy)
     dy *= dy
     dist_sq += dy
-    adj = dist_sq <= radio_range * radio_range
+    np.less_equal(dist_sq, radio_range * radio_range, out=adj)
     np.fill_diagonal(adj, False)
     return adj
+
+
+def _adjacency_buffers(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Uninitialised (n, n) squared-distance, dy-square and adjacency arrays."""
+    return np.empty((n, n)), np.empty((n, n)), np.empty((n, n), dtype=bool)
 
 
 def _reachable(adj: np.ndarray, source: int, terminal: int) -> bool:
@@ -146,9 +157,10 @@ def generate_scenario(
         area_side = (side - 1) * GRID_SPACING_M
     elif placement in ("random", "uniform-random"):
         area_side = REFERENCE_AREA_SIDE_M * math.sqrt(n / REFERENCE_NODE_COUNT)
+        buffers = _adjacency_buffers(n)
         for _ in range(MAX_PLACEMENT_RETRIES):
             coords = rng.uniform(0.0, area_side, size=(n, 2))
-            adj = _adjacency(coords, radio_range)
+            adj = _adjacency(coords, radio_range, buffers)
             if _reachable(adj, 0, n - 1):
                 break
         else:

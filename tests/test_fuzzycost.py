@@ -79,8 +79,7 @@ def reference_cost_matrix(scenario, bounds=MetricBounds()):
         values[link.src, link.dst] = reference_ilc(t, d, j)
     adjacency = np.isfinite(values)
     neighbors = tuple(tuple(np.nonzero(adjacency[i])[0].tolist()) for i in range(n))
-    in_neighbors = tuple(tuple(np.nonzero(adjacency[:, i])[0].tolist()) for i in range(n))
-    return values, adjacency, neighbors, in_neighbors
+    return values, adjacency, neighbors
 
 
 def test_input_memberships_partition():
@@ -295,7 +294,6 @@ def test_cost_matrix_rejects_self_loops():
 def test_cost_matrix_neighbor_lists():
     cm = CostMatrix.from_entries(4, {(0, 2): 0.1, (0, 1): 0.2, (3, 0): 0.4})
     assert cm.neighbors[0] == (1, 2)
-    assert cm.in_neighbors[0] == (3,)
     assert cm.neighbors[3] == (0,)
 
 
@@ -311,7 +309,6 @@ def test_cost_matrix_duplicate_and_undefined_entries():
     assert cm.entry(0, 1) == 0.7
     assert not cm.defined(1, 2)
     assert cm.neighbors == ((1,), (), (0,))
-    assert cm.in_neighbors == ((2,), (0,), ())
 
 
 def test_cost_matrix_rejects_out_of_range_endpoint():
@@ -334,8 +331,7 @@ def test_build_rejects_hand_built_self_loop():
 def test_cost_matrix_matches_reference(n, placement, seed):
     scenario = generate_scenario(n, placement=placement, seed=seed)
     cm = build_cost_matrix(scenario)
-    values, adjacency, neighbors, in_neighbors = reference_cost_matrix(scenario)
+    values, adjacency, neighbors = reference_cost_matrix(scenario)
     assert cm.values.tobytes() == values.tobytes()
     assert np.array_equal(cm.adjacency, adjacency)
     assert cm.neighbors == neighbors
-    assert cm.in_neighbors == in_neighbors

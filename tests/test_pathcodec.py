@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from meshroute import pathcodec
+from meshroute import bbbc, bbo
+from meshroute.bbbc import BbbcParams, run_bbbc
+from meshroute.bbo import BboParams, run_bbo
 from meshroute.fuzzycost import CostMatrix, build_cost_matrix
 from meshroute.pathcodec import (
     BrokenPathError,
@@ -61,13 +63,14 @@ def reference_walk(key_list, cm, source, terminal):
     backward breadth-first search before every step: slow but simple, and
     polynomial, so it serves as the reference on large graphs.
     """
+    in_neighbors = [np.nonzero(cm.adjacency[:, w])[0].tolist() for w in range(cm.n)]
     path = [source]
     on_path = {source}
     while path[-1] != terminal:
         alive = {terminal}
         frontier = [terminal]
         while frontier:
-            grown = {u for w in frontier for u in cm.in_neighbors[w]} - alive - on_path
+            grown = {u for w in frontier for u in in_neighbors[w]} - alive - on_path
             alive |= grown
             frontier = list(grown)
         options = [u for u in cm.neighbors[path[-1]] if u in alive]
@@ -237,6 +240,30 @@ def test_decode_matches_reference_walk_on_one_way_links():
             assert decode_or_none(decode, keys, cm, 0, n - 1) == expected
 
 
+def reference_decode_path(keys, cm, source, terminal):
+    nodes = reference_walk(keys.tolist(), cm, source, terminal)
+    return Path(nodes, path_cost(nodes, cm))
+
+
+@pytest.mark.parametrize("n", [25, 100])
+def test_optimizers_match_reference_decoder(n, monkeypatch):
+    # whole runs, every decode of them, against the definition rather than a
+    # stored hash, so the check holds under any BLAS
+    cm = build_cost_matrix(generate_scenario(n, placement="grid", seed=101))
+    runs = [
+        lambda: run_bbbc(cm, 0, n - 1, BbbcParams(max_generations=10, rng_seed=9001)),
+        lambda: run_bbo(cm, 0, n - 1, BboParams(max_generations=10, rng_seed=9001)),
+    ]
+    got = [run() for run in runs]
+    monkeypatch.setattr(bbbc, "decode_path", reference_decode_path)
+    monkeypatch.setattr(bbo, "decode_path", reference_decode_path)
+    for result, run in zip(got, runs):
+        expected = run()
+        assert result.best_path == expected.best_path
+        assert result.best_cost == expected.best_cost
+        assert result.trace == expected.trace
+
+
 def one_way_pocket(exit_link):
     """0 -> 1 -> 2 -> 3 -> 1 is a one-way cycle whose only link out, 3 -> 0,
     goes back to the source; the route to terminal 6 is 0 -> 4 -> 5 -> 6,
@@ -248,29 +275,12 @@ def one_way_pocket(exit_link):
     return cm_of(7, pairs), keys
 
 
-def spy_checks(monkeypatch):
-    calls = []
-    original = pathcodec._check
-
-    def spy(u, *args):
-        route = original(u, *args)
-        calls.append((u, route))
-        return route
-
-    monkeypatch.setattr(pathcodec, "_check", spy)
-    return calls
-
-
-def test_failed_check_marks_one_way_pocket_dead(monkeypatch):
+def test_one_way_pocket_without_exit():
+    # every node of the cycle still reaches the terminal through the source,
+    # but none of them does once the walk holds the source
     cm, keys = one_way_pocket(exit_link=False)
-    calls = spy_checks(monkeypatch)
     assert decode(keys, cm, 0, 6) == (0, 4, 5, 6)
     assert reference_dfs(keys.tolist(), cm, 0, 6) == (0, 4, 5, 6)
-    # every node of the cycle still reaches the terminal through the source,
-    # so none starts dead; once the check from 1 fails, 2 is skipped at 4
-    # without a second check
-    assert calls[0] == (1, None)
-    assert [u for u, _ in calls[1:]] == [4]
 
 
 def test_one_way_exit_keeps_pocket_viable():
@@ -279,17 +289,44 @@ def test_one_way_exit_keeps_pocket_viable():
     assert reference_dfs(keys.tolist(), cm, 0, 6) == (0, 1, 2, 5, 6)
 
 
-def test_decode_guide_is_memoised_per_matrix():
-    pairs = [(0, 1), (1, 2), (2, 3), (0, 2), (3, 0)]
-    cm = cm_of(4, pairs)
-    guide = pathcodec._guide(cm, 3)
-    assert pathcodec._guide(cm, 3) is guide
-    assert list(cm.memo) == [("decode_guide", 3)]
-    # out-neighbors nearest the terminal first: 2 is one hop away, 1 two
-    assert guide[0][0] == (2, 1)
-    # the memo belongs to the instance and is not part of its value
-    assert cm_of(4, pairs).memo == {}
-    assert "memo" not in repr(cm)
+class CountingNeighbors(tuple):
+    """Neighbor lists that count how often one of them is read."""
+
+    reads = 0
+
+    def __getitem__(self, i):
+        self.reads += 1
+        return super().__getitem__(i)
+
+
+def decode_reads(keys, cm, source, terminal):
+    """The decode on a copy of cm, and how many neighbor lists it read."""
+    neighbors = CountingNeighbors(cm.neighbors)
+    counted = CostMatrix(cm.values, neighbors, cm.adjacency)
+    return decode_or_none(decode, keys, counted, source, terminal), neighbors.reads
+
+
+def test_decode_reads_each_node_at_most_twice():
+    # a node's neighbors are read when it is pushed and each time a child
+    # pops back to it; each node is pushed at most once and popped at most
+    # once, so a decode reads at most 2n lists, where a search that
+    # un-visits nodes reads the clique trap's 7! orderings
+    cases = [
+        (*clique_trap(with_exit=True), 0, 9, (0, 8, 9)),
+        (*clique_trap(with_exit=False), 0, 9, None),
+        (*one_way_pocket(exit_link=False), 0, 6, (0, 4, 5, 6)),
+        (*one_way_pocket(exit_link=True), 0, 6, (0, 1, 2, 5, 6)),
+    ]
+    for cm, keys, source, terminal, expected in cases:
+        path, reads = decode_reads(keys, cm, source, terminal)
+        assert path == expected
+        assert 0 < reads <= 2 * cm.n
+    cm = build_cost_matrix(generate_scenario(400, placement="random", seed=101))
+    rng = np.random.default_rng(4)
+    for keys in perturbed_genomes(rng, cm.n, 40):
+        path, reads = decode_reads(keys, cm, 0, cm.n - 1)
+        assert path == decode(keys, cm, 0, cm.n - 1)
+        assert reads <= 2 * cm.n
 
 
 def enumerate_simple_paths(cm, source, terminal):
