@@ -2,15 +2,30 @@
 
 Dijkstra over the cost matrix gives the ground truth the metaheuristics are
 judged against. Ties between equal-cost optima break toward the
-lexicographically smallest node sequence so the reported path is unique.
+lexicographically smallest node sequence, so the reported path is unique.
+
+The search keeps one distance and one predecessor label per node and reads
+link costs from `CostMatrix.links`. A node's route is its predecessor's
+route plus the node itself. Among the cheapest routes to a node u the
+lexicographically smallest is route(p) + [u] for some cheapest predecessor
+p, so when a second predecessor offers the same cost the two whole
+candidates, u included, are compared. Comparing the predecessors' routes
+alone is wrong when one is a prefix of the other: with links 0->1 and 1->3
+at 0.5, 1->2 and 2->3 at 0.25, both routes to 3 cost 1.0 and (0, 1, 2, 3)
+is the smaller, although the parent route (0, 1) is a prefix of (0, 1, 2).
+
+Ties between different nodes need no rule. Every link costs more than
+zero (shortest_path raises on one that does not once it matters), so a
+node settled at cost c only offers costs above c to others, and
+the order in which nodes of equal cost settle cannot change any route. For
+the same reason a settled node's predecessor never changes.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .fuzzycost import CostMatrix
 
@@ -25,32 +40,55 @@ class OracleResult:
     cost: float
 
 
-def shortest_path(cm: CostMatrix, source: int, terminal: int) -> OracleResult:
-    """Minimum-cost path by Dijkstra; all link costs are positive.
+def _route(pred: list[int], v: int) -> list[int]:
+    """Node sequence from the source to v along predecessor labels."""
+    nodes = [v]
+    while pred[v] >= 0:
+        v = pred[v]
+        nodes.append(v)
+    nodes.reverse()
+    return nodes
 
-    Heap entries carry the full path tuple: among equal costs the heap orders
-    lexicographically, so the first settle of a node is via its lex-smallest
-    cheapest path.
+
+def shortest_path(cm: CostMatrix, source: int, terminal: int) -> OracleResult:
+    """Minimum-cost path by Dijkstra with predecessor labels; link costs must be positive.
+
+    Among equal-cost paths the lexicographically smallest node sequence wins
+    (see the module docstring). The cost is added left to right along the
+    returned path, so it equals `path_cost` of that path exactly. A link
+    that costs zero or less raises ValueError when it would change a label,
+    so the search always ends; fuzzy costs are at least ILC_FLOOR.
     """
     n = cm.n
     if not (0 <= source < n and 0 <= terminal < n):
         raise ValueError(f"source {source} or terminal {terminal} out of range")
     if source == terminal:
         return OracleResult((source,), 0.0)
-    values = cm.values
-    settled = bytearray(n)
-    heap = [(0.0, (source,))]
+    links = cm.links
+    dist = [math.inf] * n
+    pred = [-1] * n
+    dist[source] = 0.0
+    heap = [(0.0, source)]
+    pop, push = heapq.heappop, heapq.heappush
     while heap:
-        cost, nodes = heapq.heappop(heap)
-        v = nodes[-1]
-        if settled[v]:
-            continue
+        cost, v = pop(heap)
+        if cost > dist[v]:
+            continue  # stale: v was pushed again at a lower cost
         if v == terminal:
-            return OracleResult(nodes, cost)
-        settled[v] = 1
-        for u in cm.neighbors[v]:
-            if not settled[u]:
-                heapq.heappush(heap, (cost + float(values[v, u]), nodes + (u,)))
+            return OracleResult(tuple(_route(pred, v)), cost)
+        for u, w in links[v]:
+            c = cost + w
+            d = dist[u]
+            if c > d:
+                continue
+            if w <= 0.0:
+                raise ValueError(f"link {v} -> {u} costs {w}; the oracle needs positive costs")
+            if c < d:
+                dist[u] = c
+                pred[u] = v
+                push(heap, (c, u))
+            elif _route(pred, v) + [u] < _route(pred, pred[u]) + [u]:
+                pred[u] = v
     raise UnreachableError(f"node {terminal} unreachable from {source}")
 
 
@@ -61,8 +99,7 @@ def brute_force_shortest(cm: CostMatrix, source: int, terminal: int) -> OracleRe
         raise ValueError(f"brute force limited to 12 nodes, got {n}")
     if source == terminal:
         return OracleResult((source,), 0.0)
-    values = cm.values
-    best_cost = np.inf
+    best_cost = math.inf
     best_nodes: tuple[int, ...] | None = None
 
     on_path = bytearray(n)
@@ -70,10 +107,10 @@ def brute_force_shortest(cm: CostMatrix, source: int, terminal: int) -> OracleRe
 
     def walk(v: int, nodes: tuple[int, ...], cost: float):
         nonlocal best_cost, best_nodes
-        for u in cm.neighbors[v]:
+        for u, w in cm.links[v]:
             if on_path[u]:
                 continue
-            c = cost + float(values[v, u])
+            c = cost + w
             # prune on > only: equal-cost completions must still compete on lex order
             if c > best_cost:
                 continue

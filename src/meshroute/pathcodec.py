@@ -57,8 +57,11 @@ def random_vector(rng: np.random.Generator, n: int) -> np.ndarray:
 def decode(keys: np.ndarray, cm: CostMatrix, source: int, terminal: int) -> tuple[int, ...]:
     """Decode a key vector to a loop-free node sequence.
 
-    The search is exhaustive over simple paths in priority order, so it fails
-    only when the terminal is unreachable.
+    Keys must be finite: a NaN or infinite key never wins a comparison, so
+    its node is never taken. The search is exhaustive over simple paths in
+    priority order, so with finite keys it fails only when the terminal is
+    unreachable; a failed search over non-finite keys raises ValueError
+    naming the first of them instead of NoPathError.
     """
     n = cm.n
     if len(keys) != n:
@@ -87,6 +90,10 @@ def decode(keys: np.ndarray, cm: CostMatrix, source: int, terminal: int) -> tupl
             # every neighbor is seen: v is dead for the rest of the decode
             stack.pop()
             if not stack:
+                finite = np.isfinite(keys)
+                if not finite.all():
+                    bad = int(np.argmin(finite))
+                    raise ValueError(f"key {bad} is not finite: {keys[bad]}")
                 raise NoPathError(f"no path from {source} to {terminal}")
             v = stack[-1]
         else:

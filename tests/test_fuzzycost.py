@@ -269,6 +269,7 @@ def test_cost_matrix_no_links():
     s = generate_scenario(4, placement="grid", seed=7, radio_range=150.0)
     cm = build_cost_matrix(s)
     assert not cm.adjacency.any()
+    assert cm.links == ((),) * 4
 
 
 def test_identical_metrics_identical_ilc(grid25):
@@ -295,6 +296,8 @@ def test_cost_matrix_neighbor_lists():
     cm = CostMatrix.from_entries(4, {(0, 2): 0.1, (0, 1): 0.2, (3, 0): 0.4})
     assert cm.neighbors[0] == (1, 2)
     assert cm.neighbors[3] == (0,)
+    assert cm.links == (((1, 0.2), (2, 0.1)), (), (), ((0, 0.4),))
+    assert all(type(w) is float for out in cm.links for _, w in out)
 
 
 def test_cost_matrix_equality_is_identity():
@@ -309,6 +312,7 @@ def test_cost_matrix_duplicate_and_undefined_entries():
     assert cm.entry(0, 1) == 0.7
     assert not cm.defined(1, 2)
     assert cm.neighbors == ((1,), (), (0,))
+    assert cm.links == (((1, 0.7),), (), ((0, 0.3),))
 
 
 def test_cost_matrix_rejects_out_of_range_endpoint():
@@ -335,3 +339,6 @@ def test_cost_matrix_matches_reference(n, placement, seed):
     assert cm.values.tobytes() == values.tobytes()
     assert np.array_equal(cm.adjacency, adjacency)
     assert cm.neighbors == neighbors
+    assert cm.links == tuple(
+        tuple((u, float(values[v, u])) for u in neighbors[v]) for v in range(n)
+    )

@@ -1,9 +1,11 @@
 """Exact baseline: label-setting search, brute-force cross-check, percent error."""
 
+import heapq
+
 import numpy as np
 import pytest
 
-from meshroute.fuzzycost import CostMatrix
+from meshroute.fuzzycost import CostMatrix, build_cost_matrix
 from meshroute.oracle import (
     OracleResult,
     UnreachableError,
@@ -12,9 +14,60 @@ from meshroute.oracle import (
     shortest_path,
 )
 from meshroute.pathcodec import path_cost
+from meshroute.topology import generate_scenario
 
 CAMPAIGN_GRAPHS = 150
 CAMPAIGN_SEED = 2024
+
+# (nodes, placement, scenario seeds, random query pairs per scenario) on which
+# the oracle must return exactly what the reference search returns
+GOLDEN_CASES = [
+    (25, "grid", (42, 101), 40),
+    (100, "grid", (101, 102), 60),
+    (400, "grid", (101,), 60),
+    (100, "random", (5, 101), 60),
+    (400, "random", (101,), 60),
+    (2500, "grid", (101,), 200),
+]
+TIE_COSTS = (0.25, 0.5, 0.75, 1.0)
+TIE_GRAPHS = 3000
+TIE_SEED = 5150
+
+
+def reference_shortest_path(cm, source, terminal):
+    """Dijkstra whose heap entries carry the whole path tuple.
+
+    Among equal costs the heap orders by node sequence, so the first settle
+    of a node is via its lexicographically smallest cheapest path.
+    """
+    n = cm.n
+    if not (0 <= source < n and 0 <= terminal < n):
+        raise ValueError(f"source {source} or terminal {terminal} out of range")
+    if source == terminal:
+        return OracleResult((source,), 0.0)
+    values = cm.values
+    settled = bytearray(n)
+    heap = [(0.0, (source,))]
+    while heap:
+        cost, nodes = heapq.heappop(heap)
+        v = nodes[-1]
+        if settled[v]:
+            continue
+        if v == terminal:
+            return OracleResult(nodes, cost)
+        settled[v] = 1
+        for u in cm.neighbors[v]:
+            if not settled[u]:
+                heapq.heappush(heap, (cost + float(values[v, u]), nodes + (u,)))
+    raise UnreachableError(f"node {terminal} unreachable from {source}")
+
+
+def outcome(search, cm, source, terminal):
+    """The search's result, or None when it raises UnreachableError."""
+    try:
+        return search(cm, source, terminal)
+    except UnreachableError:
+        return None
 
 
 def random_cm(rng, n, p):
@@ -67,6 +120,72 @@ def test_lexicographic_tie_break():
     )
     assert shortest_path(cm, 0, 3).nodes == (0, 1, 3)
     assert brute_force_shortest(cm, 0, 3).nodes == (0, 1, 3)
+
+
+def test_tie_compares_whole_routes_not_parents():
+    # both routes to 3 cost 1.0; the parent route (0, 1) is a prefix of
+    # (0, 1, 2), yet (0, 1, 2, 3) < (0, 1, 3)
+    cm = CostMatrix.from_entries(4, {(0, 1): 0.5, (1, 3): 0.5, (1, 2): 0.25, (2, 3): 0.25})
+    expected = OracleResult((0, 1, 2, 3), 1.0)
+    assert shortest_path(cm, 0, 3) == expected
+    assert reference_shortest_path(cm, 0, 3) == expected
+    assert brute_force_shortest(cm, 0, 3) == expected
+
+
+def test_equal_offer_keeps_or_replaces_label_by_whole_route():
+    # the smaller route's parent 1 settles first: the later offer from 3 is dropped
+    keep = CostMatrix.from_entries(4, {(0, 1): 0.25, (1, 2): 0.5, (0, 3): 0.5, (3, 2): 0.25})
+    assert shortest_path(keep, 0, 2) == OracleResult((0, 1, 2), 0.75)
+    # the smaller route's parent 1 settles last: its equal offer replaces the label
+    swap = CostMatrix.from_entries(4, {(0, 3): 0.25, (3, 2): 0.5, (0, 1): 0.5, (1, 2): 0.25})
+    assert shortest_path(swap, 0, 2) == OracleResult((0, 1, 2), 0.75)
+
+
+@pytest.mark.parametrize(
+    "n, placement, seed, pairs",
+    [(n, placement, seed, pairs) for n, placement, seeds, pairs in GOLDEN_CASES for seed in seeds],
+)
+def test_matches_reference_on_scenarios(n, placement, seed, pairs):
+    cm = build_cost_matrix(generate_scenario(n, placement=placement, seed=seed))
+    rng = np.random.default_rng(seed)
+    queries = [(0, n - 1)] + [tuple(int(x) for x in rng.integers(0, n, 2)) for _ in range(pairs)]
+    for source, terminal in queries:
+        assert outcome(shortest_path, cm, source, terminal) == outcome(
+            reference_shortest_path, cm, source, terminal
+        ), (source, terminal)
+
+
+def test_matches_reference_and_brute_force_on_ties():
+    # costs from four values force many equal-cost routes
+    rng = np.random.default_rng(TIE_SEED)
+    unreachable = 0
+    for _ in range(TIE_GRAPHS):
+        n = int(rng.integers(2, 9))
+        p = float(rng.choice([0.25, 0.4, 0.6]))
+        entries = {
+            (i, j): float(rng.choice(TIE_COSTS))
+            for i in range(n)
+            for j in range(n)
+            if i != j and rng.random() < p
+        }
+        cm = CostMatrix.from_entries(n, entries)
+        for terminal in range(1, n):
+            fast = outcome(shortest_path, cm, 0, terminal)
+            assert fast == outcome(reference_shortest_path, cm, 0, terminal), (entries, terminal)
+            assert fast == outcome(brute_force_shortest, cm, 0, terminal), (entries, terminal)
+            unreachable += fast is None
+    assert unreachable > 0
+
+
+def test_non_positive_link_raises_instead_of_looping():
+    # a zero-cost link out of the source, and a negative link that would
+    # lower a label (the old search returned an answer for both)
+    zero = CostMatrix.from_entries(3, {(0, 1): 0.0, (1, 0): 0.0, (1, 2): 0.5})
+    with pytest.raises(ValueError, match="link 0 -> 1 costs 0.0"):
+        shortest_path(zero, 0, 2)
+    cycle = CostMatrix.from_entries(3, {(0, 1): 0.5, (1, 2): -1.0, (2, 1): 0.25})
+    with pytest.raises(ValueError, match="link 1 -> 2 costs -1.0"):
+        shortest_path(cycle, 0, 2)
 
 
 def test_returned_cost_matches_path(grid25):

@@ -1,5 +1,6 @@
 """Random-keys decoding against reference searches, and path costing."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -142,6 +143,16 @@ def test_no_path_raises():
     cm = cm_of(3, [(0, 1)])
     with pytest.raises(NoPathError):
         decode(np.array([0.1, 0.2, 0.3]), cm, 0, 2)
+
+
+def test_nan_key_that_blocks_the_path_is_named(line3_cm):
+    with pytest.raises(ValueError, match="key 1 is not finite: nan"):
+        decode(np.array([0.5, np.nan, 0.5]), line3_cm, 0, 2)
+
+
+def test_minus_inf_key_that_blocks_the_path_is_named(line3_cm):
+    with pytest.raises(ValueError, match="key 1 is not finite: -inf"):
+        decode(np.array([0.5, -np.inf, 0.5]), line3_cm, 0, 2)
 
 
 def test_decode_escapes_clique_trap():
@@ -302,7 +313,7 @@ class CountingNeighbors(tuple):
 def decode_reads(keys, cm, source, terminal):
     """The decode on a copy of cm, and how many neighbor lists it read."""
     neighbors = CountingNeighbors(cm.neighbors)
-    counted = CostMatrix(cm.values, neighbors, cm.adjacency)
+    counted = dataclasses.replace(cm, neighbors=neighbors)
     return decode_or_none(decode, keys, counted, source, terminal), neighbors.reads
 
 

@@ -220,6 +220,13 @@ def test_scenario_round_trip(tmp_path):
     assert scenario_to_dict(loaded) == scenario_to_dict(s)
 
 
+def test_large_scenario_round_trip_is_lossless(tmp_path):
+    s = generate_scenario(2500, placement="grid", seed=101)
+    path = tmp_path / "s.json"
+    save_scenario(s, path)
+    assert load_scenario(path) == s
+
+
 def test_scenario_file_is_byte_stable(tmp_path):
     s = generate_scenario(25, placement="grid", seed=42)
     p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
