@@ -9,9 +9,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from meshroute.bbbc import BbbcParams, run_bbbc
-from meshroute.bbo import BboParams, run_bbo
-from meshroute.bench import emit_trace
+from meshroute.bench import ALGORITHMS, emit_trace, run_algorithm
 from meshroute.fuzzycost import build_cost_matrix
 from meshroute.oracle import shortest_path
 from meshroute.topology import generate_scenario
@@ -32,30 +30,16 @@ def parse_args(argv=None):
 
 def main(argv=None) -> int:
     args = parse_args(argv)
-    scenario = generate_scenario(
-        args.nodes, placement=args.placement, seed=args.scenario_seed
-    )
+    scenario = generate_scenario(args.nodes, placement=args.placement, seed=args.scenario_seed)
     cm = build_cost_matrix(scenario)
     source, terminal = 0, scenario.n - 1
     oracle = shortest_path(cm, source, terminal)
 
     results = {
-        "bbbc": run_bbbc(
-            cm, source, terminal,
-            BbbcParams(
-                max_generations=args.generations,
-                population_size=args.population,
-                rng_seed=args.opt_seed,
-            ),
-        ),
-        "bbo": run_bbo(
-            cm, source, terminal,
-            BboParams(
-                max_generations=args.generations,
-                population_size=args.population,
-                rng_seed=args.opt_seed,
-            ),
-        ),
+        name: run_algorithm(
+            name, cm, source, terminal, args.generations, args.population, args.opt_seed
+        )
+        for name in ALGORITHMS
     }
 
     out_dir = Path(args.out)
@@ -67,11 +51,11 @@ def main(argv=None) -> int:
         f"{args.nodes} nodes ({args.placement}), optimum {oracle.cost:.4f} "
         f"over {len(oracle.nodes) - 1} hops\n"
     )
-    print(f"{'gen':>5} {'bbbc best':>10} {'bbo best':>10}")
+    print(f"{'gen':>5}" + "".join(f" {name + ' best':>10}" for name in results))
     marks = list(range(0, args.generations, args.sample_every)) + [args.generations - 1]
     for g in sorted(set(marks)):
-        row = [results[a].trace[g].best_cost_so_far for a in ("bbbc", "bbo")]
-        print(f"{g + 1:>5} {row[0]:>10.4f} {row[1]:>10.4f}")
+        costs = (r.trace[g].best_cost_so_far for r in results.values())
+        print(f"{g + 1:>5}" + "".join(f" {cost:>10.4f}" for cost in costs))
     print()
     for name, r in results.items():
         err = 100.0 * (r.best_cost - oracle.cost) / oracle.cost

@@ -54,7 +54,11 @@ class BbbcParams:
 
 
 def center_of_mass(population: np.ndarray, fitness: np.ndarray) -> np.ndarray:
-    """Inverse-fitness weighted centroid: sum_i x_i / f_i over sum_i 1 / f_i."""
+    """Inverse-fitness weighted centroid: sum_i x_i / f_i over sum_i 1 / f_i.
+
+    Reference only: run_bbbc does not call it (weighted-center mode spawns
+    around the top ANCHOR_POOL genomes instead); AC-6 checks its hand values.
+    """
     population = np.asarray(population, dtype=float)
     fitness = np.asarray(fitness, dtype=float)
     if population.ndim != 2 or population.shape[0] == 0:

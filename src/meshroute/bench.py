@@ -1,7 +1,7 @@
 """Benchmark harness: sweep (nodes x generations x seeds x algorithm) cells.
 
 Each cell builds its scenario, fuzzy cost matrix, and oracle once (excluded
-from reported wall time), runs both optimizers source 0 -> terminal n-1, and
+from reported wall time), runs each plan algorithm source 0 -> terminal n-1, and
 collects cost / percent error / wall time. Summaries reduce over seeds with
 the lower median. All emitted files are byte-stable across reruns except
 wall-time fields.
@@ -18,7 +18,7 @@ from .bbo import BboParams, run_bbo
 from .fuzzycost import build_cost_matrix
 from .oracle import shortest_path
 from .results import RunResult
-from .topology import generate_scenario
+from .topology import PLACEMENTS, generate_scenario
 
 RESULTS_COLUMNS = (
     "algorithm",
@@ -32,9 +32,24 @@ RESULTS_COLUMNS = (
     "wall_time_ms",
 )
 
-ALGORITHMS = ("bbbc", "bbo")
+# The one place that knows which optimizers exist: name -> (params class, run).
+ALGORITHMS = {
+    "bbbc": (BbbcParams, run_bbbc),
+    "bbo": (BboParams, run_bbo),
+}
 
 DEFAULT_SEED_PAIRS = tuple((101 + i, 9001 + i) for i in range(10))
+
+
+def run_algorithm(
+    name: str, cm, source: int, terminal: int, generations: int, population_size: int, rng_seed: int
+) -> RunResult:
+    """Run optimizer `name` with its default parameters apart from these three."""
+    params_cls, run = ALGORITHMS[name]
+    params = params_cls(
+        max_generations=generations, population_size=population_size, rng_seed=rng_seed
+    )
+    return run(cm, source, terminal, params)
 
 
 @dataclass(frozen=True)
@@ -42,55 +57,55 @@ class BenchPlan:
     node_counts: tuple[int, ...] = (25, 64, 100)
     generation_budgets: tuple[int, ...] = (30, 50, 100)
     seeds: tuple[tuple[int, int], ...] = DEFAULT_SEED_PAIRS  # (scenario_seed, opt_seed)
-    algorithms: tuple[str, ...] = ALGORITHMS
+    algorithms: tuple[str, ...] = tuple(ALGORITHMS)
     population_size: int = 50
     placement: str = "grid"
     radio_range: float = 250.0
-    center_mode: str = "weighted-center"
-    immigration_max: float = 1.0
-    emigration_max: float = 1.0
-    mutation_max: float = 0.01
-    elite_count: int = 2
 
     def __post_init__(self):
-        if not self.node_counts or not self.generation_budgets or not self.seeds:
-            raise ValueError("node_counts, generation_budgets, and seeds must be non-empty")
-        if not self.algorithms:
-            raise ValueError("algorithms must be non-empty")
+        if not (self.node_counts and self.generation_budgets and self.seeds and self.algorithms):
+            raise ValueError("node_counts, generation_budgets, seeds, algorithms must be non-empty")
         unknown = set(self.algorithms) - set(ALGORITHMS)
         if unknown:
             raise ValueError(f"unknown algorithms {sorted(unknown)}")
+        if min(self.generation_budgets) < 1:
+            raise ValueError("generation_budgets must all be >= 1")
+        if self.population_size < 2:
+            raise ValueError("population_size must be >= 2")
+        if self.placement not in PLACEMENTS:
+            raise ValueError(f"unknown placement {self.placement!r} (expected one of {PLACEMENTS})")
 
 
 def plan_to_dict(plan: BenchPlan) -> dict:
-    d = asdict(plan)
-    d["seeds"] = [list(pair) for pair in plan.seeds]
-    for key in ("node_counts", "generation_budgets", "algorithms"):
-        d[key] = list(d[key])
-    return d
+    """JSON form of the plan: every tuple becomes a list."""
+    return json.loads(json.dumps(asdict(plan)))
+
+
+_PLAN_FIELD_PARSERS = {
+    "node_counts": lambda v: tuple(int(n) for n in v),
+    "generation_budgets": lambda v: tuple(int(g) for g in v),
+    "seeds": lambda v: tuple((int(s), int(o)) for s, o in v),
+    "algorithms": tuple,
+    "population_size": int,
+    "placement": str,
+    "radio_range": float,
+}
 
 
 def plan_from_dict(data: dict) -> BenchPlan:
-    defaults = BenchPlan()
-    known = set(asdict(defaults))
-    unknown = set(data) - known
+    """Plan from its JSON form; missing fields keep their defaults, bad ones raise ValueError."""
+    if not isinstance(data, dict):
+        raise ValueError(f"a plan must be a JSON object, not {type(data).__name__}")
+    unknown = set(data) - set(_PLAN_FIELD_PARSERS)
     if unknown:
         raise ValueError(f"unknown plan fields {sorted(unknown)}")
-    merged = {**plan_to_dict(defaults), **data}
-    return BenchPlan(
-        node_counts=tuple(int(n) for n in merged["node_counts"]),
-        generation_budgets=tuple(int(g) for g in merged["generation_budgets"]),
-        seeds=tuple((int(s), int(o)) for s, o in merged["seeds"]),
-        algorithms=tuple(merged["algorithms"]),
-        population_size=int(merged["population_size"]),
-        placement=str(merged["placement"]),
-        radio_range=float(merged["radio_range"]),
-        center_mode=str(merged["center_mode"]),
-        immigration_max=float(merged["immigration_max"]),
-        emigration_max=float(merged["emigration_max"]),
-        mutation_max=float(merged["mutation_max"]),
-        elite_count=int(merged["elite_count"]),
-    )
+    fields = {}
+    for key, value in data.items():
+        try:
+            fields[key] = _PLAN_FIELD_PARSERS[key](value)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"plan field {key!r} is malformed: {exc}") from None
+    return BenchPlan(**fields)
 
 
 def load_plan(path: str | Path) -> BenchPlan:
@@ -99,27 +114,6 @@ def load_plan(path: str | Path) -> BenchPlan:
 
 def save_plan(plan: BenchPlan, path: str | Path) -> None:
     Path(path).write_text(json.dumps(plan_to_dict(plan), indent=2) + "\n")
-
-
-def _run_one(plan: BenchPlan, algorithm: str, cm, generations: int, opt_seed: int) -> RunResult:
-    if algorithm == "bbbc":
-        params = BbbcParams(
-            max_generations=generations,
-            population_size=plan.population_size,
-            center_mode=plan.center_mode,
-            rng_seed=opt_seed,
-        )
-        return run_bbbc(cm, 0, cm.n - 1, params)
-    params = BboParams(
-        max_generations=generations,
-        population_size=plan.population_size,
-        immigration_max=plan.immigration_max,
-        emigration_max=plan.emigration_max,
-        mutation_max=plan.mutation_max,
-        elite_count=plan.elite_count,
-        rng_seed=opt_seed,
-    )
-    return run_bbo(cm, 0, cm.n - 1, params)
 
 
 def run_plan(plan: BenchPlan, progress=None) -> list[RunResult]:
@@ -147,7 +141,9 @@ def run_plan(plan: BenchPlan, progress=None) -> list[RunResult]:
                         progress(
                             f"n={n} gens={generations} seed={scenario_seed}/{opt_seed} {algorithm}"
                         )
-                    result = _run_one(plan, algorithm, cm, generations, opt_seed)
+                    result = run_algorithm(
+                        algorithm, cm, 0, n - 1, generations, plan.population_size, opt_seed
+                    )
                     result = replace(result, scenario_seed=scenario_seed).with_oracle(oracle.cost)
                     results.append(result)
     return results
@@ -183,6 +179,19 @@ def summarize(results: list[RunResult]) -> list[dict]:
             }
         )
     return rows
+
+
+def format_summary(results: list[RunResult]) -> str:
+    """Fixed-width seed-median table, one line per summarize() row."""
+    header = f"{'nodes':>6} {'gens':>5} {'algo':>5} {'med cost':>10} {'med %err':>9} {'med ms':>9}"
+    lines = [header, "-" * len(header)]
+    for row in summarize(results):
+        lines.append(
+            f"{row['n_nodes']:>6} {row['generations']:>5} {row['algorithm']:>5} "
+            f"{row['median_cost']:>10.4f} {row['median_percent_error']:>9.3f} "
+            f"{row['median_wall_time_ms']:>9.1f}"
+        )
+    return "\n".join(lines)
 
 
 def _fmt(value) -> str:

@@ -15,8 +15,6 @@ import sys
 from pathlib import Path
 
 from . import bench as bench_mod
-from .bbbc import CENTER_MODES, BbbcParams, run_bbbc
-from .bbo import BboParams, run_bbo
 from .fuzzycost import build_cost_matrix
 from .oracle import UnreachableError, shortest_path
 from .pathcodec import NoPathError
@@ -49,14 +47,13 @@ def _build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--out", required=True)
 
     solve = sub.add_parser("solve", help="optimize a path on a scenario")
-    solve.add_argument("--algo", choices=("bbbc", "bbo"), required=True)
+    solve.add_argument("--algo", choices=tuple(bench_mod.ALGORITHMS), required=True)
     solve.add_argument("--scenario", required=True)
     solve.add_argument("--source", type=int, default=0)
     solve.add_argument("--target", type=int, default=None, help="defaults to the last node")
     solve.add_argument("--generations", type=int, default=100)
     solve.add_argument("--pop", type=int, default=50)
     solve.add_argument("--seed", type=int, default=0)
-    solve.add_argument("--center-mode", choices=CENTER_MODES, default="weighted-center")
     solve.add_argument("--trace", default=None, help="write per-generation CSV here")
 
     orc = sub.add_parser("oracle", help="exact minimum-cost path")
@@ -94,22 +91,9 @@ def _cmd_solve(args) -> int:
     scenario = load_scenario(args.scenario)
     source, terminal = _resolve_endpoints(scenario, args.source, args.target)
     cm = build_cost_matrix(scenario)
-    if args.algo == "bbbc":
-        params = BbbcParams(
-            max_generations=args.generations,
-            population_size=args.pop,
-            center_mode=args.center_mode,
-            rng_seed=args.seed,
-        )
-        result = run_bbbc(cm, source, terminal, params)
-    else:
-        params = BboParams(
-            max_generations=args.generations,
-            population_size=args.pop,
-            rng_seed=args.seed,
-        )
-        result = run_bbo(cm, source, terminal, params)
-    result = result.with_oracle(shortest_path(cm, source, terminal).cost)
+    result = bench_mod.run_algorithm(
+        args.algo, cm, source, terminal, args.generations, args.pop, args.seed
+    ).with_oracle(shortest_path(cm, source, terminal).cost)
     if args.trace:
         bench_mod.emit_trace(result, args.trace)
     print(
@@ -154,12 +138,14 @@ def _cmd_bench(args) -> int:
             plan = dataclasses.replace(plan, node_counts=kept)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
+    bench_mod.save_plan(plan, out_dir / "plan.json")
     results = bench_mod.run_plan(plan, progress=lambda line: print(line, file=sys.stderr))
     bench_mod.write_results_csv(results, out_dir / "results.csv")
     bench_mod.write_summary_csv(results, out_dir / "summary.csv")
     for result in results:
         bench_mod.emit_trace(result, out_dir / bench_mod.trace_filename(result))
-    print(f"wrote {len(results)} runs to {out_dir}", file=sys.stderr)
+    print(f"wrote {len(results)} runs to {out_dir}\n", file=sys.stderr)
+    print(bench_mod.format_summary(results), file=sys.stderr)
     return EXIT_OK
 
 

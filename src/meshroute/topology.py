@@ -24,6 +24,8 @@ import numpy as np
 
 GRID_SPACING_M = 200.0
 DEFAULT_RADIO_RANGE_M = 250.0
+# "uniform-random" is an alias of "random"
+PLACEMENTS = ("grid", "random", "uniform-random")
 # uniform-random placement keeps the reference density of 25 nodes per 1500 m square
 REFERENCE_AREA_SIDE_M = 1500.0
 REFERENCE_NODE_COUNT = 25
@@ -143,8 +145,8 @@ def generate_scenario(
     """
     if n < 2:
         raise ValueError(f"need at least 2 nodes, got {n}")
-    if radio_range <= 0:
-        raise ValueError("radio_range must be positive")
+    if not (math.isfinite(radio_range) and radio_range > 0):
+        raise ValueError(f"radio_range must be positive and finite, got {radio_range}")
     rng = np.random.default_rng(seed)
 
     if placement == "grid":

@@ -2,7 +2,10 @@
 
 import pytest
 
+from meshroute.bbbc import BbbcParams, run_bbbc
+from meshroute.bbo import BboParams, run_bbo
 from meshroute.bench import (
+    ALGORITHMS,
     DEFAULT_SEED_PAIRS,
     RESULTS_COLUMNS,
     BenchPlan,
@@ -18,8 +21,14 @@ from meshroute.bench import (
     write_results_csv,
     write_summary_csv,
 )
+from meshroute.fuzzycost import build_cost_matrix
 from meshroute.pathcodec import Path as RoutePath
 from meshroute.results import RunResult
+from meshroute.topology import generate_scenario
+
+# Spelled out here, not read from ALGORITHMS, so the dispatch table is
+# checked against direct library calls.
+DIRECT_CALLS = {"bbbc": (BbbcParams, run_bbbc), "bbo": (BboParams, run_bbo)}
 
 TINY_PLAN = BenchPlan(
     node_counts=(9,),
@@ -47,6 +56,12 @@ def test_plan_validation():
         BenchPlan(algorithms=("bbbc", "sa"))
     with pytest.raises(ValueError):
         BenchPlan(seeds=())
+    with pytest.raises(ValueError, match="generation_budgets"):
+        BenchPlan(generation_budgets=(30, 0))
+    with pytest.raises(ValueError, match="population_size"):
+        BenchPlan(population_size=1)
+    with pytest.raises(ValueError, match="placement"):
+        BenchPlan(placement="hex")
 
 
 def test_plan_round_trip(tmp_path):
@@ -86,6 +101,31 @@ def test_run_plan_cell_count(tiny_results):
     assert len(tiny_results) == 8
     assert {r.algorithm for r in tiny_results} == {"bbbc", "bbo"}
     assert {len(r.trace) for r in tiny_results} == {5, 10}
+
+
+def test_run_plan_cells_match_direct_calls(tiny_results):
+    cells = [
+        (generations, scenario_seed, opt_seed, algorithm)
+        for generations in TINY_PLAN.generation_budgets
+        for scenario_seed, opt_seed in TINY_PLAN.seeds
+        for algorithm in TINY_PLAN.algorithms
+    ]
+    assert TINY_PLAN.algorithms == tuple(ALGORITHMS) == tuple(DIRECT_CALLS)
+    assert len(cells) == len(tiny_results)
+    for (generations, scenario_seed, opt_seed, algorithm), result in zip(cells, tiny_results):
+        cm = build_cost_matrix(generate_scenario(9, seed=scenario_seed))
+        params_cls, run = DIRECT_CALLS[algorithm]
+        params = params_cls(
+            max_generations=generations,
+            population_size=TINY_PLAN.population_size,
+            rng_seed=opt_seed,
+        )
+        expected = run(cm, 0, 8, params)
+        assert result.algorithm == algorithm
+        assert result.best_path == expected.best_path
+        assert result.best_cost == expected.best_cost
+        assert result.trace == expected.trace
+        assert result.params == expected.params
 
 
 def test_run_plan_populates_oracle_fields(tiny_results):

@@ -4,13 +4,23 @@ import json
 
 import pytest
 
+from meshroute.bbbc import BbbcParams, run_bbbc
+from meshroute.bbo import BboParams, run_bbo
+from meshroute.bench import ALGORITHMS, load_plan, plan_from_dict
 from meshroute.cli import EXIT_DOMAIN, EXIT_IO, EXIT_OK, EXIT_USAGE, main
+from meshroute.fuzzycost import build_cost_matrix
+from meshroute.oracle import shortest_path
 from meshroute.topology import (
     LinkObservation,
     NetworkScenario,
     NodeSite,
+    generate_scenario,
     save_scenario,
 )
+
+# Spelled out here, not read from ALGORITHMS, so `solve` is checked against
+# direct library calls.
+DIRECT_CALLS = {"bbbc": (BbbcParams, run_bbbc), "bbo": (BboParams, run_bbo)}
 
 
 def write_line_scenario(path):
@@ -66,6 +76,15 @@ def test_gen_unreachable_random_placement(tmp_path):
     assert code == EXIT_DOMAIN
 
 
+@pytest.mark.parametrize("radio_range", ["nan", "inf", "0"])
+def test_gen_rejects_bad_radio_range(tmp_path, capsys, radio_range):
+    out = tmp_path / "s.json"
+    code = main(["gen", "--nodes", "4", "--range", radio_range, "--out", str(out)])
+    assert code == EXIT_USAGE
+    assert not out.exists()
+    assert capsys.readouterr().err.startswith("error: radio_range")
+
+
 @pytest.mark.parametrize("algo", ["bbbc", "bbo"])
 def test_solve_line_scenario(tmp_path, capsys, algo):
     scenario = tmp_path / "line.json"
@@ -82,6 +101,39 @@ def test_solve_line_scenario(tmp_path, capsys, algo):
     assert payload["percent_error"] == pytest.approx(0.0, abs=1e-9)
     assert payload["generations"] == 3
     assert payload["algorithm"] == algo
+
+
+@pytest.mark.parametrize("algo", list(ALGORITHMS))
+def test_solve_prints_library_result(tmp_path, capsys, algo):
+    assert set(DIRECT_CALLS) == set(ALGORITHMS)
+    path = tmp_path / "grid16.json"
+    save_scenario(generate_scenario(16, seed=101), path)
+    code = main(
+        [
+            "solve", "--algo", algo, "--scenario", str(path),
+            "--generations", "6", "--pop", "10", "--seed", "9001",
+        ]
+    )
+    assert code == EXIT_OK
+    payload = json.loads(capsys.readouterr().out)
+    del payload["wall_time_ms"]
+
+    cm = build_cost_matrix(generate_scenario(16, seed=101))
+    params_cls, run = DIRECT_CALLS[algo]
+    params = params_cls(max_generations=6, population_size=10, rng_seed=9001)
+    result = run(cm, 0, 15, params).with_oracle(shortest_path(cm, 0, 15).cost)
+    assert payload == {
+        "algorithm": algo,
+        "n_nodes": 16,
+        "source": 0,
+        "target": 15,
+        "best_path": list(result.best_path.nodes),
+        "best_cost": result.best_cost,
+        "oracle_cost": result.oracle_cost,
+        "percent_error": result.percent_error,
+        "generations": 6,
+        "params": result.params,
+    }
 
 
 def test_solve_writes_trace(tmp_path):
@@ -175,8 +227,43 @@ def test_bench_tiny_plan(tmp_path, capsys):
     assert (out_dir / "summary.csv").exists()
     traces = list(out_dir.glob("trace_*.csv"))
     assert len(traces) == 2  # one per algorithm
+    assert load_plan(out_dir / "plan.json") == plan_from_dict(plan)
     captured = capsys.readouterr()
     assert captured.out == ""  # machine output goes to files, logs to stderr
+    table = captured.err.split("med %err", 1)[1].splitlines()
+    assert [line.split()[:3] for line in table[2:]] == [
+        ["9", "3", "bbbc"], ["9", "3", "bbo"]
+    ]
+
+
+@pytest.mark.parametrize(
+    "plan_text,field",
+    [
+        ('{"node_counts": 25}', "node_counts"),
+        ('{"seeds": [101]}', "seeds"),
+        ('{"population_size": null}', "population_size"),
+        ('{"radio_range": "far"}', "radio_range"),
+        ("5", "JSON object"),
+        ('{"generation_budgets": [0]}', "generation_budgets"),
+        ('{"population_size": 1}', "population_size"),
+        ('{"placement": "hex"}', "placement"),
+        ('{"center_mode": "best-individual"}', "unknown plan fields"),
+    ],
+    ids=[
+        "node-counts-scalar", "seed-not-a-pair", "null-population", "text-range", "bare-number",
+        "zero-generations", "population-one", "unknown-placement", "dropped-field",
+    ],
+)
+def test_bench_rejects_malformed_plan(tmp_path, capsys, plan_text, field):
+    plan_path = tmp_path / "plan.json"
+    plan_path.write_text(plan_text)
+    out_dir = tmp_path / "bench"
+    assert main(["bench", "--plan", str(plan_path), "--out", str(out_dir)]) == EXIT_USAGE
+    assert not out_dir.exists()  # rejected before any scenario is built
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert field in captured.err
 
 
 def test_bench_filters_large_cells(tmp_path):

@@ -111,6 +111,13 @@ def test_short_range_yields_no_links():
     assert s.links == ()
 
 
+@pytest.mark.parametrize("radio_range", [0.0, -1.0, math.nan, math.inf])
+def test_rejects_radio_range_not_positive_and_finite(radio_range):
+    # NaN fails every comparison, so a bare `<= 0` check would let it through
+    with pytest.raises(ValueError, match="radio_range"):
+        generate_scenario(4, placement="grid", seed=0, radio_range=radio_range)
+
+
 def test_unknown_placement():
     with pytest.raises(ValueError):
         generate_scenario(25, placement="ring", seed=0)
