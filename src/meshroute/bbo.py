@@ -182,11 +182,8 @@ def run_bbo(cm: CostMatrix, source: int, terminal: int, params: BboParams) -> Ru
         np.arange(n_pop + 1), n_pop, params.immigration_max, params.emigration_max
     )
     for gen in range(1, params.max_generations + 1):
-        # every habitat is re-decoded and re-costed at the top of the
-        # generation; the genome is the only carried state
-        for h in habitats:
-            h.path = decode_path(h.siv, cm, source, terminal)
-            h.cost = h.path.cost
+        # a habitat's path and cost are decoded wherever its genome changes:
+        # at init, in migrate and in mutate
         habitats.sort(key=lambda h: h.cost)
         if best_path is None or habitats[0].cost < best_path.cost:
             best_path = habitats[0].path

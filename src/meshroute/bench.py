@@ -70,8 +70,14 @@ class BenchPlan:
             raise ValueError(f"unknown algorithms {sorted(unknown)}")
         if min(self.generation_budgets) < 1:
             raise ValueError("generation_budgets must all be >= 1")
-        if self.population_size < 2:
-            raise ValueError("population_size must be >= 2")
+        # each planned optimizer's own parameter checks judge the population,
+        # so a plan that one of them cannot run fails before any cell runs
+        for name in self.algorithms:
+            params_cls, _ = ALGORITHMS[name]
+            try:
+                params_cls(max_generations=1, population_size=self.population_size)
+            except ValueError as exc:
+                raise ValueError(f"plan cannot run {name}: {exc}") from None
         if self.placement not in PLACEMENTS:
             raise ValueError(f"unknown placement {self.placement!r} (expected one of {PLACEMENTS})")
 

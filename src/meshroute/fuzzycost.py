@@ -228,17 +228,15 @@ DEFAULT_RULES = default_rule_base()
 class CostMatrix:
     """Dense directed link costs; NaN marks absent links.
 
-    neighbors[i] lists the out-neighbors of i in ascending id order, so path
-    decoding and exact search iterate links identically. links[i] holds the
-    same out-links as (neighbor, cost) pairs in the same order, with each
-    cost the Python float of values[i, neighbor], so a search reads costs
-    without indexing values one cell at a time. adjacency is the boolean
-    link matrix (kept alongside values for vectorized reachability).
-    Matrices compare by identity.
+    links[i] holds the out-links of i as (neighbor, cost) pairs, neighbors in
+    ascending id order, so path decoding and exact search iterate links
+    identically. Each cost is the Python float of values[i, neighbor], so a
+    search reads costs without indexing values one cell at a time. adjacency
+    is the boolean link matrix (kept alongside values for vectorized
+    reachability). Matrices compare by identity.
     """
 
     values: np.ndarray
-    neighbors: tuple[tuple[int, ...], ...]
     adjacency: np.ndarray
     links: tuple[tuple[tuple[int, float], ...], ...]
 
@@ -273,8 +271,7 @@ class CostMatrix:
         adjacency = np.isfinite(values)
         linked = adjacency[src, dst]
         src, dst = src[linked], dst[linked]
-        neighbors, links = _grouped(src * n + dst, values)
-        return cls(values, neighbors, adjacency, links)
+        return cls(values, adjacency, _grouped(src * n + dst, values))
 
     @classmethod
     def from_entries(cls, n: int, entries: dict[tuple[int, int], float]) -> "CostMatrix":
@@ -286,23 +283,17 @@ class CostMatrix:
 def _grouped(keys: np.ndarray, values: np.ndarray):
     """Per-head out-lists for flat keys head * n + tail into the (n, n) values.
 
-    Returns the tails and the (tail, cost) pairs of each head, tails
-    ascending, repeats dropped. Sorting plus a neighbour comparison stands in
-    for np.unique, whose first call costs more resident memory than the rest
-    of the build.
+    Returns the (tail, cost) pairs of each head, tails ascending, repeats
+    dropped. Sorting plus a neighbour comparison stands in for np.unique,
+    whose first call costs more resident memory than the rest of the build.
     """
     n = len(values)
     keys = np.sort(keys)
     keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))] if len(keys) else keys
     heads, tails = np.divmod(keys, n)
     ends = np.cumsum(np.bincount(heads, minlength=n)).tolist()
-    tails = tails.tolist()
-    pairs = list(zip(tails, values.reshape(-1)[keys].tolist()))
-    spans = list(zip([0] + ends, ends))
-    return (
-        tuple(tuple(tails[a:b]) for a, b in spans),
-        tuple(tuple(pairs[a:b]) for a, b in spans),
-    )
+    pairs = list(zip(tails.tolist(), values.reshape(-1)[keys].tolist()))
+    return tuple(tuple(pairs[a:b]) for a, b in zip([0] + ends, ends))
 
 
 def build_cost_matrix(

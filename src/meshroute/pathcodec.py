@@ -54,15 +54,9 @@ def random_vector(rng: np.random.Generator, n: int) -> np.ndarray:
     return rng.random(n)
 
 
-def decode(keys: np.ndarray, cm: CostMatrix, source: int, terminal: int) -> tuple[int, ...]:
-    """Decode a key vector to a loop-free node sequence.
-
-    Keys must be finite: a NaN or infinite key never wins a comparison, so
-    its node is never taken. The search is exhaustive over simple paths in
-    priority order, so with finite keys it fails only when the terminal is
-    unreachable; a failed search over non-finite keys raises ValueError
-    naming the first of them instead of NoPathError.
-    """
+def _walk(keys: np.ndarray, cm: CostMatrix, source: int, terminal: int):
+    """The visit-once priority DFS: its node stack and the cost of each hop
+    into a node, side by side, with 0.0 for the source."""
     n = cm.n
     if len(keys) != n:
         raise ValueError(f"key vector length {len(keys)} != node count {n}")
@@ -75,20 +69,23 @@ def decode(keys: np.ndarray, cm: CostMatrix, source: int, terminal: int) -> tupl
     seen_key = -math.inf
     key_list = keys.tolist()
     key_list[source] = seen_key
-    out_nb = cm.neighbors
+    links = cm.links
     stack = [source]
+    costs = [0.0]
     v = source
     while v != terminal:
         best = -1
         best_key = seen_key
-        for u in out_nb[v]:
+        for u, c in links[v]:
             k = key_list[u]
             if k > best_key:
                 best = u
                 best_key = k
+                best_cost = c
         if best < 0:
             # every neighbor is seen: v is dead for the rest of the decode
             stack.pop()
+            costs.pop()
             if not stack:
                 finite = np.isfinite(keys)
                 if not finite.all():
@@ -99,8 +96,21 @@ def decode(keys: np.ndarray, cm: CostMatrix, source: int, terminal: int) -> tupl
         else:
             key_list[best] = seen_key
             stack.append(best)
+            costs.append(best_cost)
             v = best
-    return tuple(stack)
+    return stack, costs
+
+
+def decode(keys: np.ndarray, cm: CostMatrix, source: int, terminal: int) -> tuple[int, ...]:
+    """Decode a key vector to a loop-free node sequence.
+
+    Keys must be finite: a NaN or infinite key never wins a comparison, so
+    its node is never taken. The search is exhaustive over simple paths in
+    priority order, so with finite keys it fails only when the terminal is
+    unreachable; a failed search over non-finite keys raises ValueError
+    naming the first of them instead of NoPathError.
+    """
+    return tuple(_walk(keys, cm, source, terminal)[0])
 
 
 def path_cost(nodes: tuple[int, ...], cm: CostMatrix) -> float:
@@ -115,5 +125,14 @@ def path_cost(nodes: tuple[int, ...], cm: CostMatrix) -> float:
 
 
 def decode_path(keys: np.ndarray, cm: CostMatrix, source: int, terminal: int) -> Path:
-    nodes = decode(keys, cm, source, terminal)
-    return Path(nodes, path_cost(nodes, cm))
+    """The decoded path, priced from the hop costs its walk read.
+
+    The costs are added left to right from 0.0, as path_cost adds them, so
+    the cost equals path_cost of the nodes bit for bit; sum() is compensated
+    from Python 3.12 on and would round differently.
+    """
+    stack, costs = _walk(keys, cm, source, terminal)
+    total = 0.0
+    for c in costs:
+        total += c
+    return Path(tuple(stack), total)

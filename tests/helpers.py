@@ -1,0 +1,47 @@
+"""Helpers shared by several test modules."""
+
+from functools import lru_cache
+
+from meshroute.fuzzycost import build_cost_matrix
+from meshroute.pathcodec import Path, decode, path_cost
+from meshroute.topology import generate_scenario
+
+# (nodes, placement, scenario seed, optimizer seed) on which whole optimizer
+# runs must match their reference runs exactly
+OPTIMIZER_GOLDEN_CASES = [
+    (n, placement, scenario_seed, opt_seed)
+    for n, placement in ((25, "grid"), (100, "grid"), (400, "grid"), (100, "random"), (400, "random"))
+    for scenario_seed, opt_seed in ((101, 9001), (102, 9002), (103, 9003))
+]
+GOLDEN_GENERATIONS = 30
+
+
+@lru_cache(maxsize=None)
+def scenario_cost_matrix(n, placement, seed):
+    """The cost matrix of a generated scenario, built once per session."""
+    return build_cost_matrix(generate_scenario(n, placement=placement, seed=seed))
+
+
+def out_neighbors(cm, v):
+    """The heads of v's out-links, ascending: the tails of cm.links[v]."""
+    return tuple(u for u, _ in cm.links[v])
+
+
+def decode_then_price(keys, cm, source, terminal):
+    """decode_path as it was before costs were summed on the walk: decode the
+    nodes, then price them with path_cost."""
+    nodes = decode(keys, cm, source, terminal)
+    return Path(nodes, path_cost(nodes, cm))
+
+
+def count_decodes(monkeypatch, module, decoder):
+    """Route module.decode_path through decoder; the list returned grows by
+    one entry per call."""
+    calls = []
+
+    def counted(*args):
+        calls.append(None)
+        return decoder(*args)
+
+    monkeypatch.setattr(module, "decode_path", counted)
+    return calls

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from meshroute import bbbc
 from meshroute.bbbc import (
     CENTER_MODES,
     BbbcParams,
@@ -13,6 +14,15 @@ from meshroute.bbbc import (
     spawn,
 )
 from meshroute.oracle import percent_error
+from meshroute.pathcodec import decode_path
+
+from helpers import (
+    GOLDEN_GENERATIONS,
+    OPTIMIZER_GOLDEN_CASES,
+    count_decodes,
+    decode_then_price,
+    scenario_cost_matrix,
+)
 
 SPAWN_DRAWS = 10_000
 
@@ -180,3 +190,25 @@ def test_result_metadata(grid25):
     assert r.params["rng_seed"] == 1
     assert r.wall_time_ms > 0
     assert r.best_cost == pytest.approx(r.best_path.cost)
+
+
+@pytest.mark.parametrize("n, placement, scenario_seed, opt_seed", OPTIMIZER_GOLDEN_CASES)
+def test_run_matches_reference(n, placement, scenario_seed, opt_seed, monkeypatch):
+    cm = scenario_cost_matrix(n, placement, scenario_seed)
+    params = BbbcParams(max_generations=GOLDEN_GENERATIONS, rng_seed=opt_seed)
+    got = run_bbbc(cm, 0, n - 1, params)
+    # the loop is unchanged, so the reference is the same run on the
+    # decode-then-price decoder
+    monkeypatch.setattr(bbbc, "decode_path", decode_then_price)
+    want = run_bbbc(cm, 0, n - 1, params)
+    assert (got.best_path, got.best_cost, got.trace) == (want.best_path, want.best_cost, want.trace)
+
+
+def test_decodes_every_genome_each_generation(monkeypatch):
+    # P genomes per generation: slot 0, the best-so-far genome, is decoded
+    # again with the P - 1 new ones
+    cm = scenario_cost_matrix(100, "grid", 101)
+    params = BbbcParams(max_generations=50, population_size=50, rng_seed=9001)
+    calls = count_decodes(monkeypatch, bbbc, decode_path)
+    run_bbbc(cm, 0, 99, params)
+    assert len(calls) == 50 * 50

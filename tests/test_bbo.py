@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from meshroute import bbo
 from meshroute.bbo import (
     BboParams,
     Habitat,
@@ -16,6 +17,15 @@ from meshroute.bbo import (
 )
 from meshroute.oracle import percent_error
 from meshroute.pathcodec import decode_path, random_vector
+from meshroute.results import TracePoint
+
+from helpers import (
+    GOLDEN_GENERATIONS,
+    OPTIMIZER_GOLDEN_CASES,
+    count_decodes,
+    decode_then_price,
+    scenario_cost_matrix,
+)
 
 RATE_CONFIGS = 100
 MUTATION_TRIALS = 4_000  # habitats mutated; n dims each
@@ -259,3 +269,67 @@ def test_result_metadata(grid25):
     assert r.params["elite_count"] == 2
     assert r.params["rng_seed"] == 2
     assert r.n_nodes == 25
+
+
+def reference_run_bbo(cm, source, terminal, params):
+    """run_bbo as it was when it decoded every habitat again at the top of
+    every generation; it decodes through bbo.decode_path, as migrate and
+    mutate do."""
+    rng = np.random.default_rng(params.rng_seed)
+    n_dims = cm.n
+    n_pop = params.population_size
+    best_path = None
+    trace = []
+    habitats = []
+    for _ in range(n_pop):
+        siv = random_vector(rng, n_dims)
+        path = bbo.decode_path(siv, cm, source, terminal)
+        habitats.append(Habitat(siv, path, path.cost))
+    p_species = np.full(n_pop + 1, 1.0 / (n_pop + 1))
+    lam_k, mu_k = migration_rates(
+        np.arange(n_pop + 1), n_pop, params.immigration_max, params.emigration_max
+    )
+    for gen in range(1, params.max_generations + 1):
+        for h in habitats:
+            h.path = bbo.decode_path(h.siv, cm, source, terminal)
+            h.cost = h.path.cost
+        habitats.sort(key=lambda h: h.cost)
+        if best_path is None or habitats[0].cost < best_path.cost:
+            best_path = habitats[0].path
+        trace.append(TracePoint(gen, best_path.cost, habitats[0].cost))
+        if gen == params.max_generations:
+            break
+        for rank, h in enumerate(habitats):
+            h.species_count = rank_to_species(rank, n_pop)
+            h.immigration_rate, h.emigration_rate = migration_rates(
+                h.species_count, n_pop, params.immigration_max, params.emigration_max
+            )
+        migrate(habitats, cm, source, terminal, params.elite_count, rng)
+        p_species = update_probability(p_species, lam_k, mu_k)
+        for h in habitats:
+            h.p_s = float(p_species[h.species_count])
+        mutate(habitats, cm, source, terminal, params.mutation_max, params.elite_count, rng)
+    return best_path, best_path.cost, tuple(trace)
+
+
+@pytest.mark.parametrize("n, placement, scenario_seed, opt_seed", OPTIMIZER_GOLDEN_CASES)
+def test_run_matches_reference(n, placement, scenario_seed, opt_seed, monkeypatch):
+    cm = scenario_cost_matrix(n, placement, scenario_seed)
+    params = BboParams(max_generations=GOLDEN_GENERATIONS, rng_seed=opt_seed)
+    got = run_bbo(cm, 0, n - 1, params)
+    monkeypatch.setattr(bbo, "decode_path", decode_then_price)
+    assert (got.best_path, got.best_cost, got.trace) == reference_run_bbo(cm, 0, n - 1, params)
+
+
+def test_decodes_only_changed_habitats(monkeypatch):
+    # init decodes every habitat; afterwards only a habitat that migrate or
+    # mutate changed is decoded, where the reference also decodes all P at
+    # the top of every generation
+    cm = scenario_cost_matrix(100, "grid", 101)
+    params = BboParams(max_generations=50, population_size=50, rng_seed=9001)
+    calls = count_decodes(monkeypatch, bbo, decode_path)
+    run_bbo(cm, 0, 99, params)
+    assert len(calls) == 3229
+    calls = count_decodes(monkeypatch, bbo, decode_then_price)
+    reference_run_bbo(cm, 0, 99, params)
+    assert len(calls) == 3229 + 50 * 50 == 5729

@@ -60,6 +60,10 @@ def test_plan_validation():
         BenchPlan(generation_budgets=(30, 0))
     with pytest.raises(ValueError, match="population_size"):
         BenchPlan(population_size=1)
+    # BBO keeps 2 elites, so it needs 3 habitats; BB-BC runs on 2 genomes
+    with pytest.raises(ValueError, match="cannot run bbo: elite_count"):
+        BenchPlan(population_size=2)
+    assert BenchPlan(population_size=2, algorithms=("bbbc",)).population_size == 2
     with pytest.raises(ValueError, match="placement"):
         BenchPlan(placement="hex")
 

@@ -266,6 +266,20 @@ def test_bench_rejects_malformed_plan(tmp_path, capsys, plan_text, field):
     assert field in captured.err
 
 
+def test_bench_rejects_population_bbo_cannot_run(tmp_path, capsys):
+    # BB-BC could run every cell of this plan; BBO cannot run any, and the
+    # plan fails before the first BB-BC cell
+    plan = {"node_counts": [9], "generation_budgets": [3], "seeds": [[101, 9001]], "population_size": 2}
+    plan_path = tmp_path / "plan.json"
+    plan_path.write_text(json.dumps(plan))
+    out_dir = tmp_path / "bench"
+    assert main(["bench", "--plan", str(plan_path), "--out", str(out_dir)]) == EXIT_USAGE
+    assert not out_dir.exists()
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: plan cannot run bbo: elite_count must be in [0, population_size)\n"
+
+
 def test_bench_filters_large_cells(tmp_path):
     plan = {
         "node_counts": [9, 121],

@@ -16,6 +16,8 @@ from meshroute.oracle import (
 from meshroute.pathcodec import path_cost
 from meshroute.topology import generate_scenario
 
+from helpers import out_neighbors
+
 CAMPAIGN_GRAPHS = 150
 CAMPAIGN_SEED = 2024
 
@@ -56,7 +58,7 @@ def reference_shortest_path(cm, source, terminal):
         if v == terminal:
             return OracleResult(nodes, cost)
         settled[v] = 1
-        for u in cm.neighbors[v]:
+        for u in out_neighbors(cm, v):
             if not settled[u]:
                 heapq.heappush(heap, (cost + float(values[v, u]), nodes + (u,)))
     raise UnreachableError(f"node {terminal} unreachable from {source}")

@@ -23,6 +23,8 @@ from meshroute.pathcodec import (
 )
 from meshroute.topology import generate_scenario
 
+from helpers import out_neighbors
+
 
 def cm_of(n, pairs):
     return CostMatrix.from_entries(n, {p: 0.1 for p in pairs})
@@ -34,13 +36,12 @@ def reference_dfs(key_list, cm, source, terminal):
     The definition of a decode; exponential in the worst case, so it serves
     as the reference on small graphs only.
     """
-    adjacency = cm.neighbors
     on_path = bytearray(cm.n)
     on_path[source] = 1
     path = [source]
-    # sorted() is stable and adjacency is ascending, so equal keys keep
+    # sorted() is stable and out-neighbors ascend by id, so equal keys keep
     # ascending id
-    iters = [iter(sorted(adjacency[source], key=key_list.__getitem__, reverse=True))]
+    iters = [iter(sorted(out_neighbors(cm, source), key=key_list.__getitem__, reverse=True))]
     while iters:
         for nxt in iters[-1]:
             if on_path[nxt]:
@@ -49,7 +50,7 @@ def reference_dfs(key_list, cm, source, terminal):
                 return tuple(path) + (terminal,)
             on_path[nxt] = 1
             path.append(nxt)
-            iters.append(iter(sorted(adjacency[nxt], key=key_list.__getitem__, reverse=True)))
+            iters.append(iter(sorted(out_neighbors(cm, nxt), key=key_list.__getitem__, reverse=True)))
             break
         else:
             iters.pop()
@@ -74,7 +75,7 @@ def reference_walk(key_list, cm, source, terminal):
             grown = {u for w in frontier for u in in_neighbors[w]} - alive - on_path
             alive |= grown
             frontier = list(grown)
-        options = [u for u in cm.neighbors[path[-1]] if u in alive]
+        options = [u for u in out_neighbors(cm, path[-1]) if u in alive]
         if not options:
             raise NoPathError(f"no path from {source} to {terminal}")
         # max() keeps the first of equal keys, and neighbors ascend by id
@@ -213,6 +214,27 @@ def test_decode_matches_uncapped_dfs(case):
     assert decode_or_none(reference_walk, list(keys), cm, 0, n - 1) == reference
 
 
+@given(
+    digraph_and_keys(),
+    # one cost per link a 9-node digraph can have
+    st.lists(st.floats(min_value=-1e16, max_value=1e16), min_size=72, max_size=72),
+)
+@settings(max_examples=300, deadline=None)
+def test_decode_path_cost_is_path_cost_of_its_nodes(case, costs):
+    # costs of mixed sign and far-apart magnitudes, on which another summation
+    # order or a compensated sum rounds differently
+    n, edges, keys = case
+    cm = CostMatrix.from_entries(n, dict(zip(edges, costs)))
+    keys = np.array(keys)
+    try:
+        got = decode_path(keys, cm, 0, n - 1)
+    except NoPathError:
+        return
+    nodes = decode(keys, cm, 0, n - 1)
+    assert got.nodes == nodes
+    assert got.cost == path_cost(nodes, cm) and type(got.cost) is float
+
+
 def perturbed_genomes(rng, n, count):
     """Fresh genomes, and offspring of one genome clipped to [0, 1] the way
     BB-BC makes them, which puts many equal keys at 0 and 1."""
@@ -300,8 +322,8 @@ def test_one_way_exit_keeps_pocket_viable():
     assert reference_dfs(keys.tolist(), cm, 0, 6) == (0, 1, 2, 5, 6)
 
 
-class CountingNeighbors(tuple):
-    """Neighbor lists that count how often one of them is read."""
+class CountingLinks(tuple):
+    """Out-link lists that count how often one of them is read."""
 
     reads = 0
 
@@ -311,14 +333,14 @@ class CountingNeighbors(tuple):
 
 
 def decode_reads(keys, cm, source, terminal):
-    """The decode on a copy of cm, and how many neighbor lists it read."""
-    neighbors = CountingNeighbors(cm.neighbors)
-    counted = dataclasses.replace(cm, neighbors=neighbors)
-    return decode_or_none(decode, keys, counted, source, terminal), neighbors.reads
+    """The decode on a copy of cm, and how many out-link lists it read."""
+    links = CountingLinks(cm.links)
+    counted = dataclasses.replace(cm, links=links)
+    return decode_or_none(decode, keys, counted, source, terminal), links.reads
 
 
 def test_decode_reads_each_node_at_most_twice():
-    # a node's neighbors are read when it is pushed and each time a child
+    # a node's out-links are read when it is pushed and each time a child
     # pops back to it; each node is pushed at most once and popped at most
     # once, so a decode reads at most 2n lists, where a search that
     # un-visits nodes reads the clique trap's 7! orderings
@@ -347,7 +369,7 @@ def enumerate_simple_paths(cm, source, terminal):
         if node == terminal:
             paths.append(tuple(prefix))
             return
-        for nxt in cm.neighbors[node]:
+        for nxt in out_neighbors(cm, node):
             if nxt not in seen:
                 walk(nxt, seen | {nxt}, prefix + [nxt])
 
@@ -409,6 +431,15 @@ def test_path_cost_adds_left_to_right():
     got = path_cost(tuple(range(17)), cm)
     assert got == 7.0 and type(got) is float
     assert math.fsum(costs) == float(np.sum(costs)) == 14.0
+
+
+def test_decode_path_adds_left_to_right():
+    # the chain above, priced on the walk that decodes it
+    costs = [1e16] + [1.0] * 7 + [-1e16] + [1.0] * 7
+    cm = CostMatrix.from_entries(17, {(i, i + 1): c for i, c in enumerate(costs)})
+    got = decode_path(np.full(17, 0.5), cm, 0, 16)
+    assert got.nodes == tuple(range(17))
+    assert got.cost == 7.0 and type(got.cost) is float
 
 
 def test_random_vector_contract():
