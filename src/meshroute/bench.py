@@ -18,7 +18,7 @@ from .bbo import BboParams, run_bbo
 from .fuzzycost import build_cost_matrix
 from .oracle import shortest_path
 from .results import RunResult
-from .topology import PLACEMENTS, generate_scenario
+from .topology import check_placement, generate_scenario
 
 RESULTS_COLUMNS = (
     "algorithm",
@@ -78,8 +78,9 @@ class BenchPlan:
                 params_cls(max_generations=1, population_size=self.population_size)
             except ValueError as exc:
                 raise ValueError(f"plan cannot run {name}: {exc}") from None
-        if self.placement not in PLACEMENTS:
-            raise ValueError(f"unknown placement {self.placement!r} (expected one of {PLACEMENTS})")
+        # every scenario is built before its first run, so check them all now
+        for n in self.node_counts:
+            check_placement(n, self.placement)
 
 
 def plan_to_dict(plan: BenchPlan) -> dict:

@@ -24,9 +24,8 @@ import numpy as np
 
 GRID_SPACING_M = 200.0
 DEFAULT_RADIO_RANGE_M = 250.0
-# "uniform-random" is an alias of "random"
-PLACEMENTS = ("grid", "random", "uniform-random")
-# uniform-random placement keeps the reference density of 25 nodes per 1500 m square
+PLACEMENTS = ("grid", "random")
+# random placement keeps the reference density of 25 nodes per 1500 m square
 REFERENCE_AREA_SIDE_M = 1500.0
 REFERENCE_NODE_COUNT = 25
 
@@ -130,6 +129,17 @@ def _reachable(adj: np.ndarray, source: int, terminal: int) -> bool:
     return seen[terminal]
 
 
+def check_placement(n: int, placement: str) -> None:
+    """Raise ValueError unless `placement` can place n nodes: a known
+    placement, at least 2 nodes, and a perfect square for grid."""
+    if placement not in PLACEMENTS:
+        raise ValueError(f"unknown placement {placement!r} (expected one of {PLACEMENTS})")
+    if n < 2:
+        raise ValueError(f"need at least 2 nodes, got {n}")
+    if placement == "grid" and math.isqrt(n) ** 2 != n:
+        raise ValueError(f"grid placement needs a perfect-square node count, {n} is not a perfect square")
+
+
 def generate_scenario(
     n: int,
     placement: str = "grid",
@@ -139,25 +149,22 @@ def generate_scenario(
     """Generate a reproducible scenario.
 
     Grid placement puts nodes on a sqrt(n) x sqrt(n) lattice with 200 m spacing
-    (n must be a perfect square). Uniform-random placement draws coordinates
+    (n must be a perfect square). Random placement draws coordinates
     i.i.d. over a square holding the reference density and redraws the whole
     layout until node 0 and node n-1 are connected.
     """
-    if n < 2:
-        raise ValueError(f"need at least 2 nodes, got {n}")
+    check_placement(n, placement)
     if not (math.isfinite(radio_range) and radio_range > 0):
         raise ValueError(f"radio_range must be positive and finite, got {radio_range}")
     rng = np.random.default_rng(seed)
 
     if placement == "grid":
         side = math.isqrt(n)
-        if side * side != n:
-            raise ValueError(f"grid placement needs a perfect-square node count, {n} is not a perfect square")
         idx = np.arange(n)
         coords = np.stack([(idx % side) * GRID_SPACING_M, (idx // side) * GRID_SPACING_M], axis=1)
         adj = _adjacency(coords, radio_range)
         area_side = (side - 1) * GRID_SPACING_M
-    elif placement in ("random", "uniform-random"):
+    else:
         area_side = REFERENCE_AREA_SIDE_M * math.sqrt(n / REFERENCE_NODE_COUNT)
         buffers = _adjacency_buffers(n)
         for _ in range(MAX_PLACEMENT_RETRIES):
@@ -169,8 +176,6 @@ def generate_scenario(
             raise ConnectivityError(
                 f"no placement connecting node 0 to node {n - 1} in {MAX_PLACEMENT_RETRIES} attempts"
             )
-    else:
-        raise ValueError(f"unknown placement {placement!r} (expected 'grid' or 'random')")
 
     nodes = tuple(map(NodeSite, range(n), coords[:, 0].tolist(), coords[:, 1].tolist()))
     src, dst = np.nonzero(adj)

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from meshroute import bbbc
 from meshroute.bbbc import (
-    CENTER_MODES,
     BbbcParams,
     center_of_mass,
     run_bbbc,
@@ -131,9 +130,6 @@ def test_params_validation():
         BbbcParams(max_generations=0)
     with pytest.raises(ValueError):
         BbbcParams(max_generations=10, population_size=1)
-    with pytest.raises(ValueError):
-        BbbcParams(max_generations=10, center_mode="midpoint")
-    assert set(CENTER_MODES) == {"weighted-center", "best-individual"}
 
 
 def test_line_graph_solved_at_generation_one(line3_cm):
@@ -149,16 +145,6 @@ def test_grid25_reaches_optimum(grid25):
     params = BbbcParams(max_generations=30, population_size=50, rng_seed=42)
     r = run_bbbc(cm, 0, 24, params)
     assert percent_error(r.best_cost, oracle.cost) == pytest.approx(0.0, abs=1e-9)
-
-
-def test_best_individual_mode_runs(grid25):
-    _, cm, oracle = grid25
-    params = BbbcParams(
-        max_generations=30, population_size=50, center_mode="best-individual", rng_seed=42
-    )
-    r = run_bbbc(cm, 0, 24, params)
-    assert r.best_cost >= oracle.cost - 1e-12
-    assert r.params["center_mode"] == "best-individual"
 
 
 def test_same_seed_same_result(grid25):

@@ -1,22 +1,22 @@
 """Biogeography-based optimization: rates, migration, probability flow, mutation."""
 
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
 from meshroute import bbo
 from meshroute.bbo import (
     BboParams,
-    Habitat,
     migrate,
     migration_rates,
     mutate,
-    rank_to_species,
     run_bbo,
     species_probability_delta,
     update_probability,
 )
 from meshroute.oracle import percent_error
-from meshroute.pathcodec import decode_path, random_vector
+from meshroute.pathcodec import Path, decode_path, random_vector
 from meshroute.results import TracePoint
 
 from helpers import (
@@ -31,36 +31,30 @@ RATE_CONFIGS = 100
 MUTATION_TRIALS = 4_000  # habitats mutated; n dims each
 
 
-def make_habitats(cm, source, terminal, count, seed):
+def make_sivs(n_dims, count, seed):
+    """count random-keys genomes of n_dims keys, one per row."""
     rng = np.random.default_rng(seed)
-    habitats = []
-    for _ in range(count):
-        siv = random_vector(rng, cm.n)
-        path = decode_path(siv, cm, source, terminal)
-        habitats.append(Habitat(siv, path, path.cost))
-    habitats.sort(key=lambda h: h.cost)
-    return habitats
+    return np.array([random_vector(rng, n_dims) for _ in range(count)])
 
 
-def test_rank_to_species_endpoints():
-    assert rank_to_species(0, 50) == 50
-    assert rank_to_species(49, 50) == 1
-    with pytest.raises(ValueError):
-        rank_to_species(51, 50)
-    with pytest.raises(ValueError):
-        rank_to_species(-1, 50)
+def changed_rows(before, after):
+    return [i for i in range(len(before)) if (before[i] != after[i]).any()]
 
 
 def test_species_strictly_inverse_to_rank():
-    counts = [rank_to_species(r, 20) for r in range(20)]
-    assert counts == sorted(counts, reverse=True)
-    assert len(set(counts)) == len(counts)
+    # rank r holds species count P - r, so run_bbo reads rank r's rates as
+    # the [:0:-1] slice of the rates over species counts 0..P
+    n_pop = 20
+    lam_k, mu_k = migration_rates(np.arange(n_pop + 1), n_pop, 1.0, 1.0)
+    lam, mu = migration_rates(n_pop - np.arange(n_pop), n_pop, 1.0, 1.0)
+    assert np.array_equal(lam_k[:0:-1], lam) and np.array_equal(mu_k[:0:-1], mu)
+    assert (np.diff(lam) > 0).all() and (np.diff(mu) < 0).all()
 
 
 def test_migration_rate_endpoints():
-    assert migration_rates(0, 50, 1.0, 1.0) == (1.0, 0.0)
-    assert migration_rates(50, 50, 1.0, 1.0) == (0.0, 1.0)
-    assert migration_rates(25, 50, 1.0, 1.0) == (0.5, 0.5)
+    lam, mu = migration_rates(np.array([0, 50, 25]), 50, 1.0, 1.0)
+    assert lam.tolist() == [1.0, 0.0, 0.5]
+    assert mu.tolist() == [0.0, 1.0, 0.5]
 
 
 @pytest.mark.parametrize("immigration_max,emigration_max", [(1.0, 1.0), (2.0, 0.5)])
@@ -111,109 +105,90 @@ def test_update_probability_normalizes():
     assert (out >= 0).all()
 
 
-def test_migrate_zero_immigration_is_identity(line3_cm):
-    habitats = make_habitats(line3_cm, 0, 2, 4, seed=0)
-    before = [h.siv.copy() for h in habitats]
-    for h in habitats:
-        h.immigration_rate = 0.0
-        h.emigration_rate = 1.0
-    migrate(habitats, line3_cm, 0, 2, 0, np.random.default_rng(0))
-    for h, old in zip(habitats, before):
-        assert np.array_equal(h.siv, old)
+def test_migrate_zero_immigration_is_identity():
+    sivs = make_sivs(3, 4, seed=0)
+    before = sivs.copy()
+    changed = migrate(sivs, np.zeros(4), np.ones(4), 0, np.random.default_rng(0))
+    assert np.array_equal(sivs, before)
+    assert changed == []
 
 
-def test_migrate_forced_single_donor(line3_cm):
-    habitats = make_habitats(line3_cm, 0, 2, 3, seed=1)
-    donor = habitats[0]
-    for h in habitats:
-        h.immigration_rate = 0.0
-        h.emigration_rate = 0.0
-    donor.emigration_rate = 1.0
-    habitats[1].immigration_rate = 1.0
-    donor_old = donor.siv.copy()
-    migrate(habitats, line3_cm, 0, 2, 0, np.random.default_rng(5))
-    assert np.array_equal(habitats[1].siv, donor_old)
-    assert np.array_equal(donor.siv, donor_old)
+def test_migrate_forced_single_donor():
+    sivs = make_sivs(3, 3, seed=1)
+    donor_old = sivs[0].copy()
+    migrate(sivs, np.array([0.0, 1.0, 0.0]), np.array([1.0, 0.0, 0.0]), 0, np.random.default_rng(5))
+    assert np.array_equal(sivs[1], donor_old)
+    assert np.array_equal(sivs[0], donor_old)
 
 
-def test_migrate_uses_pre_migration_snapshot(line3_cm):
+def test_migrate_uses_pre_migration_snapshot():
     # both habitats fully immigrate from each other: they must swap, not chain
-    habitats = make_habitats(line3_cm, 0, 2, 2, seed=2)
-    a_old = habitats[0].siv.copy()
-    b_old = habitats[1].siv.copy()
-    for h in habitats:
-        h.immigration_rate = 1.0
-        h.emigration_rate = 1.0
-    migrate(habitats, line3_cm, 0, 2, 0, np.random.default_rng(9))
-    assert np.array_equal(habitats[0].siv, b_old)
-    assert np.array_equal(habitats[1].siv, a_old)
+    sivs = make_sivs(3, 2, seed=2)
+    a_old, b_old = sivs[0].copy(), sivs[1].copy()
+    migrate(sivs, np.ones(2), np.ones(2), 0, np.random.default_rng(9))
+    assert np.array_equal(sivs[0], b_old)
+    assert np.array_equal(sivs[1], a_old)
 
 
-def test_migrate_preserves_elites(line3_cm):
-    habitats = make_habitats(line3_cm, 0, 2, 5, seed=3)
-    for h in habitats:
-        h.immigration_rate = 1.0
-        h.emigration_rate = 0.5
-    elites_old = [habitats[i].siv.copy() for i in range(2)]
-    migrate(habitats, line3_cm, 0, 2, 2, np.random.default_rng(1))
-    for i in range(2):
-        assert np.array_equal(habitats[i].siv, elites_old[i])
+def test_migrate_preserves_elites():
+    sivs = make_sivs(3, 5, seed=3)
+    elites_old = sivs[:2].copy()
+    migrate(sivs, np.ones(5), np.full(5, 0.5), 2, np.random.default_rng(1))
+    assert np.array_equal(sivs[:2], elites_old)
 
 
-def test_migrate_refreshes_cost(grid25):
-    _, cm, _ = grid25
-    habitats = make_habitats(cm, 0, 24, 6, seed=4)
-    for h in habitats:
-        h.immigration_rate = 0.9
-        h.emigration_rate = 0.5
-    migrate(habitats, cm, 0, 24, 0, np.random.default_rng(2))
-    for h in habitats:
-        assert h.cost == decode_path(h.siv, cm, 0, 24).cost
-        assert (h.siv >= 0).all() and (h.siv <= 1).all()
+def test_operators_return_changed_rows():
+    # row 0 is the only donor and row 1 starts equal to it, so what row 1
+    # takes leaves it unchanged and unreported
+    sivs = make_sivs(25, 6, seed=4)
+    sivs[1] = sivs[0]
+    before = sivs.copy()
+    immigration = np.array([0.0, 1.0, 0.9, 0.9, 0.9, 0.9])
+    emigration = np.array([1.0, 0.0, 0.0, 0.0, 0.0, 0.0])
+    migrated = migrate(sivs, immigration, emigration, 0, np.random.default_rng(2))
+    assert migrated == changed_rows(before, sivs) == [2, 3, 4, 5]
+    assert ((sivs >= 0) & (sivs <= 1)).all()
+
+    before = sivs.copy()
+    p_s = np.array([0.5, 0.5, 0.5, 0.0, 0.0, 0.0])  # rows 0-2 hold P_max: m = 0
+    mutated = mutate(sivs, p_s, 0.5, 0, np.random.default_rng(3))
+    assert mutated == changed_rows(before, sivs) == [3, 4, 5]
 
 
-def test_migrate_requires_a_donor(line3_cm):
-    habitats = make_habitats(line3_cm, 0, 2, 2, seed=5)
-    for h in habitats:
-        h.immigration_rate = 1.0
-        h.emigration_rate = 0.0
+def test_migrate_requires_a_donor():
+    sivs = make_sivs(3, 2, seed=5)
     with pytest.raises(ValueError):
-        migrate(habitats, line3_cm, 0, 2, 0, np.random.default_rng(0))
+        migrate(sivs, np.ones(2), np.zeros(2), 0, np.random.default_rng(0))
 
 
-def test_mutate_zero_rate_is_identity(line3_cm):
-    habitats = make_habitats(line3_cm, 0, 2, 4, seed=6)
-    for h in habitats:
-        h.p_s = 0.1
-    before = [h.siv.copy() for h in habitats]
-    mutate(habitats, line3_cm, 0, 2, 0.0, 0, np.random.default_rng(0))
-    for h, old in zip(habitats, before):
-        assert np.array_equal(h.siv, old)
+def test_mutate_zero_rate_is_identity():
+    sivs = make_sivs(3, 4, seed=6)
+    before = sivs.copy()
+    changed = mutate(sivs, np.full(4, 0.1), 0.0, 0, np.random.default_rng(0))
+    assert np.array_equal(sivs, before)
+    assert changed == []
 
 
-def test_mutate_spares_most_probable(line3_cm):
-    habitats = make_habitats(line3_cm, 0, 2, 3, seed=7)
-    habitats[0].p_s = 0.5  # P_max holder: m = 0
-    habitats[1].p_s = 0.0
-    habitats[2].p_s = 0.0
-    top_old = habitats[0].siv.copy()
-    mutate(habitats, line3_cm, 0, 2, 1.0, 0, np.random.default_rng(4))
-    assert np.array_equal(habitats[0].siv, top_old)
+def test_mutate_spares_most_probable():
+    sivs = make_sivs(3, 3, seed=7)
+    top_old = sivs[0].copy()
+    # row 0 holds P_max: m = 0
+    mutate(sivs, np.array([0.5, 0.0, 0.0]), 1.0, 0, np.random.default_rng(4))
+    assert np.array_equal(sivs[0], top_old)
 
 
-def test_mutate_frequency(grid25):
-    _, cm, _ = grid25
+def test_mutate_frequency():
+    n_dims = 25
     rng = np.random.default_rng(8)
     flips = 0
     total = 0
     for trial in range(MUTATION_TRIALS // 10):
-        habitats = make_habitats(cm, 0, 24, 2, seed=100 + trial)
-        habitats[0].p_s = 1.0  # elite and P_max holder
-        habitats[1].p_s = 0.0  # mutates at the full m_max = 0.01
-        before = habitats[1].siv.copy()
-        mutate(habitats, cm, 0, 24, 0.01, 1, rng)
-        flips += int((habitats[1].siv != before).sum())
-        total += cm.n
+        sivs = make_sivs(n_dims, 2, seed=100 + trial)
+        before = sivs[1].copy()
+        # row 0 is elite and holds P_max; row 1 mutates at the full m_max = 0.01
+        mutate(sivs, np.array([1.0, 0.0]), 0.01, 1, rng)
+        flips += int((sivs[1] != before).sum())
+        total += n_dims
     assert flips / total == pytest.approx(0.01, abs=0.003)
 
 
@@ -271,10 +246,58 @@ def test_result_metadata(grid25):
     assert r.n_nodes == 25
 
 
+@dataclass
+class Habitat:
+    siv: np.ndarray
+    path: Path
+    cost: float
+    species_count: int = 0
+    p_s: float = 0.0
+    immigration_rate: float = 0.0
+    emigration_rate: float = 0.0
+
+
+def reference_migrate(habitats, cm, source, terminal, elite_count, rng):
+    n_dims = cm.n
+    snapshot = np.array([h.siv for h in habitats])
+    emigration = np.array([h.emigration_rate for h in habitats])
+    for i in range(elite_count, len(habitats)):
+        h = habitats[i]
+        incoming = rng.random(n_dims) < h.immigration_rate
+        weights = emigration.copy()
+        weights[i] = 0.0
+        total = weights.sum()
+        if not incoming.any():
+            continue
+        if total <= 0.0:
+            raise ValueError("migration roulette has no donor with positive emigration rate")
+        cum = np.cumsum(weights)
+        donors = np.searchsorted(cum, rng.random(n_dims) * total, side="right")
+        donors = np.minimum(donors, len(habitats) - 1)
+        h.siv[incoming] = snapshot[donors[incoming], np.nonzero(incoming)[0]]
+        h.path = bbo.decode_path(h.siv, cm, source, terminal)
+        h.cost = h.path.cost
+
+
+def reference_mutate(habitats, cm, source, terminal, mutation_max, elite_count, rng):
+    p_max = max((h.p_s for h in habitats), default=0.0)
+    n_dims = cm.n
+    for i in range(elite_count, len(habitats)):
+        h = habitats[i]
+        m = 0.0 if p_max == 0.0 else mutation_max * (1.0 - h.p_s / p_max)
+        flips = rng.random(n_dims) < m
+        replacement = rng.random(n_dims)
+        if not flips.any():
+            continue
+        h.siv = np.where(flips, replacement, h.siv)
+        h.path = bbo.decode_path(h.siv, cm, source, terminal)
+        h.cost = h.path.cost
+
+
 def reference_run_bbo(cm, source, terminal, params):
-    """run_bbo as it was when it decoded every habitat again at the top of
-    every generation; it decodes through bbo.decode_path, as migrate and
-    mutate do."""
+    """run_bbo as it was when each habitat was a Habitat record whose rates
+    were set from its rank every generation, and migrate and mutate each
+    decoded the habitats they changed; it decodes through bbo.decode_path."""
     rng = np.random.default_rng(params.rng_seed)
     n_dims = cm.n
     n_pop = params.population_size
@@ -290,9 +313,6 @@ def reference_run_bbo(cm, source, terminal, params):
         np.arange(n_pop + 1), n_pop, params.immigration_max, params.emigration_max
     )
     for gen in range(1, params.max_generations + 1):
-        for h in habitats:
-            h.path = bbo.decode_path(h.siv, cm, source, terminal)
-            h.cost = h.path.cost
         habitats.sort(key=lambda h: h.cost)
         if best_path is None or habitats[0].cost < best_path.cost:
             best_path = habitats[0].path
@@ -300,15 +320,18 @@ def reference_run_bbo(cm, source, terminal, params):
         if gen == params.max_generations:
             break
         for rank, h in enumerate(habitats):
-            h.species_count = rank_to_species(rank, n_pop)
-            h.immigration_rate, h.emigration_rate = migration_rates(
+            h.species_count = n_pop - rank
+            lam, mu = migration_rates(
                 h.species_count, n_pop, params.immigration_max, params.emigration_max
             )
-        migrate(habitats, cm, source, terminal, params.elite_count, rng)
+            h.immigration_rate, h.emigration_rate = float(lam), float(mu)
+        reference_migrate(habitats, cm, source, terminal, params.elite_count, rng)
         p_species = update_probability(p_species, lam_k, mu_k)
         for h in habitats:
             h.p_s = float(p_species[h.species_count])
-        mutate(habitats, cm, source, terminal, params.mutation_max, params.elite_count, rng)
+        reference_mutate(
+            habitats, cm, source, terminal, params.mutation_max, params.elite_count, rng
+        )
     return best_path, best_path.cost, tuple(trace)
 
 
@@ -321,15 +344,34 @@ def test_run_matches_reference(n, placement, scenario_seed, opt_seed, monkeypatc
     assert (got.best_path, got.best_cost, got.trace) == reference_run_bbo(cm, 0, n - 1, params)
 
 
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {"elite_count": 0},
+        {"population_size": 2, "elite_count": 0},
+        {"mutation_max": 0.0},
+        {"mutation_max": 1.0},
+        {"immigration_max": 2.0, "emigration_max": 0.5},
+    ],
+    ids=["no-elites", "population-2", "no-mutation", "full-mutation", "uneven-rates"],
+)
+def test_run_matches_reference_off_defaults(overrides, monkeypatch):
+    cm = scenario_cost_matrix(100, "grid", 101)
+    params = BboParams(max_generations=GOLDEN_GENERATIONS, rng_seed=9001, **overrides)
+    got = run_bbo(cm, 0, 99, params)
+    monkeypatch.setattr(bbo, "decode_path", decode_then_price)
+    assert (got.best_path, got.best_cost, got.trace) == reference_run_bbo(cm, 0, 99, params)
+
+
 def test_decodes_only_changed_habitats(monkeypatch):
-    # init decodes every habitat; afterwards only a habitat that migrate or
-    # mutate changed is decoded, where the reference also decodes all P at
-    # the top of every generation
+    # init decodes every habitat; afterwards a habitat is decoded once after
+    # any generation in which migrate or mutate changed its keys, where the
+    # reference decodes it in each operator that touches it
     cm = scenario_cost_matrix(100, "grid", 101)
     params = BboParams(max_generations=50, population_size=50, rng_seed=9001)
     calls = count_decodes(monkeypatch, bbo, decode_path)
     run_bbo(cm, 0, 99, params)
-    assert len(calls) == 3229
+    assert len(calls) == 2400
     calls = count_decodes(monkeypatch, bbo, decode_then_price)
     reference_run_bbo(cm, 0, 99, params)
-    assert len(calls) == 3229 + 50 * 50 == 5729
+    assert len(calls) == 3229

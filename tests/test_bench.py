@@ -66,6 +66,12 @@ def test_plan_validation():
     assert BenchPlan(population_size=2, algorithms=("bbbc",)).population_size == 2
     with pytest.raises(ValueError, match="placement"):
         BenchPlan(placement="hex")
+    # each node count is checked against the placement before any cell runs
+    with pytest.raises(ValueError, match="perfect-square node count, 30"):
+        BenchPlan(node_counts=(25, 30))
+    with pytest.raises(ValueError, match="at least 2 nodes"):
+        BenchPlan(node_counts=(1,), placement="random")
+    assert BenchPlan(node_counts=(30,), placement="random").node_counts == (30,)
 
 
 def test_plan_round_trip(tmp_path):

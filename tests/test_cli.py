@@ -280,6 +280,22 @@ def test_bench_rejects_population_bbo_cannot_run(tmp_path, capsys):
     assert captured.err == "error: plan cannot run bbo: elite_count must be in [0, population_size)\n"
 
 
+def test_bench_rejects_non_square_grid_before_any_cell(tmp_path, capsys):
+    # every 25-node cell could run; the 30-node grid cannot, and the plan
+    # fails before the first cell
+    plan = {"node_counts": [25, 30], "generation_budgets": [3], "seeds": [[101, 9001]]}
+    plan_path = tmp_path / "plan.json"
+    plan_path.write_text(json.dumps(plan))
+    out_dir = tmp_path / "bench"
+    assert main(["bench", "--plan", str(plan_path), "--out", str(out_dir)]) == EXIT_USAGE
+    assert not out_dir.exists()
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: grid placement needs a perfect-square node count, 30 is not a perfect square\n"
+    )
+
+
 def test_bench_filters_large_cells(tmp_path):
     plan = {
         "node_counts": [9, 121],
