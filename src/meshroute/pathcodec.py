@@ -25,6 +25,7 @@ O(V + E).
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -114,13 +115,19 @@ def decode(keys: np.ndarray, cm: CostMatrix, source: int, terminal: int) -> tupl
 
 
 def path_cost(nodes: tuple[int, ...], cm: CostMatrix) -> float:
-    """Sum of hop costs, added left to right in hop order."""
-    hops = cm.values[nodes[:-1], nodes[1:]].tolist()
+    """Sum of hop costs, added left to right from 0.0 in hop order.
+
+    Each hop is found in cm.links by bisection, since a node's out-links
+    ascend by neighbor id; (dst,) sorts just before (dst, cost).
+    """
+    links = cm.links
     total = 0.0
-    for src, dst, v in zip(nodes, nodes[1:], hops):
-        if not math.isfinite(v):
+    for src, dst in zip(nodes, nodes[1:]):
+        out = links[src]
+        k = bisect_left(out, (dst,))
+        if k == len(out) or out[k][0] != dst:
             raise BrokenPathError(f"hop {src} -> {dst} has no defined cost")
-        total += v
+        total += out[k][1]
     return total
 
 

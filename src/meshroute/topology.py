@@ -5,12 +5,16 @@ plus one directed link observation for every ordered pair within radio range.
 Link metrics stand in for measured values and are drawn from fixed uniform
 ranges in (from, to)-sorted order so regeneration is bit-identical.
 
-Links are enumerated with np.nonzero over the adjacency matrix, which yields
-them in row-major (from, to) order, and all metrics come from one (L, 3)
-uniform draw. A generator fills such a draw row by row, column by column, so
-it consumes the stream exactly as L successive (throughput, delay, jitter)
-scalar draws would: scenarios and their JSON stay bit-identical to drawing
-link by link, and any change to that order changes every scenario.
+Links come from a cell list (_radio_pairs): nodes are bucketed into square
+cells about one radio range wide, each node is tested only against the
+nodes of its 3 x 3 block of cells, and the pairs that pass are sorted
+row-major, in (from, to) order. No (n, n) array is built; the pairs, their
+order and the float ops of each distance test are those of a dense all-pairs
+comparison. All metrics come from one (L, 3) uniform draw. A generator fills
+such a draw row by row, column by column, so it consumes the stream exactly
+as L successive (throughput, delay, jitter) scalar draws would: scenarios
+and their JSON stay bit-identical to drawing link by link, and any change
+to that order changes every scenario.
 """
 
 from __future__ import annotations
@@ -86,47 +90,108 @@ def _draw_metrics(rng: np.random.Generator, count: int) -> np.ndarray:
     return rng.uniform(METRIC_LOW, METRIC_HIGH, size=(count, 3))
 
 
-def _adjacency(positions: np.ndarray, radio_range: float, out=None) -> np.ndarray:
-    """Boolean adjacency by squared euclidean distance; diagonal false.
+# cell side h = max(r, CELL_FLOOR_M, spread / CELL_SPAN_CAP) * (1 + CELL_MARGIN);
+# _radio_pairs says why each term is there
+CELL_MARGIN = 2.0**-20
+CELL_SPAN_CAP = 2.0**24
+CELL_FLOOR_M = 2.0**-500
 
-    dx*dx + dy*dy adds the same two rounded squares as a dot product over the
-    coordinate axis and matches it bit for bit; building it in place from two
-    (n, n) arrays avoids an (n, n, 2) temporary. out, from _adjacency_buffers,
-    holds those arrays and the result, so placement retries reuse one set
-    instead of allocating (and faulting in) three fresh (n, n) arrays each;
-    the returned matrix is then out's, overwritten by the next call.
+
+def _radio_pairs(positions: np.ndarray, radio_range: float) -> tuple[np.ndarray, np.ndarray]:
+    """Ordered pairs (i, j), i != j, with dx*dx + dy*dy <= r*r, row-major.
+
+    Returns int64 arrays src, dst sorted by src * n + dst. The pairs, their
+    order and every per-pair float op are those of a dense (n, n) test, but
+    only nodes in neighbouring cells are compared. Nodes are bucketed into
+    square cells of side h by floor((x - min x) / h), and each node is tested
+    against the nodes of its 3 x 3 block of cells. The three cells of a cell
+    row are one contiguous run of the cell-sorted order, so a node's
+    candidates are three runs, found by binary search among the occupied
+    cells only. No array is larger than the candidate pairs, and cell keys
+    stay below 2**50.
+
+    Exactness: a pair that passes the test is never two cells apart, so the
+    3 x 3 block misses none. Write u = 2**-53: a float op with a normal
+    result errs by a factor within [1 - u, 1 + u], and a subtraction with a
+    subnormal result is exact.
+
+    - A pass bounds the gap. Adding fl(dy*dy) >= 0 cannot lower the rounded
+      sum, so fl(dx*dx) <= fl(r*r) <= fl(r'*r') with r' = max(r, 2**-500),
+      whose square is normal. If |dx| >= r', dx*dx is normal too, so
+      dx*dx (1 - u) <= r'*r' (1 + u): |dx| < r'(1 + 2u), and as
+      dx = fl(x_i - x_j), |x_i - x_j| < r'(1 + 4u).
+    - Two cells apart widens it. The cell indices floor(q), with
+      q = fl(fl(x - min x) / h), differ by 2 or more, so the q differ by more
+      than 1. The cap makes h exceed spread / 2**24, so each exact quotient
+      is below 2**24 and q errs from it by at most 3u times it: the exact
+      quotients differ by more than 1 - 2**-26, and
+      |x_i - x_j| > h (1 - 2**-26) > r'(1 + 2**-20)(1 - u)(1 - 2**-26)
+      > r'(1 + 2**-21).
+
+    The two bounds contradict each other, and y is the same. The 2**-20
+    margin is what the second bound needs: with a side of exactly r, a
+    quotient that rounds up onto a cell boundary leaves no room to spare.
+    The cap bounds the quotients and keys however small r is against the
+    layout. When r*r overflows, every pair passes and all nodes share one
+    cell. Coordinates and their spread must be finite.
     """
-    if out is None:
-        out = _adjacency_buffers(len(positions))
-    dist_sq, dy, adj = out
+    n = len(positions)
     x, y = positions[:, 0], positions[:, 1]
-    np.subtract(x[:, None], x[None, :], out=dist_sq)
+    r_sq = radio_range * radio_range
+    x0, y0 = x.min(), y.min()
+    spread = max(x.max() - x0, y.max() - y0)
+    if math.isinf(r_sq):
+        h = math.inf
+    else:
+        h = max(radio_range, CELL_FLOOR_M, spread / CELL_SPAN_CAP) * (1.0 + CELL_MARGIN)
+    # the quotients are >= 0, so truncation is floor
+    cx = ((x - x0) / h).astype(np.int64)
+    cy = ((y - y0) / h).astype(np.int64)
+    # a row is width keys wide, so cx - 1 and cx + 1 never reach an occupied
+    # cell of another row
+    width = int(cx.max()) + 2
+    key = cy * width + cx
+    order = np.argsort(key, kind="stable")
+    # per node, the first key and one past the last key of each of its three
+    # cell rows; the sorted keys are integers, so one left-side search finds
+    # both ends of every run
+    bounds = key[:, None] + np.array([-width - 1, -width + 2, -1, 2, width - 1, width + 2])
+    runs = np.searchsorted(key[order], bounds).reshape(-1, 2)
+    lo = runs[:, 0]
+    counts = runs[:, 1] - lo
+    ends = np.cumsum(counts)
+    # a candidate's place in cell-sorted order: its run's start plus its
+    # offset in the run, which is its index less the run's first index
+    at = np.arange(ends[-1]) + np.repeat(lo - (ends - counts), counts)
+    i = np.repeat(np.arange(n), counts.reshape(n, 3).sum(axis=1))
+    j = order[at]
+    dist_sq = x[i] - x[j]
     dist_sq *= dist_sq
-    np.subtract(y[:, None], y[None, :], out=dy)
+    dy = y[i] - y[j]
     dy *= dy
     dist_sq += dy
-    np.less_equal(dist_sq, radio_range * radio_range, out=adj)
-    np.fill_diagonal(adj, False)
-    return adj
+    flat = i * n + j
+    flat = np.sort(flat[(dist_sq <= r_sq) & (i != j)])
+    return np.divmod(flat, n)
 
 
-def _adjacency_buffers(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Uninitialised (n, n) squared-distance, dy-square and adjacency arrays."""
-    return np.empty((n, n)), np.empty((n, n)), np.empty((n, n), dtype=bool)
-
-
-def _reachable(adj: np.ndarray, source: int, terminal: int) -> bool:
-    n = adj.shape[0]
-    seen = np.zeros(n, dtype=bool)
-    seen[source] = True
-    frontier = [source]
-    while frontier:
-        nxt = adj[frontier].any(axis=0) & ~seen
-        if nxt[terminal]:
-            return True
-        seen |= nxt
-        frontier = list(np.nonzero(nxt)[0])
-    return seen[terminal]
+def _connects(src: np.ndarray, dst: np.ndarray, n: int, source: int, terminal: int) -> bool:
+    """Depth-first search over row-major pairs: does source reach terminal?"""
+    ends = np.cumsum(np.bincount(src, minlength=n)).tolist()
+    starts = [0] + ends[:-1]
+    heads = dst.tolist()
+    seen = bytearray(n)
+    seen[source] = 1
+    stack = [source]
+    while stack:
+        v = stack.pop()
+        for u in heads[starts[v] : ends[v]]:
+            if not seen[u]:
+                if u == terminal:
+                    return True
+                seen[u] = 1
+                stack.append(u)
+    return False
 
 
 def check_placement(n: int, placement: str) -> None:
@@ -162,15 +227,14 @@ def generate_scenario(
         side = math.isqrt(n)
         idx = np.arange(n)
         coords = np.stack([(idx % side) * GRID_SPACING_M, (idx // side) * GRID_SPACING_M], axis=1)
-        adj = _adjacency(coords, radio_range)
+        src, dst = _radio_pairs(coords, radio_range)
         area_side = (side - 1) * GRID_SPACING_M
     else:
         area_side = REFERENCE_AREA_SIDE_M * math.sqrt(n / REFERENCE_NODE_COUNT)
-        buffers = _adjacency_buffers(n)
         for _ in range(MAX_PLACEMENT_RETRIES):
             coords = rng.uniform(0.0, area_side, size=(n, 2))
-            adj = _adjacency(coords, radio_range, buffers)
-            if _reachable(adj, 0, n - 1):
+            src, dst = _radio_pairs(coords, radio_range)
+            if _connects(src, dst, n, 0, n - 1):
                 break
         else:
             raise ConnectivityError(
@@ -178,7 +242,6 @@ def generate_scenario(
             )
 
     nodes = tuple(map(NodeSite, range(n), coords[:, 0].tolist(), coords[:, 1].tolist()))
-    src, dst = np.nonzero(adj)
     metrics = _draw_metrics(rng, len(src))
     links = tuple(map(LinkObservation, src.tolist(), dst.tolist(), *metrics.T.tolist()))
     return NetworkScenario(
@@ -188,11 +251,6 @@ def generate_scenario(
         nodes=nodes,
         links=links,
     )
-
-
-def connectivity_matrix(scenario: NetworkScenario) -> np.ndarray:
-    """n x n boolean matrix; (i, j) true iff distance(i, j) <= radio_range and i != j."""
-    return _adjacency(scenario.positions(), scenario.radio_range)
 
 
 def scenario_to_dict(scenario: NetworkScenario) -> dict:

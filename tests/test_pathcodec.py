@@ -23,7 +23,7 @@ from meshroute.pathcodec import (
 )
 from meshroute.topology import generate_scenario
 
-from helpers import out_neighbors
+from helpers import OPTIMIZER_GOLDEN_CASES, out_neighbors, scenario_cost_matrix
 
 
 def cm_of(n, pairs):
@@ -399,6 +399,37 @@ def test_every_simple_path_is_reachable():
         for target_path in enumerate_simple_paths(cm, 0, n - 1):
             keys = keys_selecting(target_path, n)
             assert decode(keys, cm, 0, n - 1) == target_path
+
+
+def reference_path_cost(nodes, cm):
+    """path_cost as a gather from the dense values, as it was before it
+    looked each hop up in cm.links."""
+    hops = cm.values[nodes[:-1], nodes[1:]].tolist()
+    total = 0.0
+    for src, dst, v in zip(nodes, nodes[1:], hops):
+        if not math.isfinite(v):
+            raise BrokenPathError(f"hop {src} -> {dst} has no defined cost")
+        total += v
+    return total
+
+
+@pytest.mark.parametrize(
+    "n, placement, seed", sorted({(n, placement, seed) for n, placement, seed, _ in OPTIMIZER_GOLDEN_CASES})
+)
+def test_path_cost_matches_dense_gather(n, placement, seed):
+    cm = scenario_cost_matrix(n, placement, seed)
+    rng = np.random.default_rng(seed)
+    for _ in range(20):
+        nodes = decode(random_vector(rng, n), cm, 0, n - 1)
+        assert path_cost(nodes, cm).hex() == reference_path_cost(nodes, cm).hex()
+        # the same node list, reversed, is a path over the reverse links
+        back = nodes[::-1]
+        assert path_cost(back, cm).hex() == reference_path_cost(back, cm).hex()
+    # a hop to the lowest node that node 0 has no link to
+    far = next(v for v in range(1, n) if v not in out_neighbors(cm, 0))
+    for cost in (path_cost, reference_path_cost):
+        with pytest.raises(BrokenPathError, match=rf"hop 0 -> {far} "):
+            cost((0, far), cm)
 
 
 def test_path_cost_additivity(grid25):

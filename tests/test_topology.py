@@ -2,9 +2,13 @@
 
 import json
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from meshroute.topology import (
     DEFAULT_RADIO_RANGE_M,
@@ -20,8 +24,7 @@ from meshroute.topology import (
     NetworkScenario,
     NodeSite,
     _draw_metrics,
-    _reachable,
-    connectivity_matrix,
+    _radio_pairs,
     generate_scenario,
     load_scenario,
     save_scenario,
@@ -49,6 +52,28 @@ def reference_adjacency(positions, radio_range):
     return adj
 
 
+def connectivity_matrix(scenario):
+    """n x n boolean matrix; (i, j) true iff distance(i, j) <= radio_range and i != j."""
+    return reference_adjacency(scenario.positions(), scenario.radio_range)
+
+
+def reference_reachable(adj, source, terminal):
+    """Breadth-first reachability over a dense adjacency matrix, one frontier
+    at a time: the check random placement made before links were found
+    with a cell list."""
+    n = adj.shape[0]
+    seen = np.zeros(n, dtype=bool)
+    seen[source] = True
+    frontier = [source]
+    while frontier:
+        nxt = adj[frontier].any(axis=0) & ~seen
+        if nxt[terminal]:
+            return True
+        seen |= nxt
+        frontier = list(np.nonzero(nxt)[0])
+    return seen[terminal]
+
+
 def reference_generate_scenario(n, placement, seed, radio_range=DEFAULT_RADIO_RANGE_M):
     """Link-by-link generation: visit every ordered pair, draw each metric as a scalar."""
     rng = np.random.default_rng(seed)
@@ -62,7 +87,7 @@ def reference_generate_scenario(n, placement, seed, radio_range=DEFAULT_RADIO_RA
         area_side = REFERENCE_AREA_SIDE_M * math.sqrt(n / REFERENCE_NODE_COUNT)
         for _ in range(MAX_PLACEMENT_RETRIES):
             coords = rng.uniform(0.0, area_side, size=(n, 2))
-            if _reachable(reference_adjacency(coords, radio_range), 0, n - 1):
+            if reference_reachable(reference_adjacency(coords, radio_range), 0, n - 1):
                 break
     nodes = tuple(NodeSite(i, float(coords[i, 0]), float(coords[i, 1])) for i in range(n))
     adj = reference_adjacency(coords, radio_range)
@@ -184,6 +209,105 @@ def test_links_match_connectivity():
     observed = {(l.src, l.dst) for l in s.links}
     expected = {(i, j) for i in range(25) for j in range(25) if adj[i, j]}
     assert observed == expected
+
+
+RADII = st.sampled_from([1.0, 5.0, 250.0, 0.1, 1 / 3, 1e-9, 1e9]) | st.floats(1e-3, 1e3)
+# a step from an earlier site: r along an axis, or (3, 4, 5) along a diagonal
+STEPS = ((1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0), (0.6, 0.8), (-0.8, 0.6))
+
+
+@st.composite
+def layouts(draw):
+    """Up to 300 sites that sit on the cell boundaries: exact multiples of r,
+    steps of exactly r from an earlier site, co-located copies, free points
+    and far points that put the layout's spread up to 2**74 radio ranges,
+    all shifted by an offset that may be far from the origin."""
+    r = draw(RADII)
+    offset = draw(st.sampled_from([0.0, 1e6, -3.7e7]))
+    moves = draw(
+        st.lists(
+            st.tuples(
+                st.sampled_from(["lattice", "step", "copy", "free", "far"]),
+                st.integers(-12, 12),
+                st.integers(-12, 12),
+                st.floats(-12.0, 12.0),
+                st.floats(-12.0, 12.0),
+            ),
+            min_size=2,
+            max_size=300,
+        )
+    )
+    sites = []
+    for move, a, b, u, v in moves:
+        if move == "lattice" or not sites:
+            site = (offset + a * r, offset + b * r)
+        elif move == "step":
+            (x, y), (sx, sy) = sites[a % len(sites)], STEPS[b % len(STEPS)]
+            site = (x + sx * r, y + sy * r)
+        elif move == "copy":
+            site = sites[a % len(sites)]
+        elif move == "free":
+            site = (offset + u * r, offset + v * r)
+        else:
+            site = (offset + a * 2.0**70 * r, offset + b * 2.0**70 * r)
+        sites.append(site)
+    return np.array(sites), r
+
+
+@settings(max_examples=200, deadline=None)
+@given(layouts())
+@example((np.array([[0.0, 0.0], [250.0, 0.0]]), 250.0))
+@example((np.array([[3.0, 4.0], [0.0, 0.0]]), 5.0))
+@example((np.array([[0.1, 0.2], [0.1, 0.2]]), 0.1))
+@example((np.array([[0.0, 0.0], [0.2, 0.0]]), 0.1))
+# r*r overflows, so every pair passes however far apart
+@example((np.array([[0.0, 0.0], [1e300, -1e300]]), 1e200))
+def test_radio_pairs_match_dense_adjacency(layout):
+    positions, r = layout
+    # a cell index past int64 would make numpy warn on the cast; squares of
+    # far-apart sites may overflow to inf, on both sides alike
+    with warnings.catch_warnings(), np.errstate(over="ignore"):
+        warnings.filterwarnings("error", "invalid value encountered in cast", RuntimeWarning)
+        src, dst = _radio_pairs(positions, r)
+        ref_src, ref_dst = np.nonzero(reference_adjacency(positions, r))
+    assert np.array_equal(src, ref_src) and np.array_equal(dst, ref_dst)
+
+
+def traced_peak_bytes(call):
+    """Run call() under tracemalloc; return its result and the peak bytes it
+    held, numpy buffers included."""
+    tracemalloc.start()
+    try:
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+# a dense (n, n) distance test needs 17 bytes per ordered pair: 106 MB at
+# 2500 nodes, 2.7 MB at 400
+LINEAR_BYTES_PER_NODE = 2048
+
+
+def test_tiny_radio_range_on_grid2500_has_no_links_in_linear_memory():
+    s, peak = traced_peak_bytes(lambda: generate_scenario(2500, "grid", 0, radio_range=1e-9))
+    assert s.links == ()
+    assert peak < 2500 * LINEAR_BYTES_PER_NODE
+
+
+def test_tiny_radio_range_on_random400_exhausts_retries_in_linear_memory():
+    def exhaust():
+        with pytest.raises(ConnectivityError):
+            generate_scenario(400, "random", 0, radio_range=1e-9)
+
+    _, peak = traced_peak_bytes(exhaust)
+    assert peak < 400 * LINEAR_BYTES_PER_NODE
+
+
+def test_huge_radio_range_links_every_ordered_pair():
+    s = generate_scenario(200, "random", 0, radio_range=1e9)
+    assert len(s.links) == 200 * 199
+    assert [(l.src, l.dst) for l in s.links] == [(i, j) for i in range(200) for j in range(200) if i != j]
 
 
 def test_random_placement_connects_endpoints():
