@@ -27,6 +27,11 @@ def out_neighbors(cm, v):
     return tuple(u for u, _ in cm.links[v])
 
 
+def link_cost(cm, src, dst):
+    """The cost of link src -> dst, read from cm.links; KeyError if absent."""
+    return dict(cm.links[src])[dst]
+
+
 def decode_then_price(keys, cm, source, terminal):
     """decode_path as it was before costs were summed on the walk: decode the
     nodes, then price them with path_cost."""

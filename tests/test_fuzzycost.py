@@ -12,6 +12,7 @@ from meshroute.fuzzycost import (
     DEFAULT_RULES,
     ILC_FLOOR,
     OUT_SAMPLES,
+    SAMPLE_OFFSETS,
     CostMatrix,
     MetricBounds,
     RuleBase,
@@ -19,6 +20,7 @@ from meshroute.fuzzycost import (
     consequent_of,
     default_rule_base,
     evaluate_ilc,
+    exact_row_sums,
     ilc_costs,
     input_memberships,
     load_rule_base,
@@ -26,7 +28,7 @@ from meshroute.fuzzycost import (
 )
 from meshroute.topology import LinkObservation, NetworkScenario, NodeSite, generate_scenario
 
-from helpers import out_neighbors
+from helpers import link_cost, out_neighbors
 
 LATTICE = np.linspace(0.0, 1.0, 11)
 
@@ -39,11 +41,12 @@ GOLDEN_CASES = [
     (400, "grid", (0, 101)),
     (100, "random", (0, 5, 101)),
     (400, "random", (0, 101)),
+    (2500, "grid", (101,)),
 ]
 
 
-def reference_ilc(throughput_n, delay_n, jitter_n, rules=None):
-    """One link at a time: the 27-rule loop, a vector-matrix product, two fsums."""
+def reference_weights(throughput_n, delay_n, jitter_n, rules=None):
+    """One link's five output-level weights by the 27-rule loop."""
     table = (rules or DEFAULT_RULES).table
     peaks = np.array([0.0, 0.5, 1.0])
     mt, md, mj = (np.maximum(0.0, 1.0 - np.abs(x - peaks) / 0.5) for x in (throughput_n, delay_n, jitter_n))
@@ -59,7 +62,12 @@ def reference_ilc(throughput_n, delay_n, jitter_n, rules=None):
                 w = wij * mj[k]
                 if w > 0.0:
                     weights[table[i, j, k]] += w
-    mu = weights @ OUT_SAMPLES
+    return weights
+
+
+def reference_ilc(throughput_n, delay_n, jitter_n, rules=None):
+    """One link at a time: the 27-rule loop, a vector-matrix product, two fsums."""
+    mu = reference_weights(throughput_n, delay_n, jitter_n, rules) @ OUT_SAMPLES
     total = math.fsum(mu)
     offset = math.fsum((idx - 50) * m for idx, m in enumerate(mu))
     return max(0.5 + offset / (100.0 * total), ILC_FLOOR)
@@ -248,6 +256,70 @@ def test_ilc_batch_matches_reference_on_lattice():
     assert ilc_costs(grid, rules).tolist() == expected
 
 
+@st.composite
+def aggregates(draw):
+    """One link's 101 aggregate samples from five output-level weights: any
+    weights, mirror-symmetric ones (offset exactly 0), a single non-zero
+    level, or the weights of an input-lattice point; scaled down as far as
+    subnormal samples."""
+    kind = draw(st.sampled_from(("any", "mirror", "single", "lattice")))
+    if kind == "any":
+        weights = draw(st.lists(st.floats(0.0, 3.0), min_size=5, max_size=5))
+    elif kind == "mirror":
+        a, b, c = draw(st.lists(st.floats(0.0, 3.0), min_size=3, max_size=3))
+        weights = [a, b, c, b, a]
+    elif kind == "single":
+        weights = [0.0] * 5
+        weights[draw(st.integers(0, 4))] = draw(st.floats(0.0, 3.0))
+    else:
+        weights = reference_weights(*(draw(st.sampled_from(LATTICE.tolist())) for _ in range(3)))
+    scale = draw(st.sampled_from((1.0, 1e-300, 1e-310, 5e-324)))
+    return (np.asarray(weights) * scale) @ OUT_SAMPLES
+
+
+@st.composite
+def near_ties(draw):
+    """Rows whose exact sum sits a hair off a rounding tie: x, half an ulp of
+    x and a far smaller nudge either way, in shuffled sample positions. A
+    float sum of the rounding errors lands on the tie, so only a correctly
+    rounded sum gets these right."""
+    x = draw(st.floats(1e-200, 1e200))
+    half_ulp = math.ulp(x) / 2
+    nudge = draw(st.sampled_from((1.0, -1.0))) * half_ulp * 2.0**-draw(st.integers(1, 60))
+    row = np.zeros(101)
+    row[draw(st.lists(st.integers(0, 100), min_size=3, max_size=3, unique=True))] = (x, half_ulp, nudge)
+    return row
+
+
+def fsum_hex(rows):
+    return [math.fsum(row).hex() for row in np.asarray(rows).tolist()]
+
+
+@given(st.lists(aggregates(), max_size=4))
+@settings(max_examples=300)
+def test_exact_row_sums_equal_fsum_on_aggregates(mus):
+    """Both centroid sums of every link, as ilc_costs stacks them."""
+    mu = np.array(mus).reshape(-1, 101)
+    rows = np.concatenate((mu, mu * SAMPLE_OFFSETS))
+    assert [v.hex() for v in exact_row_sums(rows).tolist()] == fsum_hex(rows)
+
+
+@given(st.lists(near_ties(), min_size=1, max_size=3))
+@settings(max_examples=200)
+def test_exact_row_sums_equal_fsum_near_ties(rows):
+    assert [v.hex() for v in exact_row_sums(np.array(rows)).tolist()] == fsum_hex(rows)
+
+
+def test_exact_row_sums_edge_cases():
+    assert exact_row_sums(np.empty((0, 101))).shape == (0,)
+    assert ilc_costs(np.empty((0, 3))).shape == (0,)
+    # float addition of the rounding errors rounds 2**-53 + 2**-106 down to
+    # the tie 2**-53, and 1 + 2**-53 rounds to even; the exact sum rounds up
+    row = np.zeros((1, 101))
+    row[0, :3] = (1.0, 2.0**-53, 2.0**-106)
+    assert exact_row_sums(row).tolist() == [1.0 + 2.0**-52]
+
+
 def test_ilc_batch_rejects_out_of_range_row():
     rows = np.array([[0.2, 0.3, 0.4], [0.5, 0.5, 1.5]])
     with pytest.raises(ValueError, match="normalized jitter out of"):
@@ -278,15 +350,15 @@ def test_identical_metrics_identical_ilc(grid25):
     scenario, cm, _ = grid25
     link = scenario.links[0]
     t, d, j = normalize_inputs(link.throughput, link.delay, link.jitter, MetricBounds())
-    assert cm.entry(link.src, link.dst) == evaluate_ilc(t, d, j)
+    assert link_cost(cm, link.src, link.dst) == evaluate_ilc(t, d, j)
 
 
 def test_cost_matrix_entry_errors():
     cm = CostMatrix.from_entries(3, {(0, 1): 0.5})
-    assert cm.defined(0, 1)
-    assert not cm.defined(1, 0)
+    assert 1 in out_neighbors(cm, 0)
+    assert 0 not in out_neighbors(cm, 1)
     with pytest.raises(KeyError):
-        cm.entry(1, 0)
+        link_cost(cm, 1, 0)
 
 
 def test_cost_matrix_rejects_self_loops():
@@ -311,8 +383,8 @@ def test_cost_matrix_equality_is_identity():
 
 def test_cost_matrix_duplicate_and_undefined_entries():
     cm = CostMatrix.from_arrays(3, [0, 1, 0, 2], [1, 2, 1, 0], [0.2, np.nan, 0.7, 0.3])
-    assert cm.entry(0, 1) == 0.7
-    assert not cm.defined(1, 2)
+    assert link_cost(cm, 0, 1) == 0.7
+    assert 2 not in out_neighbors(cm, 1)
     assert tuple(out_neighbors(cm, v) for v in range(3)) == ((1,), (), (0,))
     assert cm.links == (((1, 0.7),), (), ((0, 0.3),))
 

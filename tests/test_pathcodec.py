@@ -23,7 +23,7 @@ from meshroute.pathcodec import (
 )
 from meshroute.topology import generate_scenario
 
-from helpers import OPTIMIZER_GOLDEN_CASES, out_neighbors, scenario_cost_matrix
+from helpers import OPTIMIZER_GOLDEN_CASES, link_cost, out_neighbors, scenario_cost_matrix
 
 
 def cm_of(n, pairs):
@@ -182,7 +182,7 @@ def test_decode_totality_on_grid(grid25):
         p = decode_path(random_vector(rng, cm.n), cm, 0, 24)
         assert p.nodes[0] == 0 and p.nodes[-1] == 24
         assert len(set(p.nodes)) == len(p.nodes)
-        hop_sum = sum(cm.entry(a, b) for a, b in zip(p.nodes, p.nodes[1:]))
+        hop_sum = sum(link_cost(cm, a, b) for a, b in zip(p.nodes, p.nodes[1:]))
         assert p.cost == pytest.approx(hop_sum, abs=1e-12)
         assert len(p) == len(p.nodes)
 
