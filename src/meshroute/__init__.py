@@ -15,9 +15,7 @@ from .pathcodec import BrokenPathError, NoPathError, Path, decode, decode_path, 
 from .results import RunResult, TracePoint
 from .topology import (
     ConnectivityError,
-    LinkObservation,
     NetworkScenario,
-    NodeSite,
     generate_scenario,
     load_scenario,
     save_scenario,
@@ -32,10 +30,8 @@ __all__ = [
     "BrokenPathError",
     "ConnectivityError",
     "CostMatrix",
-    "LinkObservation",
     "MetricBounds",
     "NetworkScenario",
-    "NodeSite",
     "NoPathError",
     "OracleResult",
     "Path",

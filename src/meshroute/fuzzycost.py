@@ -370,8 +370,5 @@ def build_cost_matrix(
     rules: RuleBase | None = None,
 ) -> CostMatrix:
     """Score every observed link of a scenario with the fuzzy system."""
-    links = scenario.links
-    pairs = np.array([(k.src, k.dst) for k in links], dtype=np.int64).reshape(-1, 2)
-    raw = np.array([(k.throughput, k.delay, k.jitter) for k in links], dtype=float).reshape(-1, 3)
-    costs = ilc_costs(_normalize(raw, bounds or MetricBounds()), rules)
-    return CostMatrix.from_arrays(scenario.n, pairs[:, 0], pairs[:, 1], costs)
+    costs = ilc_costs(_normalize(scenario.metrics, bounds or MetricBounds()), rules)
+    return CostMatrix.from_arrays(scenario.n, scenario.links[:, 0], scenario.links[:, 1], costs)

@@ -1,9 +1,19 @@
 """Seeded mesh-network scenarios: node placement, radio-range links, synthetic metrics.
 
-A scenario is a pure function of (n, placement, seed, radio_range): node sites,
-plus one directed link observation for every ordered pair within radio range.
+A scenario is a pure function of (n, placement, seed, radio_range): node
+positions, plus one directed link for every ordered pair within radio range.
 Link metrics stand in for measured values and are drawn from fixed uniform
-ranges in (from, to)-sorted order so regeneration is bit-identical.
+ranges in (from, to)-sorted order so regeneration is bit-identical. A
+scenario holds three read-only arrays, not one object per node or link:
+positions (n, 2), links (L, 2) as (from, to) rows and metrics (L, 3) as
+(throughput, delay, jitter) rows.
+
+Scenario files are JSON. Format version 2, the one written, stores columns:
+"nodes" maps x_m and y_m to one list each, and "links" maps from, to,
+throughput_mbps, delay_ms and jitter_ms to one list each, in row-major
+(from, to) order. Version 1 files, with one object per node and per link,
+still load. Both are checked column by column (scenario_from_dict says what
+is rejected) and their links are sorted row-major on load.
 
 Links come from a cell list (_radio_pairs): nodes are bucketed into square
 cells about one radio range wide, each node is tested only against the
@@ -22,6 +32,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -39,46 +50,71 @@ JITTER_RANGE_MS = (0.0, 20.0)
 
 MAX_PLACEMENT_RETRIES = 1000
 
-SCENARIO_FORMAT_VERSION = 1
+SCENARIO_FORMAT_VERSION = 2
+# the oldest format load_scenario still reads
+V1_FORMAT_VERSION = 1
+
+NODE_COLUMNS = ("x_m", "y_m")
+LINK_COLUMNS = ("from", "to", "throughput_mbps", "delay_ms", "jitter_ms")
 
 
 class ConnectivityError(RuntimeError):
     """Random placement failed to connect source and terminal within the retry budget."""
 
 
-@dataclass(frozen=True)
-class NodeSite:
-    id: int
-    x: float
-    y: float
+def _frozen(value, dtype, width: int, name: str) -> np.ndarray:
+    """A read-only (m, width) copy of value."""
+    array = np.array(value, dtype=dtype)
+    if array.size == 0:
+        array = array.reshape(0, width)
+    if array.ndim != 2 or array.shape[1] != width:
+        raise ValueError(f"{name} must have shape (m, {width}), got {array.shape}")
+    array.flags.writeable = False
+    return array
 
 
-@dataclass(frozen=True)
-class LinkObservation:
-    """Directed link with raw metrics; (src, dst) and (dst, src) are independent."""
-
-    src: int
-    dst: int
-    throughput: float  # Mbps
-    delay: float  # ms
-    jitter: float  # ms
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NetworkScenario:
+    """Node positions and directed links with their raw metrics.
+
+    positions is (n, 2) float64 in meters, links (L, 2) int64 (from, to)
+    rows and metrics (L, 3) float64 (throughput Mbps, delay ms, jitter ms)
+    rows, one per link; (a, b) and (b, a) are independent links. Each array
+    is a read-only copy of what was passed. Links are in row-major order as
+    generate_scenario and load_scenario give them, and save_scenario writes
+    them in the order held. Scenarios are equal when their scalars are equal
+    and their arrays hold equal values.
+    """
+
     seed: int
     area_side: float
     radio_range: float
-    nodes: tuple[NodeSite, ...]
-    links: tuple[LinkObservation, ...]
+    positions: np.ndarray
+    links: np.ndarray
+    metrics: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "positions", _frozen(self.positions, np.float64, 2, "positions"))
+        object.__setattr__(self, "links", _frozen(self.links, np.int64, 2, "links"))
+        object.__setattr__(self, "metrics", _frozen(self.metrics, np.float64, 3, "metrics"))
+        if len(self.metrics) != len(self.links):
+            raise ValueError(f"{len(self.links)} links but {len(self.metrics)} metric rows")
 
     @property
     def n(self) -> int:
-        return len(self.nodes)
+        return len(self.positions)
 
-    def positions(self) -> np.ndarray:
-        """(n, 2) array of node coordinates in meters."""
-        return np.array([[s.x, s.y] for s in self.nodes], dtype=float)
+    def __eq__(self, other):
+        if not isinstance(other, NetworkScenario):
+            return NotImplemented
+        return bool(
+            self.seed == other.seed
+            and self.area_side == other.area_side
+            and self.radio_range == other.radio_range
+            and np.array_equal(self.positions, other.positions)
+            and np.array_equal(self.links, other.links)
+            and np.array_equal(self.metrics, other.metrics)
+        )
 
 
 METRIC_LOW = (THROUGHPUT_RANGE_MBPS[0], DELAY_RANGE_MS[0], JITTER_RANGE_MS[0])
@@ -241,107 +277,163 @@ def generate_scenario(
                 f"no placement connecting node 0 to node {n - 1} in {MAX_PLACEMENT_RETRIES} attempts"
             )
 
-    nodes = tuple(map(NodeSite, range(n), coords[:, 0].tolist(), coords[:, 1].tolist()))
-    metrics = _draw_metrics(rng, len(src))
-    links = tuple(map(LinkObservation, src.tolist(), dst.tolist(), *metrics.T.tolist()))
     return NetworkScenario(
         seed=seed,
         area_side=float(area_side),
         radio_range=float(radio_range),
-        nodes=nodes,
-        links=links,
+        positions=coords,
+        links=np.stack((src, dst), 1),
+        metrics=_draw_metrics(rng, len(src)),
     )
 
 
 def scenario_to_dict(scenario: NetworkScenario) -> dict:
+    """The scenario as a format-2 JSON object: one list per column."""
     return {
         "version": SCENARIO_FORMAT_VERSION,
         "seed": scenario.seed,
         "area_side_m": scenario.area_side,
         "radio_range_m": scenario.radio_range,
-        "nodes": [{"id": s.id, "x_m": s.x, "y_m": s.y} for s in scenario.nodes],
-        "links": [
-            {
-                "from": k.src,
-                "to": k.dst,
-                "throughput_mbps": k.throughput,
-                "delay_ms": k.delay,
-                "jitter_ms": k.jitter,
-            }
-            for k in sorted(scenario.links, key=lambda k: (k.src, k.dst))
-        ],
+        "nodes": dict(zip(NODE_COLUMNS, scenario.positions.T.tolist())),
+        "links": dict(zip(LINK_COLUMNS, scenario.links.T.tolist() + scenario.metrics.T.tolist())),
     }
 
 
-def scenario_from_dict(data: dict) -> NetworkScenario:
-    """Parse scenario JSON; malformed input raises ValueError naming the fault.
+def _table(table: dict, keys: tuple[str, ...], name: str) -> list[list]:
+    """The named columns of a format-2 table, checked to be lists of one length."""
+    columns = [table[key] for key in keys]
+    for key, column in zip(keys, columns):
+        if not isinstance(column, list):
+            raise ValueError(f"{name} column {key!r} must be a list")
+        if len(column) != len(columns[0]):
+            raise ValueError(
+                f"{name} column {key!r} has {len(column)} entries, {keys[0]!r} has {len(columns[0])}"
+            )
+    return columns
 
-    Node ids must be 0..n-1 in order, and links must join two distinct
-    in-range nodes, appear once per direction and carry finite, non-negative
-    metrics.
+
+def _v1_table(objects: list, keys: tuple[str, ...]) -> list[list]:
+    """The named fields of format-1 objects as columns. A missing key is
+    found object by object, in key order."""
+    return [list(column) for column in zip(*map(itemgetter(*keys), objects))] or [[] for _ in keys]
+
+
+_INTEGER = {int}
+_NUMBER = {int, float}
+
+
+def _array(values: list, integer: bool, owner: str, key: str) -> np.ndarray:
+    """A column as an int64 or float64 array. Every entry must be a JSON
+    integer (not a bool) or a JSON number; the first that is not is named."""
+    allowed = _INTEGER if integer else _NUMBER
+    if not set(map(type, values)) <= allowed:
+        k = next(k for k, v in enumerate(values) if type(v) not in allowed)
+        kind = "an integer" if integer else "a number"
+        raise ValueError(f"{owner} {k} has {key!r} {values[k]!r}, not {kind}")
+    try:
+        return np.array(values, dtype=np.int64 if integer else np.float64)
+    except OverflowError:
+        if not integer:
+            raise
+        # past int64, so outside every node range: -1 stands in for it
+        return np.array([v if abs(v) < 2**63 else -1 for v in values], dtype=np.int64)
+
+
+def _from_columns(data: dict, x: list, y: list, link_columns: list[list]) -> NetworkScenario:
+    """Check the columns and build the scenario, links sorted row-major.
+
+    Types are checked column by column, then coordinates. Of the faults in
+    the link values, the one named is the one a link-by-link pass in file
+    order meets first: the first faulty link, and for it an endpoint out of
+    range, then a self-loop, then a repeat of an earlier link, then a bad
+    metric.
+    """
+    positions = np.stack((_array(x, False, "node", "x_m"), _array(y, False, "node", "y_m")), 1)
+    bad = np.flatnonzero(~np.isfinite(positions).all(axis=1))
+    if len(bad):
+        raise ValueError(f"node {bad[0]} has a coordinate that is not finite")
+    n = len(positions)
+    src_list, dst_list = link_columns[:2]
+    src = _array(src_list, True, "link", "from")
+    dst = _array(dst_list, True, "link", "to")
+    metrics = np.stack(
+        [_array(column, False, "link", key) for key, column in zip(LINK_COLUMNS[2:], link_columns[2:])], 1
+    )
+    outside = (src < 0) | (src >= n) | (dst < 0) | (dst >= n)
+    loop = src == dst
+    # a stable sort keeps repeats in file order, so the later copy is flagged;
+    # keys of out-of-range links may collide, but such a link is itself a fault
+    # that comes no later than the link it collides with
+    keys = src * n + dst
+    order = np.argsort(keys, kind="stable")
+    repeat = np.zeros(len(keys), dtype=bool)
+    repeat[order[1:][keys[order[1:]] == keys[order[:-1]]]] = True
+    # the chained comparisons are false for NaN as well
+    bad_metric = ~((0.0 <= metrics) & (metrics < math.inf)).all(axis=1)
+    fault = outside | loop | repeat | bad_metric
+    if fault.any():
+        k = int(np.argmax(fault))
+        a, b = src_list[k], dst_list[k]
+        if outside[k]:
+            raise ValueError(f"link {a} -> {b} has an endpoint outside 0..{n - 1}")
+        if loop[k]:
+            raise ValueError(f"self-loop link at node {a}")
+        if repeat[k]:
+            raise ValueError(f"duplicate link {a} -> {b}")
+        raise ValueError(f"link {a} -> {b} has a metric that is negative or not finite")
+    return NetworkScenario(
+        seed=int(data["seed"]),
+        area_side=float(data["area_side_m"]),
+        radio_range=float(data["radio_range_m"]),
+        positions=positions,
+        links=np.stack((src, dst), 1)[order],
+        metrics=metrics[order],
+    )
+
+
+def scenario_from_dict(data: dict) -> NetworkScenario:
+    """Parse a format-1 or format-2 scenario; malformed input raises
+    ValueError naming the fault.
+
+    Format-1 node ids must be JSON integers 0..n-1 in order. Link endpoints
+    must be JSON integers (bools are not) naming two distinct nodes, and
+    each ordered pair may appear once. Coordinates must be finite JSON
+    numbers, and metrics finite, non-negative JSON numbers. Format-2
+    columns must be lists of equal length.
     """
     if not isinstance(data, dict):
         raise ValueError("a scenario must be a JSON object")
     version = data.get("version")
-    if version != SCENARIO_FORMAT_VERSION:
+    if type(version) is not int or version not in (V1_FORMAT_VERSION, SCENARIO_FORMAT_VERSION):
         raise ValueError(f"unsupported scenario format version {version!r}")
     try:
-        nodes = tuple(
-            NodeSite(int(d["id"]), float(d["x_m"]), float(d["y_m"])) for d in data["nodes"]
-        )
-        for i, site in enumerate(nodes):
-            if site.id != i:
-                raise ValueError(f"node {i} has id {site.id}; ids must be 0..n-1 in order")
-        n = len(nodes)
-        seen = set()
-        links = []
-        for d in data["links"]:
-            link = LinkObservation(
-                int(d["from"]),
-                int(d["to"]),
-                float(d["throughput_mbps"]),
-                float(d["delay_ms"]),
-                float(d["jitter_ms"]),
-            )
-            src, dst = link.src, link.dst
-            if not (0 <= src < n and 0 <= dst < n):
-                raise ValueError(f"link {src} -> {dst} has an endpoint outside 0..{n - 1}")
-            if src == dst:
-                raise ValueError(f"self-loop link at node {src}")
-            pair = src * n + dst
-            if pair in seen:
-                raise ValueError(f"duplicate link {src} -> {dst}")
-            seen.add(pair)
-            # the chained comparisons are false for NaN as well
-            if not (
-                0.0 <= link.throughput < math.inf
-                and 0.0 <= link.delay < math.inf
-                and 0.0 <= link.jitter < math.inf
-            ):
-                raise ValueError(f"link {src} -> {dst} has a metric that is negative or not finite")
-            links.append(link)
-        return NetworkScenario(
-            seed=int(data["seed"]),
-            area_side=float(data["area_side_m"]),
-            radio_range=float(data["radio_range_m"]),
-            nodes=nodes,
-            links=tuple(links),
-        )
+        if version == V1_FORMAT_VERSION:
+            ids, x, y = _v1_table(data["nodes"], ("id", *NODE_COLUMNS))
+            wrong = np.flatnonzero(_array(ids, True, "node", "id") != np.arange(len(ids)))
+            if len(wrong):
+                i = wrong[0]
+                raise ValueError(f"node {i} has id {ids[i]}; ids must be 0..n-1 in order")
+            links = _v1_table(data["links"], LINK_COLUMNS)
+        else:
+            x, y = _table(data["nodes"], NODE_COLUMNS, "nodes")
+            links = _table(data["links"], LINK_COLUMNS, "links")
+        return _from_columns(data, x, y, links)
     except KeyError as exc:
         raise ValueError(f"scenario is missing the required key {exc}") from None
-    except TypeError as exc:
+    except (TypeError, OverflowError) as exc:
         raise ValueError(f"malformed scenario: {exc}") from None
 
 
 def save_scenario(scenario: NetworkScenario, path: str | Path) -> None:
-    """Write the scenario JSON; links sorted by (from, to) for byte-stable output.
+    """Write the scenario as format-2 JSON, links in the order held.
 
-    The JSON is not indented, so json.dumps runs its C encoder; with an
-    indent it falls back to the pure-Python one, which takes two to two and
-    a half times as long on a 2500-node scenario.
+    Columns go through ndarray.tolist, so every float is written by repr
+    and reads back bit-identical, and the file is byte-stable for a given
+    scenario. The JSON is not indented, so json.dumps runs its C encoder.
     """
     Path(path).write_text(json.dumps(scenario_to_dict(scenario)) + "\n")
 
 
 def load_scenario(path: str | Path) -> NetworkScenario:
+    """Read a format-1 or format-2 scenario file (see scenario_from_dict)."""
     return scenario_from_dict(json.loads(Path(path).read_text()))

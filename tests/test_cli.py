@@ -10,13 +10,9 @@ from meshroute.bench import ALGORITHMS, load_plan, plan_from_dict
 from meshroute.cli import EXIT_DOMAIN, EXIT_IO, EXIT_OK, EXIT_USAGE, main
 from meshroute.fuzzycost import build_cost_matrix
 from meshroute.oracle import shortest_path
-from meshroute.topology import (
-    LinkObservation,
-    NetworkScenario,
-    NodeSite,
-    generate_scenario,
-    save_scenario,
-)
+from meshroute.topology import NetworkScenario, generate_scenario, save_scenario
+
+from scenario_v1 import v1_scenario_to_dict
 
 # Spelled out here, not read from ALGORITHMS, so `solve` is checked against
 # direct library calls.
@@ -25,20 +21,23 @@ DIRECT_CALLS = {"bbbc": (BbbcParams, run_bbbc), "bbo": (BboParams, run_bbo)}
 
 def write_line_scenario(path):
     """Three nodes on a wire: the only route 0 -> 2 runs through node 1."""
-    nodes = (NodeSite(0, 0.0, 0.0), NodeSite(1, 200.0, 0.0), NodeSite(2, 400.0, 0.0))
-    links = (
-        LinkObservation(0, 1, 1.2, 30.0, 5.0),
-        LinkObservation(1, 0, 0.8, 40.0, 3.0),
-        LinkObservation(1, 2, 1.5, 20.0, 2.0),
-        LinkObservation(2, 1, 1.0, 25.0, 4.0),
+    save_scenario(line_scenario(), path)
+
+
+def line_scenario():
+    return NetworkScenario(
+        seed=0,
+        area_side=400.0,
+        radio_range=250.0,
+        positions=[(0.0, 0.0), (200.0, 0.0), (400.0, 0.0)],
+        links=[(0, 1), (1, 0), (1, 2), (2, 1)],
+        metrics=[(1.2, 30.0, 5.0), (0.8, 40.0, 3.0), (1.5, 20.0, 2.0), (1.0, 25.0, 4.0)],
     )
-    s = NetworkScenario(seed=0, area_side=400.0, radio_range=250.0, nodes=nodes, links=links)
-    save_scenario(s, path)
 
 
 def write_split_scenario(path):
-    nodes = (NodeSite(0, 0.0, 0.0), NodeSite(1, 5000.0, 5000.0))
-    s = NetworkScenario(seed=0, area_side=5000.0, radio_range=250.0, nodes=nodes, links=())
+    positions = [(0.0, 0.0), (5000.0, 5000.0)]
+    s = NetworkScenario(seed=0, area_side=5000.0, radio_range=250.0, positions=positions, links=[], metrics=[])
     save_scenario(s, path)
 
 
@@ -47,8 +46,8 @@ def test_gen_writes_scenario(tmp_path, capsys):
     code = main(["gen", "--nodes", "25", "--seed", "42", "--out", str(out)])
     assert code == EXIT_OK
     data = json.loads(out.read_text())
-    assert len(data["nodes"]) == 25
-    assert len(data["links"]) == 80
+    assert len(data["nodes"]["x_m"]) == 25
+    assert len(data["links"]["from"]) == 80
     err = capsys.readouterr().err
     assert "25 nodes" in err
 
@@ -193,9 +192,9 @@ def test_oracle_unreachable(tmp_path):
 @pytest.mark.parametrize(
     "fault",
     [
-        lambda d: d["links"][0].update(to=50),
-        lambda d: d["links"][0].update(delay_ms=float("nan")),
-        lambda d: d["links"].append(dict(d["links"][0])),
+        lambda d: d["links"].update(to=[50] + d["links"]["to"][1:]),
+        lambda d: d["links"].update(delay_ms=[float("nan")] + d["links"]["delay_ms"][1:]),
+        lambda d: d.update(links={key: column + column[:1] for key, column in d["links"].items()}),
     ],
     ids=["endpoint-out-of-range", "nan-delay", "duplicate-link"],
 )
@@ -209,6 +208,40 @@ def test_oracle_rejects_malformed_scenario(tmp_path, capsys, fault):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ")
+
+
+@pytest.mark.parametrize("version", [1, 2])
+@pytest.mark.parametrize(
+    "table, key, value",
+    [("links", "from", 0.9), ("links", "to", True), ("links", "throughput_mbps", "1.5"), ("nodes", "x_m", "nan")],
+    ids=["float-endpoint", "bool-endpoint", "text-metric", "text-coordinate"],
+)
+def test_oracle_rejects_value_the_loader_used_to_coerce(tmp_path, capsys, version, table, key, value):
+    scenario = tmp_path / "line.json"
+    if version == 1:
+        data = v1_scenario_to_dict(line_scenario())
+        data[table][0][key] = value
+    else:
+        write_line_scenario(scenario)
+        data = json.loads(scenario.read_text())
+        data[table][key][0] = value
+    scenario.write_text(json.dumps(data))
+    assert main(["oracle", "--scenario", str(scenario)]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert "not a number" in captured.err or "not an integer" in captured.err
+    assert "Traceback" not in captured.err
+
+
+def test_oracle_reads_v1_scenario(tmp_path, capsys):
+    v1, v2 = tmp_path / "v1.json", tmp_path / "v2.json"
+    v1.write_text(json.dumps(v1_scenario_to_dict(line_scenario())))
+    write_line_scenario(v2)
+    assert main(["oracle", "--scenario", str(v1)]) == EXIT_OK
+    from_v1 = capsys.readouterr().out
+    assert main(["oracle", "--scenario", str(v2)]) == EXIT_OK
+    assert capsys.readouterr().out == from_v1
 
 
 def test_bench_tiny_plan(tmp_path, capsys):

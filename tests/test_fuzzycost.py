@@ -26,7 +26,7 @@ from meshroute.fuzzycost import (
     load_rule_base,
     normalize_inputs,
 )
-from meshroute.topology import LinkObservation, NetworkScenario, NodeSite, generate_scenario
+from meshroute.topology import NetworkScenario, generate_scenario
 
 from helpers import link_cost, out_neighbors
 
@@ -77,16 +77,16 @@ def reference_cost_matrix(scenario, bounds=MetricBounds()):
     """Link-by-link scoring into a dense matrix, neighbour lists by per-row scans."""
     n = scenario.n
     values = np.full((n, n), np.nan)
-    for link in scenario.links:
+    for (src, dst), (throughput, delay, jitter) in zip(scenario.links.tolist(), scenario.metrics.tolist()):
         t, d, j = (
             min(1.0, max(0.0, (x - lo) / (hi - lo)))
             for x, lo, hi in (
-                (link.throughput, bounds.throughput_min, bounds.throughput_max),
-                (link.delay, bounds.delay_min, bounds.delay_max),
-                (link.jitter, bounds.jitter_min, bounds.jitter_max),
+                (throughput, bounds.throughput_min, bounds.throughput_max),
+                (delay, bounds.delay_min, bounds.delay_max),
+                (jitter, bounds.jitter_min, bounds.jitter_max),
             )
         )
-        values[link.src, link.dst] = reference_ilc(t, d, j)
+        values[src, dst] = reference_ilc(t, d, j)
     adjacency = np.isfinite(values)
     neighbors = tuple(tuple(np.nonzero(adjacency[i])[0].tolist()) for i in range(n))
     return values, adjacency, neighbors
@@ -348,9 +348,9 @@ def test_cost_matrix_no_links():
 
 def test_identical_metrics_identical_ilc(grid25):
     scenario, cm, _ = grid25
-    link = scenario.links[0]
-    t, d, j = normalize_inputs(link.throughput, link.delay, link.jitter, MetricBounds())
-    assert link_cost(cm, link.src, link.dst) == evaluate_ilc(t, d, j)
+    (src, dst), (throughput, delay, jitter) = scenario.links[0].tolist(), scenario.metrics[0].tolist()
+    t, d, j = normalize_inputs(throughput, delay, jitter, MetricBounds())
+    assert link_cost(cm, src, dst) == evaluate_ilc(t, d, j)
 
 
 def test_cost_matrix_entry_errors():
@@ -395,9 +395,10 @@ def test_cost_matrix_rejects_out_of_range_endpoint():
 
 
 def test_build_rejects_hand_built_self_loop():
-    nodes = (NodeSite(0, 0.0, 0.0), NodeSite(1, 200.0, 0.0))
-    links = (LinkObservation(0, 1, 1.0, 10.0, 2.0), LinkObservation(1, 1, 1.5, 20.0, 1.0))
-    s = NetworkScenario(seed=0, area_side=200.0, radio_range=250.0, nodes=nodes, links=links)
+    positions = [(0.0, 0.0), (200.0, 0.0)]
+    links = [(0, 1), (1, 1)]
+    metrics = [(1.0, 10.0, 2.0), (1.5, 20.0, 1.0)]
+    s = NetworkScenario(seed=0, area_side=200.0, radio_range=250.0, positions=positions, links=links, metrics=metrics)
     with pytest.raises(ValueError, match="self-loop"):
         build_cost_matrix(s)
 

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -10,19 +11,20 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from meshroute.fuzzycost import build_cost_matrix
 from meshroute.topology import (
     DEFAULT_RADIO_RANGE_M,
     DELAY_RANGE_MS,
     GRID_SPACING_M,
     JITTER_RANGE_MS,
+    LINK_COLUMNS,
     MAX_PLACEMENT_RETRIES,
+    NODE_COLUMNS,
     REFERENCE_AREA_SIDE_M,
     REFERENCE_NODE_COUNT,
     THROUGHPUT_RANGE_MBPS,
     ConnectivityError,
-    LinkObservation,
     NetworkScenario,
-    NodeSite,
     _draw_metrics,
     _radio_pairs,
     generate_scenario,
@@ -31,6 +33,8 @@ from meshroute.topology import (
     scenario_from_dict,
     scenario_to_dict,
 )
+
+from scenario_v1 import v1_scenario_from_dict, v1_scenario_to_dict
 
 GRID25_LINKS = 80  # 2 * 2 * (5 * 4) orthogonal adjacencies on a 5x5 lattice
 GRID100_LINKS = 360
@@ -54,7 +58,7 @@ def reference_adjacency(positions, radio_range):
 
 def connectivity_matrix(scenario):
     """n x n boolean matrix; (i, j) true iff distance(i, j) <= radio_range and i != j."""
-    return reference_adjacency(scenario.positions(), scenario.radio_range)
+    return reference_adjacency(scenario.positions, scenario.radio_range)
 
 
 def reference_reachable(adj, source, terminal):
@@ -89,24 +93,24 @@ def reference_generate_scenario(n, placement, seed, radio_range=DEFAULT_RADIO_RA
             coords = rng.uniform(0.0, area_side, size=(n, 2))
             if reference_reachable(reference_adjacency(coords, radio_range), 0, n - 1):
                 break
-    nodes = tuple(NodeSite(i, float(coords[i, 0]), float(coords[i, 1])) for i in range(n))
     adj = reference_adjacency(coords, radio_range)
-    links = []
+    links, metrics = [], []
     for i in range(n):
         for j in range(n):
             if adj[i, j]:
                 throughput = rng.uniform(*THROUGHPUT_RANGE_MBPS)
                 delay = rng.uniform(*DELAY_RANGE_MS)
                 jitter = rng.uniform(*JITTER_RANGE_MS)
-                links.append(LinkObservation(i, j, throughput, delay, jitter))
-    return NetworkScenario(seed, float(area_side), float(radio_range), nodes, tuple(links))
+                links.append((i, j))
+                metrics.append((throughput, delay, jitter))
+    return NetworkScenario(seed, float(area_side), float(radio_range), coords, links, metrics)
 
 
 def test_grid25_geometry():
     s = generate_scenario(25, placement="grid", seed=42)
     assert s.n == 25
-    assert (s.nodes[0].x, s.nodes[0].y) == (0.0, 0.0)
-    assert (s.nodes[24].x, s.nodes[24].y) == (800.0, 800.0)
+    assert s.positions[0].tolist() == [0.0, 0.0]
+    assert s.positions[24].tolist() == [800.0, 800.0]
     assert len(s.links) == GRID25_LINKS
 
 
@@ -115,8 +119,8 @@ def test_grid_corner_out_degree():
     # corners keep exactly their two orthogonal neighbors
     s = generate_scenario(25, placement="grid", seed=0)
     out_degree = {i: 0 for i in range(25)}
-    for link in s.links:
-        out_degree[link.src] += 1
+    for src, _ in s.links.tolist():
+        out_degree[src] += 1
     for corner in (0, 4, 20, 24):
         assert out_degree[corner] == 2
 
@@ -133,7 +137,7 @@ def test_grid_rejects_non_square():
 
 def test_short_range_yields_no_links():
     s = generate_scenario(4, placement="grid", seed=7, radio_range=150.0)
-    assert s.links == ()
+    assert s.links.shape == (0, 2) and s.metrics.shape == (0, 3)
 
 
 @pytest.mark.parametrize("radio_range", [0.0, -1.0, math.nan, math.inf])
@@ -158,17 +162,17 @@ def test_seed_changes_metrics():
     a = generate_scenario(25, placement="grid", seed=1)
     b = generate_scenario(25, placement="grid", seed=2)
     differs = any(
-        la.throughput != lb.throughput for la, lb in zip(a.links, b.links)
+        ta != tb for ta, tb in zip(a.metrics[:, 0].tolist(), b.metrics[:, 0].tolist())
     )
     assert differs
 
 
 def test_metric_ranges():
     s = generate_scenario(25, placement="grid", seed=9)
-    for link in s.links:
-        assert 0.2 <= link.throughput <= 2.0
-        assert 1.0 <= link.delay <= 100.0
-        assert 0.0 <= link.jitter <= 20.0
+    for throughput, delay, jitter in s.metrics.tolist():
+        assert 0.2 <= throughput <= 2.0
+        assert 1.0 <= delay <= 100.0
+        assert 0.0 <= jitter <= 20.0
 
 
 def test_batch_metric_draw_matches_per_link_draws():
@@ -206,7 +210,7 @@ def test_connectivity_matrix_grid():
 def test_links_match_connectivity():
     s = generate_scenario(25, placement="grid", seed=3)
     adj = connectivity_matrix(s)
-    observed = {(l.src, l.dst) for l in s.links}
+    observed = set(map(tuple, s.links.tolist()))
     expected = {(i, j) for i in range(25) for j in range(25) if adj[i, j]}
     assert observed == expected
 
@@ -291,7 +295,7 @@ LINEAR_BYTES_PER_NODE = 2048
 
 def test_tiny_radio_range_on_grid2500_has_no_links_in_linear_memory():
     s, peak = traced_peak_bytes(lambda: generate_scenario(2500, "grid", 0, radio_range=1e-9))
-    assert s.links == ()
+    assert s.links.shape == (0, 2)
     assert peak < 2500 * LINEAR_BYTES_PER_NODE
 
 
@@ -307,15 +311,15 @@ def test_tiny_radio_range_on_random400_exhausts_retries_in_linear_memory():
 def test_huge_radio_range_links_every_ordered_pair():
     s = generate_scenario(200, "random", 0, radio_range=1e9)
     assert len(s.links) == 200 * 199
-    assert [(l.src, l.dst) for l in s.links] == [(i, j) for i in range(200) for j in range(200) if i != j]
+    assert s.links.tolist() == [[i, j] for i in range(200) for j in range(200) if i != j]
 
 
 def test_random_placement_connects_endpoints():
     s = generate_scenario(25, placement="random", seed=3)
     # breadth-first reachability over the directed link set
     out = {i: [] for i in range(s.n)}
-    for link in s.links:
-        out[link.src].append(link.dst)
+    for src, dst in s.links.tolist():
+        out[src].append(dst)
     seen = {0}
     frontier = [0]
     while frontier:
@@ -333,9 +337,9 @@ def test_random_placement_density_scales_area():
     s = generate_scenario(100, placement="random", seed=5)
     expected_side = 1500.0 * math.sqrt(100 / 25)
     assert s.area_side == pytest.approx(expected_side)
-    for node in s.nodes:
-        assert 0.0 <= node.x <= s.area_side
-        assert 0.0 <= node.y <= s.area_side
+    for x, y in s.positions.tolist():
+        assert 0.0 <= x <= s.area_side
+        assert 0.0 <= y <= s.area_side
 
 
 def test_random_placement_retry_exhaustion():
@@ -375,7 +379,8 @@ def test_scenario_version_check():
 
 
 def grid9_dict():
-    return scenario_to_dict(generate_scenario(9, placement="grid", seed=0))
+    """The 9-node grid as a format-1 object, one object per node and link."""
+    return v1_scenario_to_dict(generate_scenario(9, placement="grid", seed=0))
 
 
 def test_load_rejects_node_ids_not_in_order():
@@ -433,7 +438,7 @@ def test_load_rejects_non_object():
 def test_load_accepts_zero_metrics():
     d = grid9_dict()
     d["links"][0].update(throughput_mbps=0.0, delay_ms=0.0, jitter_ms=0.0)
-    assert scenario_from_dict(d).links[0].delay == 0.0
+    assert scenario_from_dict(d).metrics[0, 1] == 0.0
 
 
 def test_scenario_links_sorted_in_file(tmp_path):
@@ -441,16 +446,314 @@ def test_scenario_links_sorted_in_file(tmp_path):
     path = tmp_path / "s.json"
     save_scenario(s, path)
     data = json.loads(path.read_text())
-    pairs = [(l["from"], l["to"]) for l in data["links"]]
+    pairs = list(zip(data["links"]["from"], data["links"]["to"]))
     assert pairs == sorted(pairs)
 
 
 def test_manual_scenario_construction():
-    nodes = (NodeSite(0, 0.0, 0.0), NodeSite(1, 200.0, 0.0))
-    links = (
-        LinkObservation(0, 1, 1.0, 10.0, 2.0),
-        LinkObservation(1, 0, 1.5, 20.0, 1.0),
-    )
-    s = NetworkScenario(seed=0, area_side=200.0, radio_range=250.0, nodes=nodes, links=links)
+    positions = [(0.0, 0.0), (200.0, 0.0)]
+    links = [(0, 1), (1, 0)]
+    metrics = [(1.0, 10.0, 2.0), (1.5, 20.0, 1.0)]
+    s = NetworkScenario(seed=0, area_side=200.0, radio_range=250.0, positions=positions, links=links, metrics=metrics)
     assert s.n == 2
-    assert s.positions().shape == (2, 2)
+    assert s.positions.shape == (2, 2)
+
+
+def test_scenario_equality_is_a_plain_bool():
+    a = generate_scenario(9, placement="grid", seed=0)
+    b = generate_scenario(9, placement="grid", seed=0)
+    c = generate_scenario(9, placement="grid", seed=1)
+    assert (a == b) is True
+    assert (a == c) is False
+    assert (a != c) is True
+    assert a != "not a scenario"
+
+
+def test_scenario_arrays_are_read_only_copies():
+    positions = np.array([[0.0, 0.0], [200.0, 0.0]])
+    s = NetworkScenario(0, 200.0, 250.0, positions, [(0, 1)], [(1.0, 10.0, 2.0)])
+    positions[0, 0] = 5.0
+    assert s.positions[0, 0] == 0.0
+    assert (s.positions.dtype, s.links.dtype, s.metrics.dtype) == (np.float64, np.int64, np.float64)
+    for array in (s.positions, s.links, s.metrics):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0, 0] = 1
+
+
+def test_scenario_rejects_mismatched_arrays():
+    with pytest.raises(ValueError, match="2 links but 1 metric rows"):
+        NetworkScenario(0, 200.0, 250.0, [(0.0, 0.0), (1.0, 0.0)], [(0, 1), (1, 0)], [(1.0, 10.0, 2.0)])
+    with pytest.raises(ValueError, match=r"links must have shape \(m, 2\)"):
+        NetworkScenario(0, 200.0, 250.0, [(0.0, 0.0), (1.0, 0.0)], [0, 1], [(1.0, 10.0, 2.0)])
+
+
+# --- format 2: the malformed-file cases of format 1, on columns -------------
+
+
+def grid9_v2_dict():
+    """The 9-node grid as a format-2 object, one list per column."""
+    return scenario_to_dict(generate_scenario(9, placement="grid", seed=0))
+
+
+def test_v2_file_layout(tmp_path):
+    s = generate_scenario(9, placement="grid", seed=0)
+    save_scenario(s, tmp_path / "s.json")
+    data = json.loads((tmp_path / "s.json").read_text())
+    assert data["version"] == 2
+    assert data["nodes"] == {"x_m": s.positions[:, 0].tolist(), "y_m": s.positions[:, 1].tolist()}
+    assert list(data["links"]) == ["from", "to", "throughput_mbps", "delay_ms", "jitter_ms"]
+    assert data["links"]["from"] == s.links[:, 0].tolist()
+    assert data["links"]["jitter_ms"] == s.metrics[:, 2].tolist()
+
+
+def test_load_v2_sorts_links_given_out_of_order():
+    # format 2 has no node ids to misorder; its rows may come in any order
+    d = grid9_v2_dict()
+    expected = scenario_from_dict(d)
+    for column in d["links"].values():
+        column.reverse()
+    assert scenario_from_dict(d) == expected
+
+
+@pytest.mark.parametrize("end, node", [("to", 50), ("to", 9), ("from", -1)])
+def test_load_v2_rejects_link_endpoint_out_of_range(end, node):
+    d = grid9_v2_dict()
+    d["links"][end][4] = node
+    with pytest.raises(ValueError, match="outside 0..8"):
+        scenario_from_dict(d)
+
+
+def test_load_v2_rejects_self_loop():
+    d = grid9_v2_dict()
+    d["links"]["to"][0] = d["links"]["from"][0]
+    with pytest.raises(ValueError, match="self-loop"):
+        scenario_from_dict(d)
+
+
+def test_load_v2_rejects_duplicate_link():
+    d = grid9_v2_dict()
+    for column in d["links"].values():
+        column.append(column[5])
+    with pytest.raises(ValueError, match="duplicate link"):
+        scenario_from_dict(d)
+
+
+@pytest.mark.parametrize("key", ["throughput_mbps", "delay_ms", "jitter_ms"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -0.5])
+def test_load_v2_rejects_bad_metric(key, value):
+    d = grid9_v2_dict()
+    d["links"][key][2] = value
+    with pytest.raises(ValueError, match="negative or not finite"):
+        scenario_from_dict(d)
+
+
+@pytest.mark.parametrize("where, key", [("top", "seed"), ("top", "links"), ("node", "x_m"), ("link", "delay_ms")])
+def test_load_v2_rejects_missing_key(where, key):
+    d = grid9_v2_dict()
+    holder = {"top": d, "node": d["nodes"], "link": d["links"]}[where]
+    del holder[key]
+    with pytest.raises(ValueError, match=f"required key '{key}'"):
+        scenario_from_dict(d)
+
+
+def test_load_v2_rejects_ragged_columns():
+    d = grid9_v2_dict()
+    d["links"]["to"].pop()
+    with pytest.raises(ValueError, match="links column 'to' has 23 entries, 'from' has 24"):
+        scenario_from_dict(d)
+    d = grid9_v2_dict()
+    d["nodes"]["y_m"].append(0.0)
+    with pytest.raises(ValueError, match="nodes column 'y_m' has 10 entries"):
+        scenario_from_dict(d)
+
+
+def test_load_v2_rejects_column_that_is_not_a_list():
+    d = grid9_v2_dict()
+    d["links"]["delay_ms"] = 5.0
+    with pytest.raises(ValueError, match="links column 'delay_ms' must be a list"):
+        scenario_from_dict(d)
+
+
+def test_load_v2_rejects_v1_layout():
+    d = grid9_dict()
+    d["version"] = 2
+    with pytest.raises(ValueError, match="malformed scenario"):
+        scenario_from_dict(d)
+
+
+def test_load_v2_accepts_zero_metrics():
+    d = grid9_v2_dict()
+    for key in ("throughput_mbps", "delay_ms", "jitter_ms"):
+        d["links"][key][0] = 0.0
+    assert scenario_from_dict(d).metrics[0].tolist() == [0.0, 0.0, 0.0]
+
+
+@pytest.mark.parametrize("version", [True, 1.0, "2", None])
+def test_load_rejects_version_that_is_not_an_integer(version):
+    d = grid9_v2_dict()
+    d["version"] = version
+    with pytest.raises(ValueError, match="unsupported scenario format version"):
+        scenario_from_dict(d)
+
+
+# --- values that used to be coerced: both formats -----------------------------
+
+
+def set_entry(d, table, row, key, value):
+    """Set one node or link field of a format-1 or format-2 object."""
+    if d["version"] == 1:
+        d[table][row][key] = value
+    else:
+        d[table][key][row] = value
+
+
+def grid9_in(version):
+    return grid9_dict() if version == 1 else grid9_v2_dict()
+
+
+COERCED = [
+    ("links", 0, "from", 0.9, r"link 0 has 'from' 0\.9, not an integer"),
+    ("links", 0, "to", True, r"link 0 has 'to' True, not an integer"),
+    ("links", 3, "to", "1", r"link 3 has 'to' '1', not an integer"),
+    ("links", 2, "throughput_mbps", "1.5", r"link 2 has 'throughput_mbps' '1\.5', not a number"),
+    ("links", 2, "delay_ms", False, r"link 2 has 'delay_ms' False, not a number"),
+    ("nodes", 4, "x_m", "nan", r"node 4 has 'x_m' 'nan', not a number"),
+    ("nodes", 4, "y_m", None, r"node 4 has 'y_m' None, not a number"),
+]
+
+
+@pytest.mark.parametrize("version", [1, 2])
+@pytest.mark.parametrize("table, row, key, value, message", COERCED)
+def test_load_rejects_values_it_used_to_coerce(version, table, row, key, value, message):
+    d = grid9_in(version)
+    set_entry(d, table, row, key, value)
+    with pytest.raises(ValueError, match=message):
+        scenario_from_dict(d)
+
+
+@pytest.mark.parametrize("version", [1, 2])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("key", ["x_m", "y_m"])
+def test_load_rejects_coordinate_not_finite(version, value, key):
+    d = grid9_in(version)
+    set_entry(d, "nodes", 6, key, value)
+    with pytest.raises(ValueError, match="node 6 has a coordinate that is not finite"):
+        scenario_from_dict(d)
+
+
+@pytest.mark.parametrize("node_id, message", [(1.7, r"node 1 has 'id' 1\.7, not an integer"),
+                                              (True, r"node 1 has 'id' True, not an integer")])
+def test_load_v1_rejects_node_id_that_is_not_an_integer(node_id, message):
+    d = grid9_dict()
+    d["nodes"][1]["id"] = node_id
+    with pytest.raises(ValueError, match=message):
+        scenario_from_dict(d)
+
+
+@pytest.mark.parametrize("version", [1, 2])
+def test_load_names_endpoint_past_int64_as_out_of_range(version):
+    d = grid9_in(version)
+    set_entry(d, "links", 1, "to", 10**30)
+    with pytest.raises(ValueError, match=f"-> {10**30} has an endpoint outside 0..8"):
+        scenario_from_dict(d)
+
+
+@pytest.mark.parametrize("version", [1, 2])
+def test_load_rejects_metric_past_float_range(version):
+    d = grid9_in(version)
+    set_entry(d, "links", 1, "delay_ms", 10**400)
+    with pytest.raises(ValueError, match="malformed scenario: int too large"):
+        scenario_from_dict(d)
+
+
+# --- format 1 against format 2, and against the format-1 reference reader ----
+
+
+def cost_hexes(scenario):
+    return [[(u, w.hex()) for u, w in out] for out in build_cost_matrix(scenario).links]
+
+
+@pytest.mark.parametrize(
+    "n, placement, seed",
+    [(n, placement, seed) for n, placement, seeds in GOLDEN_CASES for seed in seeds],
+)
+def test_v1_and_v2_files_load_equal(n, placement, seed, tmp_path):
+    s = generate_scenario(n, placement=placement, seed=seed)
+    v1, v2 = tmp_path / "v1.json", tmp_path / "v2.json"
+    v1.write_text(json.dumps(v1_scenario_to_dict(s)) + "\n")
+    save_scenario(s, v2)
+    from_v1, from_v2 = load_scenario(v1), load_scenario(v2)
+    assert from_v1 == from_v2 == s
+    assert from_v1 == v1_scenario_from_dict(json.loads(v1.read_text()))
+    assert cost_hexes(from_v1) == cost_hexes(from_v2)
+
+
+def test_shuffled_v1_file_loads_sorted_and_resaves_identically(tmp_path):
+    s = generate_scenario(100, placement="random", seed=5)
+    d = v1_scenario_to_dict(s)
+    np.random.default_rng(0).shuffle(d["links"])
+    assert [(k["from"], k["to"]) for k in d["links"]] != s.links.tolist()
+    loaded = scenario_from_dict(d)
+    assert loaded == s
+    save_scenario(loaded, tmp_path / "a.json")
+    save_scenario(s, tmp_path / "b.json")
+    assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+
+
+FAULTS = {
+    "outside": lambda link, n: link.update({"to": n + 3}),
+    "negative": lambda link, n: link.update({"from": -1}),
+    "self-loop": lambda link, n: link.update({"to": link["from"]}),
+    "outside-loop": lambda link, n: link.update({"from": n + 3, "to": n + 3}),
+    "metric": lambda link, n: link.update({"jitter_ms": -1.0}),
+    "nan": lambda link, n: link.update({"delay_ms": math.nan}),
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.sampled_from(sorted(FAULTS) + ["duplicate"]), st.integers(0, 23), st.integers(0, 23)),
+        min_size=1,
+        max_size=4,
+    ),
+    st.randoms(use_true_random=False),
+)
+def test_first_fault_named_as_the_link_by_link_reader_names_it(faults, random):
+    d = grid9_dict()
+    random.shuffle(d["links"])
+    for name, at, other in faults:
+        if name == "duplicate":
+            d["links"].insert(max(at, other) + 1, dict(d["links"][min(at, other)]))
+        else:
+            FAULTS[name](d["links"][at], 9)
+    with pytest.raises(ValueError) as reference:
+        v1_scenario_from_dict(d)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(reference.value))}$"):
+        scenario_from_dict(d)
+    v2 = {
+        **d,
+        "version": 2,
+        "nodes": {key: [node[key] for node in d["nodes"]] for key in NODE_COLUMNS},
+        "links": {key: [link[key] for link in d["links"]] for key in LINK_COLUMNS},
+    }
+    with pytest.raises(ValueError, match=f"^{re.escape(str(reference.value))}$"):
+        scenario_from_dict(v2)
+
+
+@pytest.mark.parametrize("version", [1, 2])
+def test_repeat_flags_the_later_copy_in_a_large_file(version):
+    # links 0..999 come back at the end and link 1000 has a bad metric
+    # between the copies: the bad metric is met first, so the sort that finds
+    # repeats must keep every pair of copies in file order
+    s = generate_scenario(2500, placement="grid", seed=0)
+    if version == 1:
+        d = v1_scenario_to_dict(s)
+        d["links"] += [dict(link) for link in d["links"][:1000]]
+    else:
+        d = scenario_to_dict(s)
+        for column in d["links"].values():
+            column += column[:1000]
+    set_entry(d, "links", 1000, "delay_ms", -1.0)
+    with pytest.raises(ValueError, match=r"^link 265 -> 264 has a metric that is negative or not finite$"):
+        scenario_from_dict(d)
