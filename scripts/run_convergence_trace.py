@@ -12,13 +12,13 @@ from pathlib import Path
 from meshroute.bench import ALGORITHMS, emit_trace, run_algorithm
 from meshroute.fuzzycost import build_cost_matrix
 from meshroute.oracle import shortest_path
-from meshroute.topology import generate_scenario
+from meshroute.topology import PLACEMENTS, generate_scenario
 
 
 def parse_args(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--nodes", type=int, default=100)
-    parser.add_argument("--placement", choices=("grid", "random"), default="grid")
+    parser.add_argument("--placement", choices=PLACEMENTS, default="grid")
     parser.add_argument("--scenario-seed", type=int, default=101)
     parser.add_argument("--opt-seed", type=int, default=9001)
     parser.add_argument("--generations", type=int, default=100)

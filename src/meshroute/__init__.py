@@ -9,7 +9,7 @@ judged against an exact shortest-path oracle.
 from .bbbc import BbbcParams, run_bbbc
 from .bbo import BboParams, run_bbo
 from .bench import BenchPlan, run_plan, summarize
-from .fuzzycost import CostMatrix, MetricBounds, RuleBase, build_cost_matrix, evaluate_ilc
+from .fuzzycost import CostMatrix, build_cost_matrix, evaluate_ilc
 from .oracle import OracleResult, UnreachableError, percent_error, shortest_path
 from .pathcodec import BrokenPathError, NoPathError, Path, decode, decode_path, path_cost
 from .results import RunResult, TracePoint
@@ -30,12 +30,10 @@ __all__ = [
     "BrokenPathError",
     "ConnectivityError",
     "CostMatrix",
-    "MetricBounds",
     "NetworkScenario",
     "NoPathError",
     "OracleResult",
     "Path",
-    "RuleBase",
     "RunResult",
     "TracePoint",
     "UnreachableError",

@@ -18,7 +18,7 @@ from .bbo import BboParams, run_bbo
 from .fuzzycost import build_cost_matrix
 from .oracle import shortest_path
 from .results import RunResult
-from .topology import check_placement, generate_scenario
+from .topology import DEFAULT_RADIO_RANGE_M, check_placement, generate_scenario
 
 RESULTS_COLUMNS = (
     "algorithm",
@@ -60,7 +60,7 @@ class BenchPlan:
     algorithms: tuple[str, ...] = tuple(ALGORITHMS)
     population_size: int = 50
     placement: str = "grid"
-    radio_range: float = 250.0
+    radio_range: float = DEFAULT_RADIO_RANGE_M
 
     def __post_init__(self):
         if not (self.node_counts and self.generation_budgets and self.seeds and self.algorithms):

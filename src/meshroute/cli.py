@@ -9,7 +9,6 @@ unreachable, placement failure), 4 I/O error.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -20,6 +19,7 @@ from .oracle import UnreachableError, shortest_path
 from .pathcodec import NoPathError
 from .topology import (
     DEFAULT_RADIO_RANGE_M,
+    PLACEMENTS,
     ConnectivityError,
     generate_scenario,
     load_scenario,
@@ -41,7 +41,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     gen = sub.add_parser("gen", help="generate a scenario file")
     gen.add_argument("--nodes", type=int, required=True)
-    gen.add_argument("--placement", choices=("grid", "random"), default="grid")
+    gen.add_argument("--placement", choices=PLACEMENTS, default="grid")
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--range", type=float, default=DEFAULT_RADIO_RANGE_M, dest="radio_range")
     gen.add_argument("--out", required=True)
@@ -64,8 +64,6 @@ def _build_parser() -> argparse.ArgumentParser:
     bch = sub.add_parser("bench", help="run a benchmark plan")
     bch.add_argument("--plan", default=None, help="plan JSON; omit for the default plan")
     bch.add_argument("--out", required=True, help="output directory")
-    bch.add_argument("--include-large", action="store_true",
-                     help="keep node counts above 100 (hours of runtime)")
     return parser
 
 
@@ -128,14 +126,6 @@ def _cmd_oracle(args) -> int:
 
 def _cmd_bench(args) -> int:
     plan = bench_mod.load_plan(args.plan) if args.plan else bench_mod.BenchPlan()
-    if not args.include_large:
-        kept = tuple(n for n in plan.node_counts if n <= 100)
-        if not kept:
-            raise ValueError("all node counts exceed 100; pass --include-large to run them")
-        if kept != plan.node_counts:
-            dropped = ", ".join(str(n) for n in plan.node_counts if n > 100)
-            print(f"skipping node counts {dropped}; pass --include-large to run them", file=sys.stderr)
-            plan = dataclasses.replace(plan, node_counts=kept)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     bench_mod.save_plan(plan, out_dir / "plan.json")

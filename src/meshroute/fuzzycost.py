@@ -1,13 +1,14 @@
 """Fuzzy Integrated Link Cost.
 
 Maps a directed link's (throughput, delay, jitter) to a scalar cost in (0, 1].
-Each normalized input is fuzzified against three triangular sets (low, medium,
-high with peaks at 0, 0.5, 1). A 27-rule base picks one of five output levels
-(very low .. very high, peaks at 0, 0.25, 0.5, 0.75, 1); rule strength is the
-product of the antecedent memberships, implication scales the consequent set,
-and the rule outputs are summed before a discrete 101-sample centroid
-defuzzifies the aggregate. High throughput pulls cost down; high delay or
-jitter pushes it up.
+Raw metrics are normalized onto [0, 1] over the ranges topology draws them
+from. Each normalized input is fuzzified against three triangular sets (low,
+medium, high with peaks at 0, 0.5, 1). A fixed 27-rule table (RULE_TABLE)
+picks one of five output levels (very low .. very high, peaks at 0, 0.25,
+0.5, 0.75, 1); rule strength is the product of the antecedent memberships,
+implication scales the consequent set, and the rule outputs are summed
+before a discrete 101-sample centroid defuzzifies the aggregate. High
+throughput pulls cost down; high delay or jitter pushes it up.
 
 All links are scored in one batch (`ilc_costs`); the scalar entry points are
 one-link calls of it. Three choices keep every cost bit-identical to scoring
@@ -53,12 +54,12 @@ mirror-symmetric aggregates.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
+
+from .topology import METRIC_HIGH, METRIC_LOW
 
 CENTROID_SAMPLES = 101
 ILC_FLOOR = 1e-6
@@ -106,7 +107,7 @@ SAMPLE_OFFSETS = np.arange(CENTROID_SAMPLES) - 50.0
 
 
 def consequent_of(i_thr: int, i_delay: int, i_jitter: int) -> int:
-    """Default rule table entry: output level for one antecedent combination.
+    """Rule table entry: output level for one antecedent combination.
 
     Severity score (2 - i_thr) + i_delay + i_jitter ranges 0..6 and is mapped
     onto the five output levels by round-half-up of score * 4 / 6.
@@ -115,100 +116,22 @@ def consequent_of(i_thr: int, i_delay: int, i_jitter: int) -> int:
     return int(math.floor(score * 4.0 / 6.0 + 0.5))
 
 
-@dataclass(frozen=True)
-class RuleBase:
-    """27-entry consequent table indexed by (throughput, delay, jitter) levels."""
-
-    table: np.ndarray
-
-    def __post_init__(self):
-        t = np.asarray(self.table, dtype=int)
-        if t.shape != (INPUT_LEVELS, INPUT_LEVELS, INPUT_LEVELS):
-            raise ValueError(f"rule table must be 3x3x3, got shape {t.shape}")
-        if t.min() < 0 or t.max() >= OUTPUT_LEVELS:
-            raise ValueError("rule consequents must be output levels 0..4")
-        if (np.diff(t, axis=0) > 0).any():
-            raise ValueError("consequents must be non-increasing in throughput level")
-        if (np.diff(t, axis=1) < 0).any() or (np.diff(t, axis=2) < 0).any():
-            raise ValueError("consequents must be non-decreasing in delay and jitter levels")
-        object.__setattr__(self, "table", t)
-
-    def consequent(self, i_thr: int, i_delay: int, i_jitter: int) -> int:
-        return int(self.table[i_thr, i_delay, i_jitter])
+# the fixed rule base: RULE_TABLE[i, j, k] is the output level for throughput
+# level i, delay level j and jitter level k
+RULE_TABLE = np.vectorize(consequent_of)(*np.indices((INPUT_LEVELS,) * 3))
+RULE_TABLE.flags.writeable = False
 
 
-def default_rule_base() -> RuleBase:
-    table = np.empty((INPUT_LEVELS, INPUT_LEVELS, INPUT_LEVELS), dtype=int)
-    for i in range(INPUT_LEVELS):
-        for j in range(INPUT_LEVELS):
-            for k in range(INPUT_LEVELS):
-                table[i, j, k] = consequent_of(i, j, k)
-    return RuleBase(table)
-
-
-def load_rule_base(path: str | Path) -> RuleBase:
-    """Read a rule-base override: a JSON list of 27 rule objects.
-
-    Each rule holds integer levels {"thr": 0..2, "delay": 0..2, "jitter":
-    0..2, "out": 0..4}; every antecedent combination must appear exactly once.
-    """
-    rules = json.loads(Path(path).read_text())
-    if not isinstance(rules, list):
-        raise ValueError("rule-base file must hold a JSON list of rules")
-    table = np.full((INPUT_LEVELS, INPUT_LEVELS, INPUT_LEVELS), -1, dtype=int)
-    for pos, rule in enumerate(rules):
-        try:
-            i, j, k = int(rule["thr"]), int(rule["delay"]), int(rule["jitter"])
-            out = int(rule["out"])
-        except (KeyError, TypeError) as exc:
-            raise ValueError(f"rule {pos}: expected keys thr/delay/jitter/out") from exc
-        if not (0 <= i < INPUT_LEVELS and 0 <= j < INPUT_LEVELS and 0 <= k < INPUT_LEVELS):
-            raise ValueError(f"rule {pos}: antecedent levels must be 0..2")
-        if not 0 <= out < OUTPUT_LEVELS:
-            raise ValueError(f"rule {pos}: cost level must be 0..4")
-        if table[i, j, k] != -1:
-            raise ValueError(f"rule {pos}: duplicate antecedent combination ({i}, {j}, {k})")
-        table[i, j, k] = out
-    if (table == -1).any():
-        missing = int((table == -1).sum())
-        raise ValueError(f"rule base incomplete: {missing} antecedent combinations missing")
-    return RuleBase(table)
-
-
-@dataclass(frozen=True)
-class MetricBounds:
-    """Raw metric ranges used to normalize inputs onto [0, 1]."""
-
-    throughput_min: float = 0.2
-    throughput_max: float = 2.0
-    delay_min: float = 1.0
-    delay_max: float = 100.0
-    jitter_min: float = 0.0
-    jitter_max: float = 20.0
-
-    def __post_init__(self):
-        for lo, hi, name in (
-            (self.throughput_min, self.throughput_max, "throughput"),
-            (self.delay_min, self.delay_max, "delay"),
-            (self.jitter_min, self.jitter_max, "jitter"),
-        ):
-            if not hi > lo:
-                raise ValueError(f"{name} bounds degenerate: [{lo}, {hi}]")
-
-
-def _normalize(raw: np.ndarray, bounds: MetricBounds) -> np.ndarray:
+def _normalize(raw: np.ndarray) -> np.ndarray:
     """Affine-map (..., 3) raw (throughput, delay, jitter) onto [0, 1], clamping."""
-    lo = np.array([bounds.throughput_min, bounds.delay_min, bounds.jitter_min])
-    hi = np.array([bounds.throughput_max, bounds.delay_max, bounds.jitter_max])
+    lo, hi = np.array(METRIC_LOW), np.array(METRIC_HIGH)
     # fmax/fmin map NaN to the lower clamp, as the builtin max(0.0, nan) does
     return np.fmin(1.0, np.fmax(0.0, (raw - lo) / (hi - lo)))
 
 
-def normalize_inputs(
-    throughput: float, delay: float, jitter: float, bounds: MetricBounds
-) -> tuple[float, float, float]:
+def normalize_inputs(throughput: float, delay: float, jitter: float) -> tuple[float, float, float]:
     """Affine-map raw metrics onto [0, 1], clamping out-of-range values."""
-    t, d, j = _normalize(np.array([throughput, delay, jitter], dtype=float), bounds).tolist()
+    t, d, j = _normalize(np.array([throughput, delay, jitter], dtype=float)).tolist()
     return t, d, j
 
 
@@ -251,7 +174,7 @@ def exact_row_sums(rows: np.ndarray) -> np.ndarray:
     return r
 
 
-def ilc_costs(inputs: np.ndarray, rules: RuleBase | None = None) -> np.ndarray:
+def ilc_costs(inputs: np.ndarray) -> np.ndarray:
     """Integrated link costs of (L, 3) normalized (throughput, delay, jitter) rows.
 
     Returns L costs in [ILC_FLOOR, 1]. The centroid is computed as an offset
@@ -267,7 +190,6 @@ def ilc_costs(inputs: np.ndarray, rules: RuleBase | None = None) -> np.ndarray:
         row, col = np.argwhere(outside)[0]
         name = ("throughput", "delay", "jitter")[col]
         raise ValueError(f"normalized {name} out of [0, 1]: {x[row, col]}")
-    table = (rules or DEFAULT_RULES).table
 
     m = _memberships(x)
     mt, md, mj = m[:, 0], m[:, 1], m[:, 2]
@@ -276,7 +198,7 @@ def ilc_costs(inputs: np.ndarray, rules: RuleBase | None = None) -> np.ndarray:
         for j in range(INPUT_LEVELS):
             wij = mt[:, i] * md[:, j]
             for k in range(INPUT_LEVELS):
-                weights[:, table[i, j, k]] += wij * mj[:, k]
+                weights[:, RULE_TABLE[i, j, k]] += wij * mj[:, k]
 
     total, offset = np.empty(len(x)), np.empty(len(x))
     for lo in range(0, len(x), _BLOCK_ROWS):
@@ -287,17 +209,9 @@ def ilc_costs(inputs: np.ndarray, rules: RuleBase | None = None) -> np.ndarray:
     return np.maximum(0.5 + offset / (100.0 * total), ILC_FLOOR)
 
 
-def evaluate_ilc(
-    throughput_n: float,
-    delay_n: float,
-    jitter_n: float,
-    rules: RuleBase | None = None,
-) -> float:
+def evaluate_ilc(throughput_n: float, delay_n: float, jitter_n: float) -> float:
     """Integrated link cost of one link's normalized inputs; in [ILC_FLOOR, 1]."""
-    return float(ilc_costs(np.array([throughput_n, delay_n, jitter_n], dtype=float), rules)[0])
-
-
-DEFAULT_RULES = default_rule_base()
+    return float(ilc_costs(np.array([throughput_n, delay_n, jitter_n], dtype=float))[0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -364,11 +278,7 @@ def _grouped(keys: np.ndarray, values: np.ndarray):
     return tuple(tuple(pairs[a:b]) for a, b in zip([0] + ends, ends))
 
 
-def build_cost_matrix(
-    scenario,
-    bounds: MetricBounds | None = None,
-    rules: RuleBase | None = None,
-) -> CostMatrix:
+def build_cost_matrix(scenario) -> CostMatrix:
     """Score every observed link of a scenario with the fuzzy system."""
-    costs = ilc_costs(_normalize(scenario.metrics, bounds or MetricBounds()), rules)
+    costs = ilc_costs(_normalize(scenario.metrics))
     return CostMatrix.from_arrays(scenario.n, scenario.links[:, 0], scenario.links[:, 1], costs)

@@ -13,7 +13,7 @@ Scenario files are JSON. Format version 2, the one written, stores columns:
 throughput_mbps, delay_ms and jitter_ms to one list each, in row-major
 (from, to) order. Version 1 files, with one object per node and per link,
 still load. Both are checked column by column (scenario_from_dict says what
-is rejected) and their links are sorted row-major on load.
+is rejected), and a scenario always holds its links sorted row-major.
 
 Links come from a cell list (_radio_pairs): nodes are bucketed into square
 cells about one radio range wide, each node is tested only against the
@@ -62,14 +62,13 @@ class ConnectivityError(RuntimeError):
     """Random placement failed to connect source and terminal within the retry budget."""
 
 
-def _frozen(value, dtype, width: int, name: str) -> np.ndarray:
-    """A read-only (m, width) copy of value."""
+def _rows(value, dtype, width: int, name: str) -> np.ndarray:
+    """An (m, width) copy of value."""
     array = np.array(value, dtype=dtype)
     if array.size == 0:
         array = array.reshape(0, width)
     if array.ndim != 2 or array.shape[1] != width:
         raise ValueError(f"{name} must have shape (m, {width}), got {array.shape}")
-    array.flags.writeable = False
     return array
 
 
@@ -80,10 +79,10 @@ class NetworkScenario:
     positions is (n, 2) float64 in meters, links (L, 2) int64 (from, to)
     rows and metrics (L, 3) float64 (throughput Mbps, delay ms, jitter ms)
     rows, one per link; (a, b) and (b, a) are independent links. Each array
-    is a read-only copy of what was passed. Links are in row-major order as
-    generate_scenario and load_scenario give them, and save_scenario writes
-    them in the order held. Scenarios are equal when their scalars are equal
-    and their arrays hold equal values.
+    is a read-only copy of what was passed, with the links and their metric
+    rows put in row-major (from, to) order, so save_scenario writes them
+    sorted. Scenarios are equal when their scalars are equal and their arrays
+    hold equal values.
     """
 
     seed: int
@@ -94,11 +93,19 @@ class NetworkScenario:
     metrics: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "positions", _frozen(self.positions, np.float64, 2, "positions"))
-        object.__setattr__(self, "links", _frozen(self.links, np.int64, 2, "links"))
-        object.__setattr__(self, "metrics", _frozen(self.metrics, np.float64, 3, "metrics"))
-        if len(self.metrics) != len(self.links):
-            raise ValueError(f"{len(self.links)} links but {len(self.metrics)} metric rows")
+        positions = _rows(self.positions, np.float64, 2, "positions")
+        links = _rows(self.links, np.int64, 2, "links")
+        metrics = _rows(self.metrics, np.float64, 3, "metrics")
+        if len(metrics) != len(links):
+            raise ValueError(f"{len(links)} links but {len(metrics)} metric rows")
+        head, tail = links[:-1], links[1:]
+        if ((tail[:, 0] < head[:, 0]) | ((tail[:, 0] == head[:, 0]) & (tail[:, 1] < head[:, 1]))).any():
+            # a stable sort, so repeated links keep the order given
+            order = np.lexsort((links[:, 1], links[:, 0]))
+            links, metrics = links[order], metrics[order]
+        for name, array in (("positions", positions), ("links", links), ("metrics", metrics)):
+            array.flags.writeable = False
+            object.__setattr__(self, name, array)
 
     @property
     def n(self) -> int:
@@ -339,14 +346,26 @@ def _array(values: list, integer: bool, owner: str, key: str) -> np.ndarray:
         return np.array([v if abs(v) < 2**63 else -1 for v in values], dtype=np.int64)
 
 
+def _scalar(data: dict, key: str, integer: bool):
+    """A top-level value: a JSON integer, or a finite JSON number as a float.
+    Bools are neither."""
+    value = data[key]
+    if integer and type(value) is int:
+        return value
+    if not integer and type(value) in _NUMBER and math.isfinite(value):
+        return float(value)
+    kind = "an integer" if integer else "a finite number"
+    raise ValueError(f"scenario {key!r} is {value!r}, not {kind}")
+
+
 def _from_columns(data: dict, x: list, y: list, link_columns: list[list]) -> NetworkScenario:
-    """Check the columns and build the scenario, links sorted row-major.
+    """Check the columns and the scalars and build the scenario.
 
     Types are checked column by column, then coordinates. Of the faults in
     the link values, the one named is the one a link-by-link pass in file
     order meets first: the first faulty link, and for it an endpoint out of
     range, then a self-loop, then a repeat of an earlier link, then a bad
-    metric.
+    metric. The seed, area side and radio range are checked last.
     """
     positions = np.stack((_array(x, False, "node", "x_m"), _array(y, False, "node", "y_m")), 1)
     bad = np.flatnonzero(~np.isfinite(positions).all(axis=1))
@@ -382,12 +401,12 @@ def _from_columns(data: dict, x: list, y: list, link_columns: list[list]) -> Net
             raise ValueError(f"duplicate link {a} -> {b}")
         raise ValueError(f"link {a} -> {b} has a metric that is negative or not finite")
     return NetworkScenario(
-        seed=int(data["seed"]),
-        area_side=float(data["area_side_m"]),
-        radio_range=float(data["radio_range_m"]),
+        seed=_scalar(data, "seed", True),
+        area_side=_scalar(data, "area_side_m", False),
+        radio_range=_scalar(data, "radio_range_m", False),
         positions=positions,
-        links=np.stack((src, dst), 1)[order],
-        metrics=metrics[order],
+        links=np.stack((src, dst), 1),
+        metrics=metrics,
     )
 
 
@@ -398,8 +417,9 @@ def scenario_from_dict(data: dict) -> NetworkScenario:
     Format-1 node ids must be JSON integers 0..n-1 in order. Link endpoints
     must be JSON integers (bools are not) naming two distinct nodes, and
     each ordered pair may appear once. Coordinates must be finite JSON
-    numbers, and metrics finite, non-negative JSON numbers. Format-2
-    columns must be lists of equal length.
+    numbers, and metrics finite, non-negative JSON numbers. The seed must
+    be a JSON integer, and the area side and radio range finite JSON
+    numbers. Format-2 columns must be lists of equal length.
     """
     if not isinstance(data, dict):
         raise ValueError("a scenario must be a JSON object")

@@ -10,7 +10,7 @@ from meshroute.bench import ALGORITHMS, load_plan, plan_from_dict
 from meshroute.cli import EXIT_DOMAIN, EXIT_IO, EXIT_OK, EXIT_USAGE, main
 from meshroute.fuzzycost import build_cost_matrix
 from meshroute.oracle import shortest_path
-from meshroute.topology import NetworkScenario, generate_scenario, save_scenario
+from meshroute.topology import NetworkScenario, generate_scenario, save_scenario, scenario_to_dict
 
 from scenario_v1 import v1_scenario_to_dict
 
@@ -234,6 +234,22 @@ def test_oracle_rejects_value_the_loader_used_to_coerce(tmp_path, capsys, versio
     assert "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("version", [1, 2])
+@pytest.mark.parametrize(
+    "key, value", [("seed", 1.7), ("area_side_m", "12"), ("radio_range_m", True)], ids=["seed", "area", "range"]
+)
+def test_oracle_rejects_scalar_the_loader_used_to_coerce(tmp_path, capsys, version, key, value):
+    scenario = tmp_path / "line.json"
+    data = v1_scenario_to_dict(line_scenario()) if version == 1 else scenario_to_dict(line_scenario())
+    data[key] = value
+    scenario.write_text(json.dumps(data))
+    assert main(["oracle", "--scenario", str(scenario)]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: scenario {key!r} is {value!r}, not ")
+    assert "Traceback" not in captured.err
+
+
 def test_oracle_reads_v1_scenario(tmp_path, capsys):
     v1, v2 = tmp_path / "v1.json", tmp_path / "v2.json"
     v1.write_text(json.dumps(v1_scenario_to_dict(line_scenario())))
@@ -329,7 +345,7 @@ def test_bench_rejects_non_square_grid_before_any_cell(tmp_path, capsys):
     )
 
 
-def test_bench_filters_large_cells(tmp_path):
+def test_bench_runs_node_counts_above_100(tmp_path, capsys):
     plan = {
         "node_counts": [9, 121],
         "generation_budgets": [2],
@@ -341,28 +357,18 @@ def test_bench_filters_large_cells(tmp_path):
     out_dir = tmp_path / "bench"
     assert main(["bench", "--plan", str(plan_path), "--out", str(out_dir)]) == EXIT_OK
     rows = (out_dir / "results.csv").read_text().splitlines()[1:]
-    assert rows and all(row.split(",")[1] == "9" for row in rows)
-
-
-def test_bench_names_dropped_large_cells(tmp_path, capsys):
-    plan = {
-        "node_counts": [9, 121, 2500],
-        "generation_budgets": [2],
-        "seeds": [[101, 9001]],
-        "population_size": 8,
-    }
-    plan_path = tmp_path / "plan.json"
-    plan_path.write_text(json.dumps(plan))
-    assert main(["bench", "--plan", str(plan_path), "--out", str(tmp_path / "b")]) == EXIT_OK
-    assert "skipping node counts 121, 2500; pass --include-large" in capsys.readouterr().err
+    assert sorted(row.split(",")[1] for row in rows) == ["121", "121", "9", "9"]
+    assert "skipping" not in capsys.readouterr().err
 
 
 def test_bench_all_cells_large_without_flag(tmp_path):
     plan = {"node_counts": [2500], "generation_budgets": [2], "seeds": [[101, 9001]]}
     plan_path = tmp_path / "plan.json"
     plan_path.write_text(json.dumps(plan))
-    code = main(["bench", "--plan", str(plan_path), "--out", str(tmp_path / "b")])
-    assert code == EXIT_USAGE
+    out_dir = tmp_path / "b"
+    assert main(["bench", "--plan", str(plan_path), "--out", str(out_dir)]) == EXIT_OK
+    rows = (out_dir / "results.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[:2] for row in rows] == [["bbbc", "2500"], ["bbo", "2500"]]
 
 
 def test_missing_subcommand_is_usage_error(capsys):

@@ -1,6 +1,5 @@
-"""Fuzzy link-cost evaluator: memberships, rule base, centroid, cost matrix."""
+"""Fuzzy link-cost evaluator: memberships, rule table, centroid, cost matrix."""
 
-import json
 import math
 
 import numpy as np
@@ -9,24 +8,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from meshroute.fuzzycost import (
-    DEFAULT_RULES,
     ILC_FLOOR,
     OUT_SAMPLES,
+    RULE_TABLE,
     SAMPLE_OFFSETS,
     CostMatrix,
-    MetricBounds,
-    RuleBase,
     build_cost_matrix,
     consequent_of,
-    default_rule_base,
     evaluate_ilc,
     exact_row_sums,
     ilc_costs,
     input_memberships,
-    load_rule_base,
     normalize_inputs,
 )
-from meshroute.topology import NetworkScenario, generate_scenario
+from meshroute.topology import METRIC_HIGH, METRIC_LOW, NetworkScenario, generate_scenario
 
 from helpers import link_cost, out_neighbors
 
@@ -45,9 +40,8 @@ GOLDEN_CASES = [
 ]
 
 
-def reference_weights(throughput_n, delay_n, jitter_n, rules=None):
+def reference_weights(throughput_n, delay_n, jitter_n):
     """One link's five output-level weights by the 27-rule loop."""
-    table = (rules or DEFAULT_RULES).table
     peaks = np.array([0.0, 0.5, 1.0])
     mt, md, mj = (np.maximum(0.0, 1.0 - np.abs(x - peaks) / 0.5) for x in (throughput_n, delay_n, jitter_n))
     weights = np.zeros(5)
@@ -61,30 +55,25 @@ def reference_weights(throughput_n, delay_n, jitter_n, rules=None):
             for k in range(3):
                 w = wij * mj[k]
                 if w > 0.0:
-                    weights[table[i, j, k]] += w
+                    weights[RULE_TABLE[i, j, k]] += w
     return weights
 
 
-def reference_ilc(throughput_n, delay_n, jitter_n, rules=None):
+def reference_ilc(throughput_n, delay_n, jitter_n):
     """One link at a time: the 27-rule loop, a vector-matrix product, two fsums."""
-    mu = reference_weights(throughput_n, delay_n, jitter_n, rules) @ OUT_SAMPLES
+    mu = reference_weights(throughput_n, delay_n, jitter_n) @ OUT_SAMPLES
     total = math.fsum(mu)
     offset = math.fsum((idx - 50) * m for idx, m in enumerate(mu))
     return max(0.5 + offset / (100.0 * total), ILC_FLOOR)
 
 
-def reference_cost_matrix(scenario, bounds=MetricBounds()):
+def reference_cost_matrix(scenario):
     """Link-by-link scoring into a dense matrix, neighbour lists by per-row scans."""
     n = scenario.n
     values = np.full((n, n), np.nan)
-    for (src, dst), (throughput, delay, jitter) in zip(scenario.links.tolist(), scenario.metrics.tolist()):
+    for (src, dst), raw in zip(scenario.links.tolist(), scenario.metrics.tolist()):
         t, d, j = (
-            min(1.0, max(0.0, (x - lo) / (hi - lo)))
-            for x, lo, hi in (
-                (throughput, bounds.throughput_min, bounds.throughput_max),
-                (delay, bounds.delay_min, bounds.delay_max),
-                (jitter, bounds.jitter_min, bounds.jitter_max),
-            )
+            min(1.0, max(0.0, (x - lo) / (hi - lo))) for x, lo, hi in zip(raw, METRIC_LOW, METRIC_HIGH)
         )
         values[src, dst] = reference_ilc(t, d, j)
     adjacency = np.isfinite(values)
@@ -114,80 +103,22 @@ def test_consequent_of(levels, expected):
     assert consequent_of(*levels) == expected
 
 
-def test_default_rule_base_matches_score_rule():
-    rb = default_rule_base()
-    for i in range(3):
-        for j in range(3):
-            for k in range(3):
-                assert rb.consequent(i, j, k) == consequent_of(i, j, k)
-
-
-def test_rule_base_rejects_bad_shape():
-    with pytest.raises(ValueError):
-        RuleBase(np.zeros((3, 3), dtype=int))
-
-
-def test_rule_base_rejects_out_of_range_consequent():
-    table = default_rule_base().table.copy()
-    table[0, 0, 0] = 5
-    with pytest.raises(ValueError):
-        RuleBase(table)
-
-
-def test_rule_base_rejects_non_monotone_throughput():
-    table = default_rule_base().table.copy()
-    table[0, 0, 0] = 0
-    table[2, 0, 0] = 4  # cost rising with throughput level
-    with pytest.raises(ValueError):
-        RuleBase(table)
-
-
-def test_load_rule_base_round_trip(tmp_path):
-    rb = default_rule_base()
-    rules = [
-        {"thr": i, "delay": j, "jitter": k, "out": rb.consequent(i, j, k)}
-        for i in range(3)
-        for j in range(3)
-        for k in range(3)
-    ]
-    path = tmp_path / "rules.json"
-    path.write_text(json.dumps(rules))
-    loaded = load_rule_base(path)
-    assert np.array_equal(loaded.table, rb.table)
-
-
-def test_load_rule_base_rejects_duplicates(tmp_path):
-    rules = [{"thr": 0, "delay": 0, "jitter": 0, "out": 1}] * 2
-    path = tmp_path / "rules.json"
-    path.write_text(json.dumps(rules))
-    with pytest.raises(ValueError, match="duplicate"):
-        load_rule_base(path)
-
-
-def test_load_rule_base_rejects_missing(tmp_path):
-    rules = [{"thr": 0, "delay": 0, "jitter": 0, "out": 1}]
-    path = tmp_path / "rules.json"
-    path.write_text(json.dumps(rules))
-    with pytest.raises(ValueError, match="incomplete"):
-        load_rule_base(path)
+def test_rule_table_matches_score_rule():
+    assert RULE_TABLE.shape == (3, 3, 3)
+    for i, j, k in np.ndindex(RULE_TABLE.shape):
+        assert RULE_TABLE[i, j, k] == consequent_of(i, j, k)
 
 
 def test_normalize_endpoints_and_midpoint():
-    b = MetricBounds()
-    t, d, j = normalize_inputs(2.0, 50.5, 25.0, b)
+    t, d, j = normalize_inputs(2.0, 50.5, 25.0)
     assert t == 1.0
     assert d == pytest.approx(0.5)
     assert j == 1.0  # 25 ms clamps at the 20 ms jitter ceiling
 
 
 def test_normalize_clamps_below():
-    t, d, j = normalize_inputs(0.0, 0.0, -1.0, MetricBounds())
+    t, d, j = normalize_inputs(0.0, 0.0, -1.0)
     assert (t, d, j) == (0.0, 0.0, 0.0)
-
-
-def test_degenerate_bounds_rejected():
-    with pytest.raises(ValueError):
-        MetricBounds(delay_min=10.0, delay_max=10.0)
 
 
 def test_ilc_all_medium_is_half():
@@ -250,10 +181,6 @@ def test_ilc_batch_matches_reference_on_lattice():
     grid = np.array([(t, d, j) for t in LATTICE for d in LATTICE for j in LATTICE])
     expected = [reference_ilc(*row) for row in grid.tolist()]
     assert ilc_costs(grid).tolist() == expected
-    # a rule base whose consequents differ from the default
-    rules = RuleBase(np.minimum(default_rule_base().table, 2))
-    expected = [reference_ilc(*row, rules=rules) for row in grid.tolist()]
-    assert ilc_costs(grid, rules).tolist() == expected
 
 
 @st.composite
@@ -349,7 +276,7 @@ def test_cost_matrix_no_links():
 def test_identical_metrics_identical_ilc(grid25):
     scenario, cm, _ = grid25
     (src, dst), (throughput, delay, jitter) = scenario.links[0].tolist(), scenario.metrics[0].tolist()
-    t, d, j = normalize_inputs(throughput, delay, jitter, MetricBounds())
+    t, d, j = normalize_inputs(throughput, delay, jitter)
     assert link_cost(cm, src, dst) == evaluate_ilc(t, d, j)
 
 

@@ -487,6 +487,26 @@ def test_scenario_rejects_mismatched_arrays():
         NetworkScenario(0, 200.0, 250.0, [(0.0, 0.0), (1.0, 0.0)], [0, 1], [(1.0, 10.0, 2.0)])
 
 
+def test_hand_built_links_round_trip_equal():
+    s = NetworkScenario(
+        0, 200.0, 250.0, [(0.0, 0.0), (200.0, 0.0)], [(1, 0), (0, 1)], [(1.5, 20.0, 1.0), (1.0, 10.0, 2.0)]
+    )
+    assert s.links.tolist() == [[0, 1], [1, 0]]
+    assert s.metrics.tolist() == [[1.0, 10.0, 2.0], [1.5, 20.0, 1.0]]
+    assert scenario_from_dict(scenario_to_dict(s)) == s
+
+
+def test_hand_built_links_sorted_stably():
+    # 300 links over 6 pairs, one an endpoint no node has: a sort that is not
+    # stable reorders the repeats on arrays this long
+    links = [((5 * k) % 3 - 1, k % 2) for k in range(300)]
+    s = NetworkScenario(0, 1.0, 1.0, [(0.0, 0.0)] * 2, links, [(float(k), 1.0, 1.0) for k in range(300)])
+    order = sorted(range(300), key=links.__getitem__)
+    assert s.links.tolist() == [list(links[k]) for k in order]
+    assert s.metrics[:, 0].tolist() == [float(k) for k in order]
+    assert not s.links.flags.writeable and not s.metrics.flags.writeable
+
+
 # --- format 2: the malformed-file cases of format 1, on columns -------------
 
 
@@ -664,6 +684,34 @@ def test_load_rejects_metric_past_float_range(version):
     set_entry(d, "links", 1, "delay_ms", 10**400)
     with pytest.raises(ValueError, match="malformed scenario: int too large"):
         scenario_from_dict(d)
+
+
+SCALARS = [
+    ("seed", 1.7, r"scenario 'seed' is 1\.7, not an integer"),
+    ("seed", True, r"scenario 'seed' is True, not an integer"),
+    ("area_side_m", "12", r"scenario 'area_side_m' is '12', not a finite number"),
+    ("area_side_m", math.inf, r"scenario 'area_side_m' is inf, not a finite number"),
+    ("radio_range_m", True, r"scenario 'radio_range_m' is True, not a finite number"),
+    ("radio_range_m", None, r"scenario 'radio_range_m' is None, not a finite number"),
+]
+
+
+@pytest.mark.parametrize("version", [1, 2])
+@pytest.mark.parametrize("key, value, message", SCALARS)
+def test_load_rejects_scalar_it_used_to_coerce(version, key, value, message):
+    d = grid9_in(version)
+    d[key] = value
+    with pytest.raises(ValueError, match=message):
+        scenario_from_dict(d)
+
+
+@pytest.mark.parametrize("version", [1, 2])
+def test_load_keeps_integer_lengths_as_floats(version):
+    d = grid9_in(version)
+    d.update(area_side_m=400, radio_range_m=250)
+    s = scenario_from_dict(d)
+    assert (type(s.area_side), type(s.radio_range)) == (float, float)
+    assert s == generate_scenario(9, placement="grid", seed=0)
 
 
 # --- format 1 against format 2, and against the format-1 reference reader ----
