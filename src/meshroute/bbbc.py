@@ -8,6 +8,13 @@ radius contracts as 1/step within a short cycle and then resets, so bang and
 crunch phases repeat instead of freezing once the radius drops below the
 typical key gap. A small slice of each generation is fresh uniform dispersal,
 and the best-so-far genome survives every bang unchanged.
+
+The population is one (P, n) array, a row per genome, allocated once per
+run with its scratch arrays. A bang draws each offspring's anchor and normal
+row in turn, into the population rows it replaces, and then applies the
+spawn formula to the whole block at once; the draws, their order and every
+rounding are those of P - 1 calls to spawn and random_vector, so a seed
+gives the same run as a per-offspring loop would.
 """
 
 from __future__ import annotations
@@ -18,7 +25,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .fuzzycost import CostMatrix
-from .pathcodec import decode_path, random_vector
+from .pathcodec import decode_path
 from .results import RunResult, TracePoint
 
 # Share of the non-elite slots refilled with fresh uniform candidates at each
@@ -66,13 +73,25 @@ def center_of_mass(population: np.ndarray, fitness: np.ndarray) -> np.ndarray:
     return (inv @ population) / inv.sum()
 
 
+def _bang(anchors: np.ndarray, noise: np.ndarray, upper_limit: float, step: int) -> np.ndarray:
+    """anchors + upper_limit * noise / step, clipped to [0, 1], in place on noise.
+
+    The operations run in that order on whole arrays, so each element rounds
+    as it would alone.
+    """
+    noise *= upper_limit
+    noise /= step
+    noise += anchors
+    return np.clip(noise, 0.0, 1.0, out=noise)
+
+
 def spawn(
     center: np.ndarray, upper_limit: float, step: int, rng: np.random.Generator
 ) -> np.ndarray:
     """One big-bang offspring: center + upper_limit * normal / step, clipped to [0, 1]."""
     if step < 1:
         raise ValueError("step must be >= 1")
-    return np.clip(center + upper_limit * rng.standard_normal(center.shape) / step, 0.0, 1.0)
+    return _bang(center, rng.standard_normal(center.shape), upper_limit, step)
 
 
 def run_bbbc(
@@ -85,18 +104,24 @@ def run_bbbc(
     n_fresh = int(round(FRESH_SHARE * (pop_size - 1)))
     n_spawn = pop_size - 1 - n_fresh
 
-    best_vec: np.ndarray | None = None
     best_path = None
     trace: list[TracePoint] = []
 
     start = time.perf_counter()
-    population = [random_vector(rng, n_dims) for _ in range(pop_size)]
+    # row 0 is the elite slot, rows 1..n_spawn the spawned offspring and the
+    # last n_fresh rows the fresh ones
+    population = rng.random((pop_size, n_dims))
+    spawned = population[1 : 1 + n_spawn]
+    best_vec = np.empty(n_dims)
+    pool_rows = np.empty((pool, n_dims))
+    picks = np.empty(n_spawn, dtype=np.intp)
+    anchors = np.empty((n_spawn, n_dims))
     for gen in range(1, params.max_generations + 1):
-        scored = [(vec, decode_path(vec, cm, source, terminal)) for vec in population]
-        scored.sort(key=lambda vp: vp[1].cost)
-        gen_best_vec, gen_best_path = scored[0]
+        paths = [decode_path(vec, cm, source, terminal) for vec in population]
+        order = sorted(range(pop_size), key=lambda r: paths[r].cost)
+        gen_best_path = paths[order[0]]
         if best_path is None or gen_best_path.cost < best_path.cost:
-            best_vec = gen_best_vec.copy()
+            best_vec[:] = population[order[0]]
             best_path = gen_best_path
         trace.append(TracePoint(gen, best_path.cost, gen_best_path.cost))
 
@@ -106,11 +131,16 @@ def run_bbbc(
         # elitism: slot 0 carries the best-so-far genome into the next bang;
         # pool costs sit within a few percent of each other, so a uniform
         # anchor draw matches inverse-cost weighting to first order
-        population = [best_vec]
-        for _ in range(n_spawn):
-            a = scored[int(rng.integers(pool))][0]
-            population.append(spawn(a, params.upper_limit, step, rng))
-        population += [random_vector(rng, n_dims) for _ in range(n_fresh)]
+        # the pool is copied out first, since the normal draws go straight
+        # into the rows the offspring replace
+        np.take(population, order[:pool], axis=0, out=pool_rows)
+        population[0] = best_vec
+        for k in range(n_spawn):
+            picks[k] = rng.integers(pool)
+            rng.standard_normal(out=spawned[k])
+        np.take(pool_rows, picks, axis=0, out=anchors)
+        _bang(anchors, spawned, params.upper_limit, step)
+        rng.random(out=population[1 + n_spawn :])
     elapsed_ms = (time.perf_counter() - start) * 1000.0
 
     return RunResult(

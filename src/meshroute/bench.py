@@ -10,6 +10,7 @@ wall-time fields.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
@@ -70,6 +71,10 @@ class BenchPlan:
             raise ValueError(f"unknown algorithms {sorted(unknown)}")
         if min(self.generation_budgets) < 1:
             raise ValueError("generation_budgets must all be >= 1")
+        if min(min(pair) for pair in self.seeds) < 0:
+            raise ValueError("seeds must all be >= 0")
+        if not (math.isfinite(self.radio_range) and self.radio_range > 0):
+            raise ValueError(f"radio_range must be positive and finite, got {self.radio_range}")
         # each planned optimizer's own parameter checks judge the population,
         # so a plan that one of them cannot run fails before any cell runs
         for name in self.algorithms:
@@ -88,14 +93,53 @@ def plan_to_dict(plan: BenchPlan) -> dict:
     return json.loads(json.dumps(asdict(plan)))
 
 
+def _integer(value) -> int:
+    """A JSON integer; bools are not."""
+    if type(value) is not int:
+        raise ValueError(f"{value!r} is not an integer")
+    return value
+
+
+def _number(value) -> float:
+    """A finite JSON number as a float; bools are not numbers."""
+    if type(value) not in (int, float) or not math.isfinite(value):
+        raise ValueError(f"{value!r} is not a finite number")
+    return float(value)
+
+
+def _string(value) -> str:
+    if type(value) is not str:
+        raise ValueError(f"{value!r} is not a string")
+    return value
+
+
+def _seed_pair(value) -> tuple[int, int]:
+    if not isinstance(value, list) or len(value) != 2:
+        raise ValueError(f"{value!r} is not a [scenario_seed, opt_seed] pair")
+    return _integer(value[0]), _integer(value[1])
+
+
+def _list_of(parse):
+    """Parser of a JSON list whose entries each go through parse."""
+
+    def parse_list(value) -> tuple:
+        if not isinstance(value, list):
+            raise ValueError(f"{value!r} is not a list")
+        return tuple(map(parse, value))
+
+    return parse_list
+
+
+# each parser takes the JSON value as it is, as the scenario loader does:
+# no float, bool or string stands in for an integer, nor a bool for a number
 _PLAN_FIELD_PARSERS = {
-    "node_counts": lambda v: tuple(int(n) for n in v),
-    "generation_budgets": lambda v: tuple(int(g) for g in v),
-    "seeds": lambda v: tuple((int(s), int(o)) for s, o in v),
-    "algorithms": tuple,
-    "population_size": int,
-    "placement": str,
-    "radio_range": float,
+    "node_counts": _list_of(_integer),
+    "generation_budgets": _list_of(_integer),
+    "seeds": _list_of(_seed_pair),
+    "algorithms": _list_of(_string),
+    "population_size": _integer,
+    "placement": _string,
+    "radio_range": _number,
 }
 
 
@@ -110,7 +154,7 @@ def plan_from_dict(data: dict) -> BenchPlan:
     for key, value in data.items():
         try:
             fields[key] = _PLAN_FIELD_PARSERS[key](value)
-        except (TypeError, ValueError) as exc:
+        except (ValueError, OverflowError) as exc:
             raise ValueError(f"plan field {key!r} is malformed: {exc}") from None
     return BenchPlan(**fields)
 

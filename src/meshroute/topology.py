@@ -347,15 +347,20 @@ def _array(values: list, integer: bool, owner: str, key: str) -> np.ndarray:
 
 
 def _scalar(data: dict, key: str, integer: bool):
-    """A top-level value: a JSON integer, or a finite JSON number as a float.
-    Bools are neither."""
+    """A top-level value: a non-negative JSON integer, or a positive finite
+    JSON number as a float. Bools are neither."""
     value = data[key]
-    if integer and type(value) is int:
+    if integer:
+        if type(value) is not int:
+            raise ValueError(f"scenario {key!r} is {value!r}, not an integer")
+        if value < 0:
+            raise ValueError(f"scenario {key!r} is {value!r}, which is negative")
         return value
-    if not integer and type(value) in _NUMBER and math.isfinite(value):
-        return float(value)
-    kind = "an integer" if integer else "a finite number"
-    raise ValueError(f"scenario {key!r} is {value!r}, not {kind}")
+    if type(value) not in _NUMBER or not math.isfinite(value):
+        raise ValueError(f"scenario {key!r} is {value!r}, not a finite number")
+    if value <= 0:
+        raise ValueError(f"scenario {key!r} is {value!r}, which is not positive")
+    return float(value)
 
 
 def _from_columns(data: dict, x: list, y: list, link_columns: list[list]) -> NetworkScenario:
@@ -418,8 +423,9 @@ def scenario_from_dict(data: dict) -> NetworkScenario:
     must be JSON integers (bools are not) naming two distinct nodes, and
     each ordered pair may appear once. Coordinates must be finite JSON
     numbers, and metrics finite, non-negative JSON numbers. The seed must
-    be a JSON integer, and the area side and radio range finite JSON
-    numbers. Format-2 columns must be lists of equal length.
+    be a non-negative JSON integer, and the area side and radio range
+    positive, finite JSON numbers, as generate_scenario writes them.
+    Format-2 columns must be lists of equal length.
     """
     if not isinstance(data, dict):
         raise ValueError("a scenario must be a JSON object")

@@ -13,7 +13,8 @@ from meshroute.bbbc import (
     spawn,
 )
 from meshroute.oracle import percent_error
-from meshroute.pathcodec import decode_path
+from meshroute.pathcodec import decode_path, random_vector
+from meshroute.results import TracePoint
 
 from helpers import (
     GOLDEN_GENERATIONS,
@@ -178,16 +179,61 @@ def test_result_metadata(grid25):
     assert r.best_cost == pytest.approx(r.best_path.cost)
 
 
+def reference_run_bbbc(cm, source, terminal, params):
+    """run_bbbc as it was when the population was a list of genomes and each
+    offspring was spawned on its own, by the spawn formula written out; it
+    decodes through bbbc.decode_path."""
+    rng = np.random.default_rng(params.rng_seed)
+    pool = min(bbbc.ANCHOR_POOL, params.population_size)
+    n_fresh = int(round(bbbc.FRESH_SHARE * (params.population_size - 1)))
+    n_spawn = params.population_size - 1 - n_fresh
+    best_vec = best_path = None
+    trace = []
+    population = [random_vector(rng, cm.n) for _ in range(params.population_size)]
+    for gen in range(1, params.max_generations + 1):
+        scored = [(vec, bbbc.decode_path(vec, cm, source, terminal)) for vec in population]
+        scored.sort(key=lambda vp: vp[1].cost)
+        gen_best_vec, gen_best_path = scored[0]
+        if best_path is None or gen_best_path.cost < best_path.cost:
+            best_vec = gen_best_vec.copy()
+            best_path = gen_best_path
+        trace.append(TracePoint(gen, best_path.cost, gen_best_path.cost))
+        if gen == params.max_generations:
+            break
+        step = (gen - 1) % bbbc.CYCLE_LEN + 1
+        population = [best_vec]
+        for _ in range(n_spawn):
+            a = scored[int(rng.integers(pool))][0]
+            noise = rng.standard_normal(a.shape)
+            population.append(np.clip(a + params.upper_limit * noise / step, 0.0, 1.0))
+        population += [random_vector(rng, cm.n) for _ in range(n_fresh)]
+    return best_path, best_path.cost, tuple(trace)
+
+
+def assert_matches_reference(cm, n, params, monkeypatch):
+    got = run_bbbc(cm, 0, n - 1, params)
+    monkeypatch.setattr(bbbc, "decode_path", decode_then_price)
+    assert (got.best_path, got.best_cost, got.trace) == reference_run_bbbc(cm, 0, n - 1, params)
+
+
 @pytest.mark.parametrize("n, placement, scenario_seed, opt_seed", OPTIMIZER_GOLDEN_CASES)
 def test_run_matches_reference(n, placement, scenario_seed, opt_seed, monkeypatch):
     cm = scenario_cost_matrix(n, placement, scenario_seed)
     params = BbbcParams(max_generations=GOLDEN_GENERATIONS, rng_seed=opt_seed)
-    got = run_bbbc(cm, 0, n - 1, params)
-    # the loop is unchanged, so the reference is the same run on the
-    # decode-then-price decoder
-    monkeypatch.setattr(bbbc, "decode_path", decode_then_price)
-    want = run_bbbc(cm, 0, n - 1, params)
-    assert (got.best_path, got.best_cost, got.trace) == (want.best_path, want.best_cost, want.trace)
+    assert_matches_reference(cm, n, params, monkeypatch)
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [{"population_size": 2}, {"population_size": 3}, {"population_size": 11}, {"upper_limit": 0.3}],
+    ids=["population-2", "population-3", "population-11", "upper-limit-0.3"],
+)
+def test_run_matches_reference_off_defaults(overrides, monkeypatch):
+    # populations 2 and 3 have no fresh slot, and 2 is smaller than the
+    # anchor pool; population 11 has one fresh slot
+    cm = scenario_cost_matrix(100, "grid", 101)
+    params = BbbcParams(max_generations=GOLDEN_GENERATIONS, rng_seed=9001, **overrides)
+    assert_matches_reference(cm, 100, params, monkeypatch)
 
 
 def test_decodes_every_genome_each_generation(monkeypatch):

@@ -4,6 +4,8 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from meshroute import bbo
 from meshroute.bbo import (
@@ -244,6 +246,124 @@ def test_result_metadata(grid25):
     assert r.params["elite_count"] == 2
     assert r.params["rng_seed"] == 2
     assert r.n_nodes == 25
+
+
+def rowwise_migrate(sivs, immigration, emigration, elite_count, rng):
+    """migrate as it was when it worked one row at a time, on a snapshot."""
+    n_pop, n_dims = sivs.shape
+    snapshot = sivs.copy()
+    changed = []
+    for i in range(elite_count, n_pop):
+        incoming = rng.random(n_dims) < immigration[i]
+        if not incoming.any():
+            continue
+        weights = emigration.copy()
+        weights[i] = 0.0
+        total = weights.sum()
+        if total <= 0.0:
+            raise ValueError("migration roulette has no donor with positive emigration rate")
+        cum = np.cumsum(weights)
+        donors = np.searchsorted(cum, rng.random(n_dims) * total, side="right")
+        donors = np.minimum(donors, n_pop - 1)
+        dims = np.flatnonzero(incoming)
+        keys = snapshot[donors[dims], dims]
+        if (keys != sivs[i, dims]).any():
+            sivs[i, dims] = keys
+            changed.append(i)
+    return changed
+
+
+def rowwise_mutate(sivs, p_s, mutation_max, elite_count, rng):
+    """mutate as it was when it worked one row at a time."""
+    p_max = p_s.max()
+    rates = np.zeros_like(p_s) if p_max == 0.0 else mutation_max * (1.0 - p_s / p_max)
+    n_pop, n_dims = sivs.shape
+    changed = []
+    for i in range(elite_count, n_pop):
+        flips = rng.random(n_dims) < rates[i]
+        replacement = rng.random(n_dims)
+        flips &= replacement != sivs[i]
+        if flips.any():
+            sivs[i, flips] = replacement[flips]
+            changed.append(i)
+    return changed
+
+
+@st.composite
+def operator_cases(draw):
+    """A population, its elite count, a seed, whether the generators enter
+    with a buffered 32-bit draw pending, and whether the operator gets a
+    draws buffer. Some populations repeat two rows, so that a migrant can
+    bring the key a row already holds."""
+    n_pop = draw(st.integers(2, 12))
+    n_dims = draw(st.integers(1, 40))
+    elite_count = draw(st.integers(0, n_pop - 1))
+    seed = draw(st.integers(0, 2**32 - 1))
+    sivs = make_sivs(n_dims, n_pop, seed)
+    if draw(st.booleans()):
+        sivs = sivs[np.arange(n_pop) % 2]
+    return sivs, elite_count, seed, draw(st.booleans()), draw(st.booleans())
+
+
+def twin_generators(seed, pending):
+    """Two generators in one state; with pending, each has drawn rng.integers(3)
+    and so holds half of a 64-bit draw for its next 32-bit one."""
+    rngs = np.random.default_rng(seed), np.random.default_rng(seed)
+    if pending:
+        for rng in rngs:
+            rng.integers(3)
+    return rngs
+
+
+RATES = st.floats(0.0, 1.2)
+
+
+@given(operator_cases(), st.data())
+@settings(max_examples=300, deadline=None)
+def test_migrate_matches_rowwise(case, data):
+    sivs, elite_count, seed, pending, buffered = case
+    n_pop, n_dims = sivs.shape
+    immigration = np.array(data.draw(st.lists(RATES, min_size=n_pop, max_size=n_pop)))
+    emigration = np.array(
+        data.draw(st.lists(st.sampled_from([0.0, 0.25]) | RATES, min_size=n_pop, max_size=n_pop))
+    )
+    if data.draw(st.booleans()):
+        # run_bbo passes its rates as reversed views
+        immigration, emigration = immigration[::-1].copy()[::-1], emigration[::-1].copy()[::-1]
+    want_sivs = sivs.copy()
+    got_rng, want_rng = twin_generators(seed, pending)
+    draws = np.empty((n_pop - elite_count, 2, n_dims)) if buffered else None
+    try:
+        want = rowwise_migrate(want_sivs, immigration, emigration, elite_count, want_rng)
+    except ValueError:
+        before = sivs.copy()
+        with pytest.raises(ValueError):
+            migrate(sivs, immigration, emigration, elite_count, got_rng, draws)
+        assert np.array_equal(sivs, before)
+    else:
+        got = migrate(sivs, immigration, emigration, elite_count, got_rng, draws)
+        assert got == want
+        assert np.array_equal(sivs, want_sivs)
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
+@given(operator_cases(), st.data())
+@settings(max_examples=300, deadline=None)
+def test_mutate_matches_rowwise(case, data):
+    sivs, elite_count, seed, pending, buffered = case
+    n_pop, n_dims = sivs.shape
+    p_s = np.array(
+        data.draw(st.lists(st.sampled_from([0.0, 0.5]) | st.floats(0.0, 1.0), min_size=n_pop, max_size=n_pop))
+    )
+    mutation_max = data.draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0))
+    want_sivs = sivs.copy()
+    got_rng, want_rng = twin_generators(seed, pending)
+    draws = np.empty((n_pop - elite_count, 2, n_dims)) if buffered else None
+    want = rowwise_mutate(want_sivs, p_s, mutation_max, elite_count, want_rng)
+    got = mutate(sivs, p_s, mutation_max, elite_count, got_rng, draws)
+    assert got == want
+    assert np.array_equal(sivs, want_sivs)
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
 
 @dataclass

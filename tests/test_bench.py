@@ -1,5 +1,7 @@
 """Benchmark harness: plan handling, sweep execution, CSV emission."""
 
+import math
+
 import pytest
 
 from meshroute.bbbc import BbbcParams, run_bbbc
@@ -89,6 +91,42 @@ def test_plan_from_dict_defaults():
 def test_plan_rejects_unknown_fields():
     with pytest.raises(ValueError):
         plan_from_dict({"node_count": [25]})
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("node_counts", [25.9], "25.9 is not an integer"),
+        ("node_counts", [True], "True is not an integer"),
+        ("generation_budgets", ["30"], "'30' is not an integer"),
+        ("seeds", [[101.5, 9001]], "101.5 is not an integer"),
+        ("seeds", [[101, "9001"]], "'9001' is not an integer"),
+        ("seeds", [[101, 9001, 5]], "not a \\[scenario_seed, opt_seed\\] pair"),
+        ("population_size", 50.7, "50.7 is not an integer"),
+        ("population_size", False, "False is not an integer"),
+        ("radio_range", True, "True is not a finite number"),
+        ("radio_range", "250", "'250' is not a finite number"),
+        ("radio_range", 10**400, "int too large"),
+        ("algorithms", "bbbc", "'bbbc' is not a list"),
+        ("placement", 5, "5 is not a string"),
+    ],
+)
+def test_plan_from_dict_rejects_what_it_used_to_coerce(field, value, message):
+    with pytest.raises(ValueError, match=f"plan field '{field}' is malformed: .*{message}"):
+        plan_from_dict({field: value})
+
+
+def test_plan_from_dict_keeps_integer_radio_range_as_float():
+    plan = plan_from_dict({"radio_range": 250})
+    assert plan.radio_range == 250.0 and type(plan.radio_range) is float
+
+
+def test_plan_rejects_values_no_scenario_can_have():
+    with pytest.raises(ValueError, match="seeds must all be >= 0"):
+        BenchPlan(seeds=((101, 9001), (-1, 9002)))
+    for radio_range in (0.0, -5.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="radio_range must be positive and finite"):
+            BenchPlan(radio_range=radio_range)
 
 
 def test_plan_to_dict_is_json_ready():

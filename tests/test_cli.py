@@ -250,6 +250,22 @@ def test_oracle_rejects_scalar_the_loader_used_to_coerce(tmp_path, capsys, versi
     assert "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("version", [1, 2])
+@pytest.mark.parametrize(
+    "key, value", [("seed", -3), ("area_side_m", 0), ("radio_range_m", -5.0)], ids=["seed", "area", "range"]
+)
+def test_oracle_rejects_scalar_no_generated_scenario_has(tmp_path, capsys, version, key, value):
+    scenario = tmp_path / "line.json"
+    data = v1_scenario_to_dict(line_scenario()) if version == 1 else scenario_to_dict(line_scenario())
+    data[key] = value
+    scenario.write_text(json.dumps(data))
+    assert main(["oracle", "--scenario", str(scenario)]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: scenario {key!r} is {value!r}, which is ")
+    assert "Traceback" not in captured.err
+
+
 def test_oracle_reads_v1_scenario(tmp_path, capsys):
     v1, v2 = tmp_path / "v1.json", tmp_path / "v2.json"
     v1.write_text(json.dumps(v1_scenario_to_dict(line_scenario())))
@@ -297,10 +313,19 @@ def test_bench_tiny_plan(tmp_path, capsys):
         ('{"population_size": 1}', "population_size"),
         ('{"placement": "hex"}', "placement"),
         ('{"center_mode": "best-individual"}', "unknown plan fields"),
+        ('{"node_counts": [25.9]}', "node_counts"),
+        ('{"generation_budgets": [true]}', "generation_budgets"),
+        ('{"seeds": [[101, "9001"]]}', "seeds"),
+        ('{"population_size": 50.7}', "population_size"),
+        ('{"radio_range": true}', "radio_range"),
+        ('{"seeds": [[-1, 9001]]}', "seeds"),
+        ('{"radio_range": 0}', "radio_range"),
     ],
     ids=[
         "node-counts-scalar", "seed-not-a-pair", "null-population", "text-range", "bare-number",
         "zero-generations", "population-one", "unknown-placement", "dropped-field",
+        "float-node-count", "bool-generations", "text-seed", "float-population", "bool-range",
+        "negative-seed", "zero-range",
     ],
 )
 def test_bench_rejects_malformed_plan(tmp_path, capsys, plan_text, field):
@@ -313,6 +338,7 @@ def test_bench_rejects_malformed_plan(tmp_path, capsys, plan_text, field):
     assert captured.out == ""
     assert captured.err.startswith("error: ")
     assert field in captured.err
+    assert "Traceback" not in captured.err
 
 
 def test_bench_rejects_population_bbo_cannot_run(tmp_path, capsys):

@@ -706,6 +706,27 @@ def test_load_rejects_scalar_it_used_to_coerce(version, key, value, message):
 
 
 @pytest.mark.parametrize("version", [1, 2])
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("seed", -3, r"scenario 'seed' is -3, which is negative"),
+        ("area_side_m", 0, r"scenario 'area_side_m' is 0, which is not positive"),
+        ("area_side_m", -1.5, r"scenario 'area_side_m' is -1\.5, which is not positive"),
+        ("radio_range_m", 0.0, r"scenario 'radio_range_m' is 0\.0, which is not positive"),
+        ("radio_range_m", -5, r"scenario 'radio_range_m' is -5, which is not positive"),
+    ],
+)
+def test_load_rejects_scalar_generate_scenario_never_writes(version, key, value, message):
+    # generate_scenario refuses a radio range that is not positive, its
+    # area side is positive for every node count it takes, and
+    # numpy.random.default_rng refuses a negative seed
+    d = grid9_in(version)
+    d[key] = value
+    with pytest.raises(ValueError, match=message):
+        scenario_from_dict(d)
+
+
+@pytest.mark.parametrize("version", [1, 2])
 def test_load_keeps_integer_lengths_as_floats(version):
     d = grid9_in(version)
     d.update(area_side_m=400, radio_range_m=250)
