@@ -3,6 +3,7 @@
 
 Emits one trace CSV per algorithm and prints a fixed-width comparison of the
 convergence curves against the exact optimum, sampled every few generations.
+A bad argument prints one "error:" line and exits 2, as the meshroute CLI does.
 """
 
 import argparse
@@ -30,6 +31,16 @@ def parse_args(argv=None):
 
 def main(argv=None) -> int:
     args = parse_args(argv)
+    try:
+        return trace(args)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+
+
+def trace(args) -> int:
+    if args.sample_every < 1:
+        raise ValueError(f"--sample-every must be at least 1, got {args.sample_every}")
     scenario = generate_scenario(args.nodes, placement=args.placement, seed=args.scenario_seed)
     cm = build_cost_matrix(scenario)
     source, terminal = 0, scenario.n - 1
@@ -38,7 +49,7 @@ def main(argv=None) -> int:
     results = {
         name: run_algorithm(
             name, cm, source, terminal, args.generations, args.population, args.opt_seed
-        )
+        ).with_oracle(oracle.cost)
         for name in ALGORITHMS
     }
 
@@ -58,9 +69,8 @@ def main(argv=None) -> int:
         print(f"{g + 1:>5}" + "".join(f" {cost:>10.4f}" for cost in costs))
     print()
     for name, r in results.items():
-        err = 100.0 * (r.best_cost - oracle.cost) / oracle.cost
         print(
-            f"{name}: cost {r.best_cost:.4f} ({err:.2f}% above optimum), "
+            f"{name}: cost {r.best_cost:.4f} ({r.percent_error:.2f}% above optimum), "
             f"{r.wall_time_ms:.0f} ms, path {len(r.best_path.nodes) - 1} hops"
         )
     return 0

@@ -9,24 +9,23 @@ crunch phases repeat instead of freezing once the radius drops below the
 typical key gap. A small slice of each generation is fresh uniform dispersal,
 and the best-so-far genome survives every bang unchanged.
 
-The population is one (P, n) array, a row per genome, allocated once per
-run with its scratch arrays. A bang draws each offspring's anchor and normal
-row in turn, into the population rows it replaces, and then applies the
-spawn formula to the whole block at once; the draws, their order and every
-rounding are those of P - 1 calls to spawn and random_vector, so a seed
-gives the same run as a per-offspring loop would.
+run_bbbc is the bang inside results.evolve's generation loop. A bang draws
+each offspring's anchor and normal row in turn, into the population rows it
+replaces, and then applies the spawn formula to the whole block at once;
+the draws, their order and every rounding are those of P - 1 calls to spawn
+and random_vector, so a seed gives the same run as a per-offspring loop
+would.
 """
 
 from __future__ import annotations
 
-import time
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
 from .fuzzycost import CostMatrix
 from .pathcodec import decode_path
-from .results import RunResult, TracePoint
+from .results import RunResult, evolve
 
 # Share of the non-elite slots refilled with fresh uniform candidates at each
 # bang; the rest are perturbations of the crunched mass points.
@@ -94,61 +93,31 @@ def spawn(
     return _bang(center, rng.standard_normal(center.shape), upper_limit, step)
 
 
-def run_bbbc(
-    cm: CostMatrix, source: int, terminal: int, params: BbbcParams
-) -> RunResult:
-    rng = np.random.default_rng(params.rng_seed)
-    n_dims = cm.n
+def run_bbbc(cm: CostMatrix, source: int, terminal: int, params: BbbcParams) -> RunResult:
     pop_size = params.population_size
     pool = min(ANCHOR_POOL, pop_size)
     n_fresh = int(round(FRESH_SHARE * (pop_size - 1)))
     n_spawn = pop_size - 1 - n_fresh
-
-    best_path = None
-    trace: list[TracePoint] = []
-
-    start = time.perf_counter()
-    # row 0 is the elite slot, rows 1..n_spawn the spawned offspring and the
-    # last n_fresh rows the fresh ones
-    population = rng.random((pop_size, n_dims))
-    spawned = population[1 : 1 + n_spawn]
-    best_vec = np.empty(n_dims)
-    pool_rows = np.empty((pool, n_dims))
+    pool_rows = np.empty((pool, cm.n))
     picks = np.empty(n_spawn, dtype=np.intp)
-    anchors = np.empty((n_spawn, n_dims))
-    for gen in range(1, params.max_generations + 1):
-        paths = [decode_path(vec, cm, source, terminal) for vec in population]
-        order = sorted(range(pop_size), key=lambda r: paths[r].cost)
-        gen_best_path = paths[order[0]]
-        if best_path is None or gen_best_path.cost < best_path.cost:
-            best_vec[:] = population[order[0]]
-            best_path = gen_best_path
-        trace.append(TracePoint(gen, best_path.cost, gen_best_path.cost))
+    anchors = np.empty((n_spawn, cm.n))
 
-        if gen == params.max_generations:
-            break
+    def bang(population, gen, rng):
+        # row 0, sorted first, is the best-so-far genome: carried unchanged,
+        # but decoded again. Rows 1..n_spawn take the offspring and the last
+        # n_fresh rows fresh ones. Pool costs sit within a few percent of each
+        # other, so a uniform anchor draw matches inverse-cost weighting to
+        # first order; the pool is copied out first, as the normal draws
+        # overwrite rows
         step = (gen - 1) % CYCLE_LEN + 1
-        # elitism: slot 0 carries the best-so-far genome into the next bang;
-        # pool costs sit within a few percent of each other, so a uniform
-        # anchor draw matches inverse-cost weighting to first order
-        # the pool is copied out first, since the normal draws go straight
-        # into the rows the offspring replace
-        np.take(population, order[:pool], axis=0, out=pool_rows)
-        population[0] = best_vec
+        pool_rows[:] = population[:pool]
+        spawned = population[1 : 1 + n_spawn]
         for k in range(n_spawn):
             picks[k] = rng.integers(pool)
             rng.standard_normal(out=spawned[k])
         np.take(pool_rows, picks, axis=0, out=anchors)
         _bang(anchors, spawned, params.upper_limit, step)
         rng.random(out=population[1 + n_spawn :])
-    elapsed_ms = (time.perf_counter() - start) * 1000.0
+        return range(pop_size)
 
-    return RunResult(
-        algorithm="bbbc",
-        n_nodes=n_dims,
-        best_path=best_path,
-        best_cost=best_path.cost,
-        wall_time_ms=elapsed_ms,
-        trace=tuple(trace),
-        params=asdict(params),
-    )
+    return evolve("bbbc", cm, source, terminal, params, decode_path, bang)

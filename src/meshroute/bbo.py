@@ -7,10 +7,10 @@ species-count probability distribution evolves by the master equation and
 drives mutation pressure toward improbable habitats. The elite_count best
 habitats are never modified.
 
-The population is one (P, n) array of SIVs, a row per habitat, kept sorted
-best-first beside the habitats' decoded paths. migrate and mutate edit rows
-and report which rows they changed; run_bbo decodes each of those once.
-Both operators work on whole arrays rather than row by row, and take the
+run_bbo is migrate, the probability update and mutate inside
+results.evolve's generation loop, whose population rows are the habitats'
+SIVs. migrate and mutate edit rows in place and report which rows they
+changed. Both work on whole arrays rather than row by row, and take the
 same draws from the generator, in the same order, as a per-row loop: migrate
 draws each non-elite row's immigration keys and, only for a row that takes
 a migrant, its donor keys, and mutate draws every non-elite row's flip and
@@ -19,14 +19,13 @@ replacement keys in one call.
 
 from __future__ import annotations
 
-import time
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
 from .fuzzycost import CostMatrix
-from .pathcodec import Path, decode_path
-from .results import RunResult, TracePoint
+from .pathcodec import decode_path
+from .results import RunResult, evolve
 
 
 @dataclass(frozen=True)
@@ -58,34 +57,39 @@ def migration_rates(k: np.ndarray, n: int, immigration_max: float, emigration_ma
     return immigration_max * (1.0 - frac), emigration_max * frac
 
 
+def donor_roulette(emigration: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """migrate's donor roulette (cum, totals): row i of cum is the running sum
+    of the emigration rates with row i's own zeroed, totals[i] its sum."""
+    weights = np.tile(emigration, (len(emigration), 1))
+    np.fill_diagonal(weights, 0.0)
+    return np.cumsum(weights, axis=1), weights.sum(axis=1)
+
+
 def migrate(
     sivs: np.ndarray,
     immigration: np.ndarray,
-    emigration: np.ndarray,
+    roulette: tuple[np.ndarray, np.ndarray],
     elite_count: int,
     rng: np.random.Generator,
     draws: np.ndarray | None = None,
 ) -> list[int]:
     """SIV migration in place on the (P, n) rows of sivs; returns the rows it changed.
 
-    Row i's rates are immigration[i] and emigration[i]; rows below
-    elite_count are never modified. Each non-elite dimension immigrates with
-    probability lambda_i, taking the key from a donor drawn roulette-wheel by
-    emigration rate (self excluded). Donors give their pre-migration SIVs, so
-    order of processing is immaterial. Each non-elite row draws n immigration
-    keys and then, only if some dimension immigrates, n donor keys. draws,
-    when given, is a (P - elite_count, 2, n) float64 array that receives them,
-    as for mutate. On a row with no donor of positive rate it raises
-    ValueError and leaves sivs unchanged.
+    Row i's immigration rate is immigration[i], and roulette is
+    donor_roulette of the rows' emigration rates; rows below elite_count are
+    never modified. Each non-elite dimension immigrates with probability
+    lambda_i, taking the key from a donor drawn roulette-wheel by emigration
+    rate (self excluded). Donors give their pre-migration SIVs, so order of
+    processing is immaterial. Each non-elite row draws n immigration keys
+    and then, only if some dimension immigrates, n donor keys. draws, when
+    given, is a (P - elite_count, 2, n) float64 array that receives them, as
+    for mutate. On a row with no donor of positive rate it raises ValueError
+    and leaves sivs unchanged.
     """
+    cum, totals = roulette
     n_pop, n_dims = sivs.shape
     if draws is None:
         draws = np.empty((n_pop - elite_count, 2, n_dims))
-    # row i of the roulette is the emigration rates with row i's own zeroed
-    weights = np.tile(emigration, (n_pop, 1))
-    np.fill_diagonal(weights, 0.0)
-    totals = weights.sum(axis=1)
-    cum = np.cumsum(weights, axis=1)
     for i, (incoming, keys) in enumerate(draws, elite_count):
         rng.random(out=incoming)
         if not incoming.min() < immigration[i]:
@@ -165,61 +169,27 @@ def mutate(
 
 
 def run_bbo(cm: CostMatrix, source: int, terminal: int, params: BboParams) -> RunResult:
-    rng = np.random.default_rng(params.rng_seed)
-    n_dims = cm.n
     n_pop = params.population_size
-
-    best_path: Path | None = None
-    trace: list[TracePoint] = []
-
-    start = time.perf_counter()
-    # row r of sivs is a habitat's genome and paths[r] its decoded path; a
-    # row is decoded at init and after each generation in which it changed
-    sivs = rng.random((n_pop, n_dims))
-    paths = [decode_path(siv, cm, source, terminal) for siv in sivs]
-    # the sort reorders rows into spare and swaps, so no generation allocates
-    # a fresh (P, n) array; that allocation raised the 400-node random
-    # workload's peak RSS by about 1 MB on most runs
-    spare = np.empty_like(sivs)
     # migrate and mutate take their draws into one buffer for the whole run;
-    # scratch arrays allocated afresh each generation raised the same
-    # workload's peak RSS by about 1.7 MB
-    draws = np.empty((n_pop - params.elite_count, 2, n_dims))
-
+    # scratch arrays allocated afresh each generation raised the 400-node
+    # random workload's peak RSS by about 1.7 MB
+    draws = np.empty((n_pop - params.elite_count, 2, cm.n))
     # one shared distribution over species counts 0..n_pop, initially uniform;
     # cost rank r holds species count n_pop - r, so [:0:-1] reads by rank
     p_species = np.full(n_pop + 1, 1.0 / (n_pop + 1))
     lam_k, mu_k = migration_rates(
         np.arange(n_pop + 1), n_pop, params.immigration_max, params.emigration_max
     )
-    immigration, emigration = lam_k[:0:-1], mu_k[:0:-1]
-    for gen in range(1, params.max_generations + 1):
-        order = sorted(range(n_pop), key=lambda r: paths[r].cost)
-        np.take(sivs, order, axis=0, out=spare)
-        sivs, spare = spare, sivs
-        paths = [paths[r] for r in order]
-        if best_path is None or paths[0].cost < best_path.cost:
-            best_path = paths[0]
-        trace.append(TracePoint(gen, best_path.cost, paths[0].cost))
+    # rank r's rates are fixed for the run, so its roulette is built once
+    immigration, roulette = lam_k[:0:-1], donor_roulette(mu_k[:0:-1])
 
-        if gen == params.max_generations:
-            break
-
-        migrated = migrate(sivs, immigration, emigration, params.elite_count, rng, draws)
+    def migrate_and_mutate(sivs, gen, rng):
+        nonlocal p_species
+        migrated = migrate(sivs, immigration, roulette, params.elite_count, rng, draws)
         p_species = update_probability(p_species, lam_k, mu_k)
         mutated = mutate(
             sivs, p_species[:0:-1], params.mutation_max, params.elite_count, rng, draws
         )
-        for r in sorted({*migrated, *mutated}):
-            paths[r] = decode_path(sivs[r], cm, source, terminal)
-    elapsed_ms = (time.perf_counter() - start) * 1000.0
+        return sorted({*migrated, *mutated})
 
-    return RunResult(
-        algorithm="bbo",
-        n_nodes=n_dims,
-        best_path=best_path,
-        best_cost=best_path.cost,
-        wall_time_ms=elapsed_ms,
-        trace=tuple(trace),
-        params=asdict(params),
-    )
+    return evolve("bbo", cm, source, terminal, params, decode_path, migrate_and_mutate)

@@ -1,8 +1,11 @@
-"""Shared result records for optimizer runs."""
+"""Optimizer run records, and the generation loop BB-BC and BBO share."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import time
+from dataclasses import asdict, dataclass, field, replace
+
+import numpy as np
 
 from .oracle import percent_error
 from .pathcodec import Path
@@ -36,3 +39,52 @@ class RunResult:
             oracle_cost=oracle_cost,
             percent_error=percent_error(self.best_cost, oracle_cost),
         )
+
+
+def evolve(algorithm, cm, source, terminal, params, decode, vary) -> RunResult:
+    """The generation loop of BB-BC and BBO, which differ only in vary.
+
+    The population is one (P, n) array of uniform random keys drawn with
+    params.rng_seed. Each generation stable-sorts the rows best-first by cost
+    (equal costs keep their order), records the best path so far and a
+    TracePoint and, unless it is the last, calls vary(population, gen, rng),
+    which edits rows in place and returns those it changed. A row is decoded
+    once at the start and then once after each vary that changes it. decode
+    is each optimizer's module-level decode_path, looked up when it runs, so
+    patching that name reroutes every decode.
+    """
+    rng = np.random.default_rng(params.rng_seed)
+    n_pop = params.population_size
+    best_path = None
+    trace: list[TracePoint] = []
+    start = time.perf_counter()
+    population = rng.random((n_pop, cm.n))
+    paths = [decode(keys, cm, source, terminal) for keys in population]
+    # the sort reorders rows into spare and swaps, so no generation allocates
+    # a fresh (P, n) array; that allocation raised the 400-node random
+    # workload's peak RSS by about 1 MB on most runs
+    spare = np.empty_like(population)
+    for gen in range(1, params.max_generations + 1):
+        order = sorted(range(n_pop), key=lambda r: paths[r].cost)
+        np.take(population, order, axis=0, out=spare)
+        population, spare = spare, population
+        paths = [paths[r] for r in order]
+        if best_path is None or paths[0].cost < best_path.cost:
+            best_path = paths[0]
+        trace.append(TracePoint(gen, best_path.cost, paths[0].cost))
+
+        if gen == params.max_generations:
+            break
+        for r in vary(population, gen, rng):
+            paths[r] = decode(population[r], cm, source, terminal)
+    elapsed_ms = (time.perf_counter() - start) * 1000.0
+
+    return RunResult(
+        algorithm=algorithm,
+        n_nodes=cm.n,
+        best_path=best_path,
+        best_cost=best_path.cost,
+        wall_time_ms=elapsed_ms,
+        trace=tuple(trace),
+        params=asdict(params),
+    )

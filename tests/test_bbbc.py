@@ -223,6 +223,15 @@ def test_run_matches_reference(n, placement, scenario_seed, opt_seed, monkeypatc
     assert_matches_reference(cm, n, params, monkeypatch)
 
 
+@pytest.mark.parametrize("n, placement, scenario_seed, opt_seed", OPTIMIZER_GOLDEN_CASES)
+def test_slot_zero_holds_best_so_far(n, placement, scenario_seed, opt_seed):
+    # the bang carries row 0 unchanged, so each generation's best is the
+    # best so far
+    cm = scenario_cost_matrix(n, placement, scenario_seed)
+    result = run_bbbc(cm, 0, n - 1, BbbcParams(max_generations=GOLDEN_GENERATIONS, rng_seed=opt_seed))
+    assert all(t.generation_best_cost == t.best_cost_so_far for t in result.trace)
+
+
 @pytest.mark.parametrize(
     "overrides",
     [{"population_size": 2}, {"population_size": 3}, {"population_size": 11}, {"upper_limit": 0.3}],

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from meshroute import bbo
 from meshroute.bbo import (
     BboParams,
+    donor_roulette,
     migrate,
     migration_rates,
     mutate,
@@ -110,7 +111,7 @@ def test_update_probability_normalizes():
 def test_migrate_zero_immigration_is_identity():
     sivs = make_sivs(3, 4, seed=0)
     before = sivs.copy()
-    changed = migrate(sivs, np.zeros(4), np.ones(4), 0, np.random.default_rng(0))
+    changed = migrate(sivs, np.zeros(4), donor_roulette(np.ones(4)), 0, np.random.default_rng(0))
     assert np.array_equal(sivs, before)
     assert changed == []
 
@@ -118,7 +119,8 @@ def test_migrate_zero_immigration_is_identity():
 def test_migrate_forced_single_donor():
     sivs = make_sivs(3, 3, seed=1)
     donor_old = sivs[0].copy()
-    migrate(sivs, np.array([0.0, 1.0, 0.0]), np.array([1.0, 0.0, 0.0]), 0, np.random.default_rng(5))
+    roulette = donor_roulette(np.array([1.0, 0.0, 0.0]))
+    migrate(sivs, np.array([0.0, 1.0, 0.0]), roulette, 0, np.random.default_rng(5))
     assert np.array_equal(sivs[1], donor_old)
     assert np.array_equal(sivs[0], donor_old)
 
@@ -127,7 +129,7 @@ def test_migrate_uses_pre_migration_snapshot():
     # both habitats fully immigrate from each other: they must swap, not chain
     sivs = make_sivs(3, 2, seed=2)
     a_old, b_old = sivs[0].copy(), sivs[1].copy()
-    migrate(sivs, np.ones(2), np.ones(2), 0, np.random.default_rng(9))
+    migrate(sivs, np.ones(2), donor_roulette(np.ones(2)), 0, np.random.default_rng(9))
     assert np.array_equal(sivs[0], b_old)
     assert np.array_equal(sivs[1], a_old)
 
@@ -135,7 +137,7 @@ def test_migrate_uses_pre_migration_snapshot():
 def test_migrate_preserves_elites():
     sivs = make_sivs(3, 5, seed=3)
     elites_old = sivs[:2].copy()
-    migrate(sivs, np.ones(5), np.full(5, 0.5), 2, np.random.default_rng(1))
+    migrate(sivs, np.ones(5), donor_roulette(np.full(5, 0.5)), 2, np.random.default_rng(1))
     assert np.array_equal(sivs[:2], elites_old)
 
 
@@ -147,7 +149,7 @@ def test_operators_return_changed_rows():
     before = sivs.copy()
     immigration = np.array([0.0, 1.0, 0.9, 0.9, 0.9, 0.9])
     emigration = np.array([1.0, 0.0, 0.0, 0.0, 0.0, 0.0])
-    migrated = migrate(sivs, immigration, emigration, 0, np.random.default_rng(2))
+    migrated = migrate(sivs, immigration, donor_roulette(emigration), 0, np.random.default_rng(2))
     assert migrated == changed_rows(before, sivs) == [2, 3, 4, 5]
     assert ((sivs >= 0) & (sivs <= 1)).all()
 
@@ -160,7 +162,7 @@ def test_operators_return_changed_rows():
 def test_migrate_requires_a_donor():
     sivs = make_sivs(3, 2, seed=5)
     with pytest.raises(ValueError):
-        migrate(sivs, np.ones(2), np.zeros(2), 0, np.random.default_rng(0))
+        migrate(sivs, np.ones(2), donor_roulette(np.zeros(2)), 0, np.random.default_rng(0))
 
 
 def test_mutate_zero_rate_is_identity():
@@ -338,10 +340,10 @@ def test_migrate_matches_rowwise(case, data):
     except ValueError:
         before = sivs.copy()
         with pytest.raises(ValueError):
-            migrate(sivs, immigration, emigration, elite_count, got_rng, draws)
+            migrate(sivs, immigration, donor_roulette(emigration), elite_count, got_rng, draws)
         assert np.array_equal(sivs, before)
     else:
-        got = migrate(sivs, immigration, emigration, elite_count, got_rng, draws)
+        got = migrate(sivs, immigration, donor_roulette(emigration), elite_count, got_rng, draws)
         assert got == want
         assert np.array_equal(sivs, want_sivs)
     assert got_rng.bit_generator.state == want_rng.bit_generator.state
@@ -481,6 +483,15 @@ def test_run_matches_reference_off_defaults(overrides, monkeypatch):
     got = run_bbo(cm, 0, 99, params)
     monkeypatch.setattr(bbo, "decode_path", decode_then_price)
     assert (got.best_path, got.best_cost, got.trace) == reference_run_bbo(cm, 0, 99, params)
+
+
+@pytest.mark.parametrize("n, placement, scenario_seed, opt_seed", OPTIMIZER_GOLDEN_CASES)
+def test_elites_hold_best_so_far(n, placement, scenario_seed, opt_seed):
+    # the elite rows are never modified, so each generation's best is the
+    # best so far
+    cm = scenario_cost_matrix(n, placement, scenario_seed)
+    result = run_bbo(cm, 0, n - 1, BboParams(max_generations=GOLDEN_GENERATIONS, rng_seed=opt_seed))
+    assert all(t.generation_best_cost == t.best_cost_so_far for t in result.trace)
 
 
 def test_decodes_only_changed_habitats(monkeypatch):
