@@ -16,11 +16,16 @@ still load. Both are checked column by column (scenario_from_dict says what
 is rejected), and a scenario always holds its links sorted row-major.
 
 Links come from a cell list (_radio_pairs): nodes are bucketed into square
-cells about one radio range wide, each node is tested only against the
-nodes of its 3 x 3 block of cells, and the pairs that pass are sorted
+cells about one radio range wide (_cells), each node is tested only against
+the nodes of its 3 x 3 block of cells, and the pairs that pass are sorted
 row-major, in (from, to) order. No (n, n) array is built; the pairs, their
 order and the float ops of each distance test are those of a dense all-pairs
-comparison. All metrics come from one (L, 3) uniform draw. A generator fills
+comparison. Random placement redraws a layout until node 0 reaches node
+n-1. A layout is judged by one depth-first search of node 0's component
+over the same cells and the same test (_reaches), which stops at node n-1,
+so a rejected layout costs its bucketing plus work in proportion to the
+part of that component searched, and links are built once, for the layout
+kept. All metrics come from one (L, 3) uniform draw. A generator fills
 such a draw row by row, column by column, so it consumes the stream exactly
 as L successive (throughput, delay, jitter) scalar draws would: scenarios
 and their JSON stay bit-identical to drawing link by link, and any change
@@ -134,29 +139,32 @@ def _draw_metrics(rng: np.random.Generator, count: int) -> np.ndarray:
 
 
 # cell side h = max(r, CELL_FLOOR_M, spread / CELL_SPAN_CAP) * (1 + CELL_MARGIN);
-# _radio_pairs says why each term is there
+# _cells says why each term is there
 CELL_MARGIN = 2.0**-20
 CELL_SPAN_CAP = 2.0**24
 CELL_FLOOR_M = 2.0**-500
 
 
-def _radio_pairs(positions: np.ndarray, radio_range: float) -> tuple[np.ndarray, np.ndarray]:
-    """Ordered pairs (i, j), i != j, with dx*dx + dy*dy <= r*r, row-major.
+def _cells(positions: np.ndarray, radio_range: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Bucket nodes into square cells about one radio range wide.
 
-    Returns int64 arrays src, dst sorted by src * n + dst. The pairs, their
-    order and every per-pair float op are those of a dense (n, n) test, but
-    only nodes in neighbouring cells are compared. Nodes are bucketed into
-    square cells of side h by floor((x - min x) / h), and each node is tested
-    against the nodes of its 3 x 3 block of cells. The three cells of a cell
-    row are one contiguous run of the cell-sorted order, so a node's
-    candidates are three runs, found by binary search among the occupied
-    cells only. No array is larger than the candidate pairs, and cell keys
-    stay below 2**50.
+    Returns (key, order, sorted_key, block): each node's int64 cell key, the
+    nodes sorted by key, the sorted keys, and six offsets such that, for a
+    node's key k, k + block holds the first key and one past the last key of
+    each of the three cell rows of its 3 x 3 block. A node's cell indices
+    are cx = floor((x - min x) / h) and cy likewise, with side
+    h = max(r, 2**-500, spread / 2**24) * (1 + 2**-20), and its key is
+    cy * width + cx with width = max cx + 2. A row is width keys wide, so
+    cx - 1 and cx + 1 never reach an occupied cell of another row, and the
+    three cells of a cell row are one contiguous run of the sorted keys;
+    keys are integers, so one left-side search finds both ends of every
+    run. Keys stay below 2**50.
 
-    Exactness: a pair that passes the test is never two cells apart, so the
-    3 x 3 block misses none. Write u = 2**-53: a float op with a normal
-    result errs by a factor within [1 - u, 1 + u], and a subtraction with a
-    subnormal result is exact.
+    Exactness: a pair of nodes with dx*dx + dy*dy <= r*r, dx and dy their
+    rounded coordinate differences, is never two cells apart, so a node's
+    3 x 3 block holds every node that passes the test with it. Write
+    u = 2**-53: a float op with a normal result errs by a factor within
+    [1 - u, 1 + u], and a subtraction with a subnormal result is exact.
 
     - A pass bounds the gap. Adding fl(dy*dy) >= 0 cannot lower the rounded
       sum, so fl(dx*dx) <= fl(r*r) <= fl(r'*r') with r' = max(r, 2**-500),
@@ -176,30 +184,52 @@ def _radio_pairs(positions: np.ndarray, radio_range: float) -> tuple[np.ndarray,
     quotient that rounds up onto a cell boundary leaves no room to spare.
     The cap bounds the quotients and keys however small r is against the
     layout. When r*r overflows, every pair passes and all nodes share one
-    cell. Coordinates and their spread must be finite.
+    cell. Coordinates and their spread must be finite. The order of nodes
+    within a cell is left to the sort, which neither caller depends on.
     """
-    n = len(positions)
     x, y = positions[:, 0], positions[:, 1]
-    r_sq = radio_range * radio_range
     x0, y0 = x.min(), y.min()
     spread = max(x.max() - x0, y.max() - y0)
-    if math.isinf(r_sq):
+    if math.isinf(radio_range * radio_range):
         h = math.inf
     else:
         h = max(radio_range, CELL_FLOOR_M, spread / CELL_SPAN_CAP) * (1.0 + CELL_MARGIN)
     # the quotients are >= 0, so truncation is floor
     cx = ((x - x0) / h).astype(np.int64)
     cy = ((y - y0) / h).astype(np.int64)
-    # a row is width keys wide, so cx - 1 and cx + 1 never reach an occupied
-    # cell of another row
     width = int(cx.max()) + 2
     key = cy * width + cx
-    order = np.argsort(key, kind="stable")
-    # per node, the first key and one past the last key of each of its three
-    # cell rows; the sorted keys are integers, so one left-side search finds
-    # both ends of every run
-    bounds = key[:, None] + np.array([-width - 1, -width + 2, -1, 2, width - 1, width + 2])
-    runs = np.searchsorted(key[order], bounds).reshape(-1, 2)
+    order = np.argsort(key)
+    block = np.array([-width - 1, -width + 2, -1, 2, width - 1, width + 2])
+    return key, order, key[order], block
+
+
+def _in_range(x: np.ndarray, y: np.ndarray, i, j: np.ndarray, r_sq: float) -> np.ndarray:
+    """dx*dx + dy*dy <= r_sq for each pair (i, j), with dx = x_i - x_j and
+    dy = y_i - y_j, as a bool array; i is a node or an array like j."""
+    dist_sq = x[i] - x[j]
+    dist_sq *= dist_sq
+    dy = y[i] - y[j]
+    dy *= dy
+    dist_sq += dy
+    return dist_sq <= r_sq
+
+
+def _radio_pairs(positions: np.ndarray, radio_range: float) -> tuple[np.ndarray, np.ndarray]:
+    """Ordered pairs (i, j), i != j, with dx*dx + dy*dy <= r*r, row-major.
+
+    Returns int64 arrays src, dst sorted by src * n + dst. The pairs, their
+    order and every per-pair float op are those of a dense (n, n) test, but
+    each node is tested only against the nodes of its 3 x 3 block of cells
+    (_cells says why none is missed): its three runs of the cell-sorted
+    order, found by binary search among the occupied cells only. No array
+    is larger than the candidate pairs.
+    """
+    n = len(positions)
+    x, y = positions[:, 0], positions[:, 1]
+    key, order, sorted_key, block = _cells(positions, radio_range)
+    # per node, the start and end of each of its three runs
+    runs = np.searchsorted(sorted_key, key[:, None] + block).reshape(-1, 2)
     lo = runs[:, 0]
     counts = runs[:, 1] - lo
     ends = np.cumsum(counts)
@@ -208,33 +238,35 @@ def _radio_pairs(positions: np.ndarray, radio_range: float) -> tuple[np.ndarray,
     at = np.arange(ends[-1]) + np.repeat(lo - (ends - counts), counts)
     i = np.repeat(np.arange(n), counts.reshape(n, 3).sum(axis=1))
     j = order[at]
-    dist_sq = x[i] - x[j]
-    dist_sq *= dist_sq
-    dy = y[i] - y[j]
-    dy *= dy
-    dist_sq += dy
     flat = i * n + j
-    flat = np.sort(flat[(dist_sq <= r_sq) & (i != j)])
+    flat = np.sort(flat[_in_range(x, y, i, j, radio_range * radio_range) & (i != j)])
     return np.divmod(flat, n)
 
 
-def _connects(src: np.ndarray, dst: np.ndarray, n: int, source: int, terminal: int) -> bool:
-    """Depth-first search over row-major pairs: does source reach terminal?"""
-    ends = np.cumsum(np.bincount(src, minlength=n)).tolist()
-    starts = [0] + ends[:-1]
-    heads = dst.tolist()
-    seen = bytearray(n)
-    seen[source] = 1
+def _reaches(positions: np.ndarray, radio_range: float, source: int, terminal: int) -> bool:
+    """Does source reach terminal over the links _radio_pairs would find?
+
+    A depth-first search from source that stops as soon as terminal is
+    seen. Each popped node is tested against the nodes of its 3 x 3 block
+    of cells (_cells) with _radio_pairs' float test (_in_range), so the
+    links it follows are exactly _radio_pairs' links, but only the popped
+    nodes' links are looked for. The cost is the bucketing plus about one
+    small numpy pass per node of source's component that the search pops.
+    """
+    x, y = positions[:, 0], positions[:, 1]
+    r_sq = radio_range * radio_range
+    key, order, sorted_key, block = _cells(positions, radio_range)
+    seen = np.zeros(len(positions), dtype=bool)
+    seen[source] = True
     stack = [source]
-    while stack:
+    while stack and not seen[terminal]:
         v = stack.pop()
-        for u in heads[starts[v] : ends[v]]:
-            if not seen[u]:
-                if u == terminal:
-                    return True
-                seen[u] = 1
-                stack.append(u)
-    return False
+        a, b, c, d, e, f = sorted_key.searchsorted(key[v] + block).tolist()
+        near = np.concatenate((order[a:b], order[c:d], order[e:f]))
+        new = near[_in_range(x, y, v, near, r_sq) & ~seen[near]]
+        seen[new] = True
+        stack += new.tolist()
+    return bool(seen[terminal])
 
 
 def check_placement(n: int, placement: str) -> None:
@@ -259,7 +291,9 @@ def generate_scenario(
     Grid placement puts nodes on a sqrt(n) x sqrt(n) lattice with 200 m spacing
     (n must be a perfect square). Random placement draws coordinates
     i.i.d. over a square holding the reference density and redraws the whole
-    layout until node 0 and node n-1 are connected.
+    layout until node 0 and node n-1 are connected. Each layout drawn costs
+    one search of node 0's component, and links are built once, for the
+    layout kept.
     """
     check_placement(n, placement)
     if not (math.isfinite(radio_range) and radio_range > 0):
@@ -270,19 +304,18 @@ def generate_scenario(
         side = math.isqrt(n)
         idx = np.arange(n)
         coords = np.stack([(idx % side) * GRID_SPACING_M, (idx // side) * GRID_SPACING_M], axis=1)
-        src, dst = _radio_pairs(coords, radio_range)
         area_side = (side - 1) * GRID_SPACING_M
     else:
         area_side = REFERENCE_AREA_SIDE_M * math.sqrt(n / REFERENCE_NODE_COUNT)
         for _ in range(MAX_PLACEMENT_RETRIES):
             coords = rng.uniform(0.0, area_side, size=(n, 2))
-            src, dst = _radio_pairs(coords, radio_range)
-            if _connects(src, dst, n, 0, n - 1):
+            if _reaches(coords, radio_range, 0, n - 1):
                 break
         else:
             raise ConnectivityError(
                 f"no placement connecting node 0 to node {n - 1} in {MAX_PLACEMENT_RETRIES} attempts"
             )
+    src, dst = _radio_pairs(coords, radio_range)
 
     return NetworkScenario(
         seed=seed,

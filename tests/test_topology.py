@@ -11,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from meshroute import topology
 from meshroute.fuzzycost import build_cost_matrix
 from meshroute.topology import (
     DEFAULT_RADIO_RANGE_M,
@@ -27,6 +28,7 @@ from meshroute.topology import (
     NetworkScenario,
     _draw_metrics,
     _radio_pairs,
+    _reaches,
     generate_scenario,
     load_scenario,
     save_scenario,
@@ -275,6 +277,122 @@ def test_radio_pairs_match_dense_adjacency(layout):
         src, dst = _radio_pairs(positions, r)
         ref_src, ref_dst = np.nonzero(reference_adjacency(positions, r))
     assert np.array_equal(src, ref_src) and np.array_equal(dst, ref_dst)
+
+
+@st.composite
+def uniform_layouts(draw):
+    """Up to 300 sites drawn uniformly over a square sized for a mean
+    degree of 1 to 8, around the percolation threshold of about 4.5, so
+    that components are large, many hops deep, and often split."""
+    n = draw(st.integers(2, 300))
+    degree = draw(st.floats(1.0, 8.0))
+    r = draw(RADII)
+    side = r * math.sqrt(n * math.pi / degree)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return rng.uniform(0.0, side, size=(n, 2)), r
+
+
+@st.composite
+def layouts_with_ends(draw):
+    """A layout from layouts() or uniform_layouts() and two distinct nodes
+    of it, a source and a terminal."""
+    positions, r = draw(layouts() | uniform_layouts())
+    n = len(positions)
+    source = draw(st.integers(0, n - 1))
+    terminal = (source + draw(st.integers(1, n - 1))) % n
+    return positions, r, source, terminal
+
+
+@settings(max_examples=200, deadline=None)
+@given(layouts_with_ends())
+@example((np.array([[0.0, 0.0], [250.0, 0.0]]), 250.0, 0, 1))
+@example((np.array([[3.0, 4.0], [0.0, 0.0]]), 5.0, 1, 0))
+@example((np.array([[0.1, 0.2], [0.1, 0.2]]), 0.1, 0, 1))
+@example((np.array([[0.0, 0.0], [0.2, 0.0]]), 0.1, 0, 1))
+# r*r overflows, so every pair passes however far apart
+@example((np.array([[0.0, 0.0], [1e300, -1e300]]), 1e200, 0, 1))
+# a node reaches itself
+@example((np.array([[0.0, 0.0], [9.0, 0.0]]), 1.0, 1, 1))
+def test_reaches_matches_dense_reachability(case):
+    positions, r, source, terminal = case
+    with warnings.catch_warnings(), np.errstate(over="ignore"):
+        warnings.filterwarnings("error", "invalid value encountered in cast", RuntimeWarning)
+        reached = _reaches(positions, r, source, terminal)
+        expected = reference_reachable(reference_adjacency(positions, r), source, terminal)
+    assert reached == expected
+
+
+def connects_over_links(src, dst, n, source, terminal):
+    """Depth-first search over row-major link arrays: does source reach
+    terminal? The check random placement made on every layout's full link
+    set before it searched node 0's component alone."""
+    ends = np.cumsum(np.bincount(src, minlength=n)).tolist()
+    starts = [0] + ends[:-1]
+    heads = dst.tolist()
+    seen = bytearray(n)
+    seen[source] = 1
+    stack = [source]
+    while stack:
+        v = stack.pop()
+        for u in heads[starts[v] : ends[v]]:
+            if not seen[u]:
+                if u == terminal:
+                    return True
+                seen[u] = 1
+                stack.append(u)
+    return False
+
+
+def link_search_generate_scenario(n, seed, radio_range=DEFAULT_RADIO_RANGE_M):
+    """Random placement as it was: every layout drawn gets its full link
+    set from _radio_pairs, and the links decide whether it is kept."""
+    rng = np.random.default_rng(seed)
+    area_side = REFERENCE_AREA_SIDE_M * math.sqrt(n / REFERENCE_NODE_COUNT)
+    for _ in range(MAX_PLACEMENT_RETRIES):
+        coords = rng.uniform(0.0, area_side, size=(n, 2))
+        src, dst = _radio_pairs(coords, radio_range)
+        if connects_over_links(src, dst, n, 0, n - 1):
+            break
+    else:
+        raise ConnectivityError("no connected placement")
+    metrics = _draw_metrics(rng, len(src))
+    return NetworkScenario(seed, float(area_side), float(radio_range), coords, np.stack((src, dst), 1), metrics)
+
+
+# (nodes, seeds, radio range): random400-short's seed-0 scenarios, a
+# 2500-node layout kept at attempt 111, and a dense range whose first
+# layout connects
+LINK_SEARCH_CASES = [
+    (400, range(101, 133), DEFAULT_RADIO_RANGE_M),
+    (2500, (103,), DEFAULT_RADIO_RANGE_M),
+    (400, (101,), 600.0),
+]
+
+
+@pytest.mark.parametrize("n, seeds, radio_range", LINK_SEARCH_CASES)
+def test_random_placement_matches_link_search_per_attempt(n, seeds, radio_range, tmp_path):
+    for seed in seeds:
+        s = generate_scenario(n, "random", seed, radio_range)
+        ref = link_search_generate_scenario(n, seed, radio_range)
+        assert s == ref
+        save_scenario(s, tmp_path / "new.json")
+        save_scenario(ref, tmp_path / "ref.json")
+        assert (tmp_path / "new.json").read_bytes() == (tmp_path / "ref.json").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "n, placement, seed", [(25, "grid", 0), (400, "grid", 1), (100, "random", 5), (400, "random", 101)]
+)
+def test_generate_builds_links_once(n, placement, seed, monkeypatch):
+    calls = []
+
+    def counted(positions, radio_range):
+        calls.append(len(positions))
+        return _radio_pairs(positions, radio_range)
+
+    monkeypatch.setattr(topology, "_radio_pairs", counted)
+    generate_scenario(n, placement, seed)
+    assert calls == [n]
 
 
 def traced_peak_bytes(call):
