@@ -216,29 +216,32 @@ def evaluate_ilc(throughput_n: float, delay_n: float, jitter_n: float) -> float:
 
 @dataclass(frozen=True, eq=False)
 class CostMatrix:
-    """Dense directed link costs; NaN marks absent links.
+    """Directed link costs as an adjacency array (compressed sparse rows).
 
-    links[i] holds the out-links of i as (neighbor, cost) pairs, neighbors in
-    ascending id order, so path decoding and exact search iterate links
-    identically. Each cost is the Python float of values[i, neighbor], so a
-    search reads costs without indexing values one cell at a time. adjacency
-    is the boolean link matrix (kept alongside values for vectorized
-    reachability). Matrices compare by identity.
+    The out-links of node v are adjacency[indptr[v]:indptr[v + 1]], heads in
+    ascending id order, with their costs in the same slice of values; indptr
+    has n + 1 entries, and adjacency and values one per link. links[v] holds
+    the same out-links as (neighbor, cost) pairs of Python ints and floats,
+    so path decoding and exact search iterate links identically without
+    indexing the arrays one cell at a time. Nothing is O(n * n). The arrays
+    are read-only, and matrices compare by identity.
     """
 
-    values: np.ndarray
+    indptr: np.ndarray
     adjacency: np.ndarray
+    values: np.ndarray
     links: tuple[tuple[tuple[int, float], ...], ...]
 
     @property
     def n(self) -> int:
-        return self.values.shape[0]
+        return len(self.indptr) - 1
 
     @classmethod
     def from_arrays(cls, n: int, src, dst, costs) -> "CostMatrix":
         """Matrix of links src[l] -> dst[l] with cost costs[l].
 
         A repeated link keeps its last cost; a non-finite cost leaves no link.
+        A scalar cost applies to every link.
         """
         src = np.asarray(src, dtype=np.int64)
         dst = np.asarray(dst, dtype=np.int64)
@@ -247,35 +250,31 @@ class CostMatrix:
             raise ValueError(f"self-loop cost at node {src[loops[0]]}")
         if len(src) and (min(src.min(), dst.min()) < 0 or max(src.max(), dst.max()) >= n):
             raise ValueError(f"link endpoint outside 0..{n - 1}")
-        values = np.full((n, n), np.nan)
-        values[src, dst] = costs
-        linked = np.isfinite(values[src, dst])
-        src, dst = src[linked], dst[linked]
-        adjacency = np.zeros((n, n), dtype=bool)
-        adjacency[src, dst] = True
-        return cls(values, adjacency, _grouped(src * n + dst, values))
+        costs = np.broadcast_to(np.asarray(costs, dtype=float), src.shape)
+        keys = src * n + dst
+        # a stable sort keeps a repeated link's entries in input order, so the
+        # last entry of each run of equal keys holds the link's last cost
+        order = np.argsort(keys, kind="stable")
+        keys = keys[order]
+        last = np.ones(len(keys), dtype=bool)
+        last[:-1] = keys[1:] != keys[:-1]
+        order = order[last]
+        order = order[np.isfinite(costs[order])]
+        heads, tails, values = src[order], dst[order], costs[order]
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(heads, minlength=n), out=indptr[1:])
+        pairs = list(zip(tails.tolist(), values.tolist()))
+        ends = indptr.tolist()
+        links = tuple(tuple(pairs[a:b]) for a, b in zip(ends, ends[1:]))
+        for array in (indptr, tails, values):
+            array.flags.writeable = False
+        return cls(indptr, tails, values, links)
 
     @classmethod
     def from_entries(cls, n: int, entries: dict[tuple[int, int], float]) -> "CostMatrix":
         pairs = np.array(list(entries), dtype=np.int64).reshape(-1, 2)
         costs = np.fromiter(entries.values(), dtype=float, count=len(entries))
         return cls.from_arrays(n, pairs[:, 0], pairs[:, 1], costs)
-
-
-def _grouped(keys: np.ndarray, values: np.ndarray):
-    """Per-head out-lists for flat keys head * n + tail into the (n, n) values.
-
-    Returns the (tail, cost) pairs of each head, tails ascending, repeats
-    dropped. Sorting plus a neighbour comparison stands in for np.unique,
-    whose first call costs more resident memory than the rest of the build.
-    """
-    n = len(values)
-    keys = np.sort(keys)
-    keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))] if len(keys) else keys
-    heads, tails = np.divmod(keys, n)
-    ends = np.cumsum(np.bincount(heads, minlength=n)).tolist()
-    pairs = list(zip(tails.tolist(), values.reshape(-1)[keys].tolist()))
-    return tuple(tuple(pairs[a:b]) for a, b in zip([0] + ends, ends))
 
 
 def build_cost_matrix(scenario) -> CostMatrix:

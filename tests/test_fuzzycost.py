@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from meshroute.fuzzycost import (
@@ -23,7 +23,7 @@ from meshroute.fuzzycost import (
 )
 from meshroute.topology import METRIC_HIGH, METRIC_LOW, NetworkScenario, generate_scenario
 
-from helpers import link_cost, out_neighbors
+from helpers import dense_adjacency, dense_costs, link_cost, out_neighbors, traced_peak_bytes
 
 LATTICE = np.linspace(0.0, 1.0, 11)
 
@@ -79,6 +79,28 @@ def reference_cost_matrix(scenario):
     adjacency = np.isfinite(values)
     neighbors = tuple(tuple(np.nonzero(adjacency[i])[0].tolist()) for i in range(n))
     return values, adjacency, neighbors
+
+
+def reference_from_arrays(n, src, dst, costs):
+    """CostMatrix.from_arrays as it was on dense (n, n) fields: the links it
+    built. A repeated link keeps the cost numpy's repeated fancy-index
+    assignment leaves, which is the last one in practice."""
+    src = np.asarray(src, dtype=np.int64)
+    dst = np.asarray(dst, dtype=np.int64)
+    loops = np.flatnonzero(src == dst)
+    if len(loops):
+        raise ValueError(f"self-loop cost at node {src[loops[0]]}")
+    if len(src) and (min(src.min(), dst.min()) < 0 or max(src.max(), dst.max()) >= n):
+        raise ValueError(f"link endpoint outside 0..{n - 1}")
+    values = np.full((n, n), np.nan)
+    values[src, dst] = costs
+    linked = np.isfinite(values[src, dst])
+    keys = np.sort(src[linked] * n + dst[linked])
+    keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))] if len(keys) else keys
+    heads, tails = np.divmod(keys, n)
+    ends = np.cumsum(np.bincount(heads, minlength=n)).tolist()
+    pairs = list(zip(tails.tolist(), values.reshape(-1)[keys].tolist()))
+    return tuple(tuple(pairs[a:b]) for a, b in zip([0] + ends, ends))
 
 
 def test_input_memberships_partition():
@@ -260,16 +282,17 @@ def test_ilc_purity():
 def test_cost_matrix_from_grid(grid25):
     _, cm, _ = grid25
     assert cm.n == 25
-    defined = int(cm.adjacency.sum())
+    defined = int(dense_adjacency(cm).sum())
     assert defined == 80
-    finite = cm.values[np.isfinite(cm.values)]
+    values = dense_costs(cm)
+    finite = values[np.isfinite(values)]
     assert (finite > 0).all() and (finite <= 1).all()
 
 
 def test_cost_matrix_no_links():
     s = generate_scenario(4, placement="grid", seed=7, radio_range=150.0)
     cm = build_cost_matrix(s)
-    assert not cm.adjacency.any()
+    assert not dense_adjacency(cm).any()
     assert cm.links == ((),) * 4
 
 
@@ -316,6 +339,74 @@ def test_cost_matrix_duplicate_and_undefined_entries():
     assert cm.links == (((1, 0.7),), (), ((0, 0.3),))
 
 
+# costs that leave no link turn up often, as the first or the last of a repeat
+link_costs = st.floats() | st.sampled_from([math.nan, math.inf, -math.inf])
+
+
+@st.composite
+def link_arrays(draw):
+    """(n, src, dst, costs) for from_arrays: 0-6 nodes, up to 14 links
+    with repeats, costs as a list or one scalar, and at most one flaw: a
+    self-loop, an endpoint outside 0..n-1, or one cost too many or too few."""
+    n = draw(st.integers(0, 6))
+    size = draw(st.integers(0, 14)) if n > 1 else 0
+    src = draw(st.lists(st.integers(0, max(n - 1, 0)), min_size=size, max_size=size))
+    # dst differs from src, so only the drawn flaw can make a self-loop
+    dst = [(v + 1 + draw(st.integers(0, n - 2))) % n for v in src]
+    costs = draw(st.lists(link_costs, min_size=size, max_size=size) | link_costs)
+    flaw = draw(st.sampled_from([None, None, None, "self-loop", "endpoint", "count"]))
+    if flaw == "self-loop":
+        v = draw(st.integers(0, max(n - 1, 0)))
+        at = draw(st.integers(0, size))
+        src, dst = src[:at] + [v] + src[at:], dst[:at] + [v] + dst[at:]
+        costs = costs[:at] + [draw(link_costs)] + costs[at:] if isinstance(costs, list) else costs
+    elif flaw == "endpoint":
+        end = draw(st.sampled_from([-1, n]))
+        src, dst = (src + [end], dst + [0]) if draw(st.booleans()) else (src + [0], dst + [end])
+        costs = costs + [draw(link_costs)] if isinstance(costs, list) else costs
+    elif flaw == "count":
+        costs = costs if isinstance(costs, list) else [costs] * size
+        costs = costs + [0.5] if draw(st.booleans()) else costs[:-1]
+    return n, src, dst, costs
+
+
+def hexed(links):
+    return [[(u, w.hex()) for u, w in out] for out in links]
+
+
+@settings(max_examples=400, deadline=None)
+@given(link_arrays())
+@example((0, [], [], []))
+@example((1, [], [], 0.5))
+@example((3, [0, 0, 0], [1, 1, 1], [0.2, math.nan, 0.7]))
+@example((3, [0, 0], [1, 1], [0.2, math.inf]))
+@example((3, [0, 1], [2, 1], [0.2, 0.3]))
+@example((3, [0, 3], [1, 0], [0.2, 0.3]))
+@example((3, [0, 1], [1, 2], [0.2, 0.3, 0.4]))
+def test_from_arrays_matches_dense_reference(case):
+    n, src, dst, costs = case
+    try:
+        expected = reference_from_arrays(n, src, dst, costs)
+    except ValueError as error:
+        with pytest.raises(ValueError) as raised:
+            CostMatrix.from_arrays(n, src, dst, costs)
+        # numpy words a cost-count mismatch differently in the two builds
+        if not str(error).startswith("shape mismatch"):
+            assert str(raised.value) == str(error)
+        return
+    cm = CostMatrix.from_arrays(n, src, dst, costs)
+    assert hexed(cm.links) == hexed(expected)
+    indptr, heads, values = cm.indptr, cm.adjacency, cm.values
+    assert (indptr.dtype, heads.dtype, values.dtype) == (np.int64, np.int64, np.float64)
+    assert cm.n == n and len(indptr) == n + 1 and indptr[0] == 0
+    assert (np.diff(indptr) >= 0).all()
+    assert indptr[-1] == len(values) == len(heads)
+    for v in range(n):
+        row = slice(indptr[v], indptr[v + 1])
+        assert (np.diff(heads[row]) > 0).all()
+        assert hexed([zip(heads[row].tolist(), values[row].tolist())]) == hexed([cm.links[v]])
+
+
 def test_cost_matrix_rejects_out_of_range_endpoint():
     with pytest.raises(ValueError, match="outside 0..2"):
         CostMatrix.from_arrays(3, [0, -1], [1, 0], [0.5, 0.5])
@@ -338,9 +429,18 @@ def test_cost_matrix_matches_reference(n, placement, seed):
     scenario = generate_scenario(n, placement=placement, seed=seed)
     cm = build_cost_matrix(scenario)
     values, adjacency, neighbors = reference_cost_matrix(scenario)
-    assert cm.values.tobytes() == values.tobytes()
-    assert np.array_equal(cm.adjacency, adjacency)
+    assert dense_costs(cm).tobytes() == values.tobytes()
+    assert np.array_equal(dense_adjacency(cm), adjacency)
     assert tuple(out_neighbors(cm, v) for v in range(n)) == neighbors
     assert cm.links == tuple(
         tuple((u, float(values[v, u])) for u in neighbors[v]) for v in range(n)
     )
+
+
+# the dense (n, n) fields took about 5,900 traced bytes per link at 2500 nodes
+@pytest.mark.parametrize("n", [2500, 10_000])
+def test_cost_matrix_build_memory_is_linear_in_links(n):
+    scenario = generate_scenario(n, "grid", 0)
+    cm, peak = traced_peak_bytes(lambda: build_cost_matrix(scenario))
+    assert len(cm.values) == len(scenario.links)
+    assert peak < 1024 * len(cm.values)

@@ -16,7 +16,7 @@ from meshroute.oracle import (
 from meshroute.pathcodec import path_cost
 from meshroute.topology import generate_scenario
 
-from helpers import out_neighbors
+from helpers import dense_costs, out_neighbors
 
 CAMPAIGN_GRAPHS = 150
 CAMPAIGN_SEED = 2024
@@ -47,7 +47,7 @@ def reference_shortest_path(cm, source, terminal):
         raise ValueError(f"source {source} or terminal {terminal} out of range")
     if source == terminal:
         return OracleResult((source,), 0.0)
-    values = cm.values
+    values = dense_costs(cm)
     settled = bytearray(n)
     heap = [(0.0, (source,))]
     while heap:

@@ -23,7 +23,14 @@ from meshroute.pathcodec import (
 )
 from meshroute.topology import generate_scenario
 
-from helpers import OPTIMIZER_GOLDEN_CASES, link_cost, out_neighbors, scenario_cost_matrix
+from helpers import (
+    OPTIMIZER_GOLDEN_CASES,
+    dense_adjacency,
+    dense_costs,
+    link_cost,
+    out_neighbors,
+    scenario_cost_matrix,
+)
 
 
 def cm_of(n, pairs):
@@ -65,7 +72,8 @@ def reference_walk(key_list, cm, source, terminal):
     backward breadth-first search before every step: slow but simple, and
     polynomial, so it serves as the reference on large graphs.
     """
-    in_neighbors = [np.nonzero(cm.adjacency[:, w])[0].tolist() for w in range(cm.n)]
+    adjacency = dense_adjacency(cm)
+    in_neighbors = [np.nonzero(adjacency[:, w])[0].tolist() for w in range(cm.n)]
     path = [source]
     on_path = {source}
     while path[-1] != terminal:
@@ -402,9 +410,9 @@ def test_every_simple_path_is_reachable():
 
 
 def reference_path_cost(nodes, cm):
-    """path_cost as a gather from the dense values, as it was before it
-    looked each hop up in cm.links."""
-    hops = cm.values[nodes[:-1], nodes[1:]].tolist()
+    """path_cost as a gather from the dense (n, n) costs, as it was before
+    it looked each hop up in cm.links."""
+    hops = dense_costs(cm)[nodes[:-1], nodes[1:]].tolist()
     total = 0.0
     for src, dst, v in zip(nodes, nodes[1:], hops):
         if not math.isfinite(v):

@@ -3,7 +3,6 @@
 import json
 import math
 import re
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -36,6 +35,7 @@ from meshroute.topology import (
     scenario_to_dict,
 )
 
+from helpers import traced_peak_bytes
 from scenario_v1 import v1_scenario_from_dict, v1_scenario_to_dict
 
 GRID25_LINKS = 80  # 2 * 2 * (5 * 4) orthogonal adjacencies on a 5x5 lattice
@@ -393,17 +393,6 @@ def test_generate_builds_links_once(n, placement, seed, monkeypatch):
     monkeypatch.setattr(topology, "_radio_pairs", counted)
     generate_scenario(n, placement, seed)
     assert calls == [n]
-
-
-def traced_peak_bytes(call):
-    """Run call() under tracemalloc; return its result and the peak bytes it
-    held, numpy buffers included."""
-    tracemalloc.start()
-    try:
-        result = call()
-        return result, tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
 
 
 # a dense (n, n) distance test needs 17 bytes per ordered pair: 106 MB at
