@@ -11,7 +11,7 @@ from .bbo import BboParams, run_bbo
 from .bench import BenchPlan, run_plan, summarize
 from .fuzzycost import CostMatrix, build_cost_matrix, evaluate_ilc
 from .oracle import OracleResult, UnreachableError, percent_error, shortest_path
-from .pathcodec import BrokenPathError, NoPathError, Path, decode, decode_path, path_cost
+from .pathcodec import BrokenPathError, NoPathError, Path, decode_path, path_cost
 from .results import RunResult, TracePoint
 from .topology import (
     ConnectivityError,
@@ -38,7 +38,6 @@ __all__ = [
     "TracePoint",
     "UnreachableError",
     "build_cost_matrix",
-    "decode",
     "decode_path",
     "evaluate_ilc",
     "generate_scenario",

@@ -13,8 +13,8 @@ run_bbbc is the bang inside results.evolve's generation loop. A bang draws
 each offspring's anchor and normal row in turn, into the population rows it
 replaces, and then applies the spawn formula to the whole block at once;
 the draws, their order and every rounding are those of P - 1 calls to spawn
-and random_vector, so a seed gives the same run as a per-offspring loop
-would.
+and of rng.random(n) for each fresh genome, so a seed gives the same run as
+a per-offspring loop would.
 """
 
 from __future__ import annotations

@@ -127,11 +127,10 @@ def species_probability_delta(p: np.ndarray, lam: np.ndarray, mu: np.ndarray) ->
     return dp
 
 
-def update_probability(
-    p: np.ndarray, lam: np.ndarray, mu: np.ndarray, dt: float = 1.0
-) -> np.ndarray:
-    """One Euler step of the master equation, clamped and renormalized to sum 1."""
-    updated = p + dt * species_probability_delta(p, lam, mu)
+def update_probability(p: np.ndarray, lam: np.ndarray, mu: np.ndarray) -> np.ndarray:
+    """One Euler step of unit length (dt = 1) of the master equation,
+    clamped and renormalized to sum 1."""
+    updated = p + species_probability_delta(p, lam, mu)
     updated = np.maximum(updated, 0.0)
     return updated / updated.sum()
 

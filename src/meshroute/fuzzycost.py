@@ -69,8 +69,6 @@ OUTPUT_LEVELS = 5  # very low .. very high
 INPUT_PEAKS = (0.0, 0.5, 1.0)
 OUTPUT_PEAK_STEP = 0.25
 
-OUTPUT_LEVEL_NAMES = ("very-low", "low", "medium", "high", "very-high")
-
 _UNIT_ROUNDOFF = 2.0**-53  # half the spacing of floats in [1, 2)
 # links whose aggregates are summed at once: the (101, 160) float64 work
 # arrays stay just under glibc's 128 KiB mmap threshold and are reused from
@@ -82,11 +80,6 @@ _BLOCK_ROWS = 80
 def _memberships(x: np.ndarray) -> np.ndarray:
     """(*x.shape, 3) degrees of membership of each value in the input sets."""
     return np.maximum(0.0, 1.0 - np.abs(x[..., None] - np.asarray(INPUT_PEAKS)) / 0.5)
-
-
-def input_memberships(x: float) -> np.ndarray:
-    """Degrees of membership of x in the three input sets; sums to 1 on [0, 1]."""
-    return _memberships(np.asarray(x, dtype=float))
 
 
 def _output_samples() -> np.ndarray:
@@ -127,12 +120,6 @@ def _normalize(raw: np.ndarray) -> np.ndarray:
     lo, hi = np.array(METRIC_LOW), np.array(METRIC_HIGH)
     # fmax/fmin map NaN to the lower clamp, as the builtin max(0.0, nan) does
     return np.fmin(1.0, np.fmax(0.0, (raw - lo) / (hi - lo)))
-
-
-def normalize_inputs(throughput: float, delay: float, jitter: float) -> tuple[float, float, float]:
-    """Affine-map raw metrics onto [0, 1], clamping out-of-range values."""
-    t, d, j = _normalize(np.array([throughput, delay, jitter], dtype=float)).tolist()
-    return t, d, j
 
 
 def _two_sum(x: np.ndarray, y: np.ndarray, err: np.ndarray) -> None:
@@ -269,12 +256,6 @@ class CostMatrix:
         for array in (indptr, tails, values):
             array.flags.writeable = False
         return cls(indptr, tails, values, links)
-
-    @classmethod
-    def from_entries(cls, n: int, entries: dict[tuple[int, int], float]) -> "CostMatrix":
-        pairs = np.array(list(entries), dtype=np.int64).reshape(-1, 2)
-        costs = np.fromiter(entries.values(), dtype=float, count=len(entries))
-        return cls.from_arrays(n, pairs[:, 0], pairs[:, 1], costs)
 
 
 def build_cost_matrix(scenario) -> CostMatrix:

@@ -50,11 +50,6 @@ class Path:
         return len(self.nodes)
 
 
-def random_vector(rng: np.random.Generator, n: int) -> np.ndarray:
-    """Fresh random-keys genome: n priorities uniform on [0, 1)."""
-    return rng.random(n)
-
-
 def _walk(keys: np.ndarray, cm: CostMatrix, source: int, terminal: int):
     """The visit-once priority DFS: its node stack and the cost of each hop
     into a node, side by side, with 0.0 for the source."""
@@ -102,18 +97,6 @@ def _walk(keys: np.ndarray, cm: CostMatrix, source: int, terminal: int):
     return stack, costs
 
 
-def decode(keys: np.ndarray, cm: CostMatrix, source: int, terminal: int) -> tuple[int, ...]:
-    """Decode a key vector to a loop-free node sequence.
-
-    Keys must be finite: a NaN or infinite key never wins a comparison, so
-    its node is never taken. The search is exhaustive over simple paths in
-    priority order, so with finite keys it fails only when the terminal is
-    unreachable; a failed search over non-finite keys raises ValueError
-    naming the first of them instead of NoPathError.
-    """
-    return tuple(_walk(keys, cm, source, terminal)[0])
-
-
 def path_cost(nodes: tuple[int, ...], cm: CostMatrix) -> float:
     """Sum of hop costs, added left to right from 0.0 in hop order.
 
@@ -132,7 +115,14 @@ def path_cost(nodes: tuple[int, ...], cm: CostMatrix) -> float:
 
 
 def decode_path(keys: np.ndarray, cm: CostMatrix, source: int, terminal: int) -> Path:
-    """The decoded path, priced from the hop costs its walk read.
+    """Decode a key vector to a loop-free path, priced from the hop costs
+    its walk read.
+
+    Keys must be finite: a NaN or infinite key never wins a comparison, so
+    its node is never taken. The search is exhaustive over simple paths in
+    priority order, so with finite keys it fails only when the terminal is
+    unreachable; a failed search over non-finite keys raises ValueError
+    naming the first of them instead of NoPathError.
 
     The costs are added left to right from 0.0, as path_cost adds them, so
     the cost equals path_cost of the nodes bit for bit; sum() is compensated

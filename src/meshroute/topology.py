@@ -8,12 +8,14 @@ scenario holds three read-only arrays, not one object per node or link:
 positions (n, 2), links (L, 2) as (from, to) rows and metrics (L, 3) as
 (throughput, delay, jitter) rows.
 
-Scenario files are JSON. Format version 2, the one written, stores columns:
-"nodes" maps x_m and y_m to one list each, and "links" maps from, to,
-throughput_mbps, delay_ms and jitter_ms to one list each, in row-major
-(from, to) order. Version 1 files, with one object per node and per link,
-still load. Both are checked column by column (scenario_from_dict says what
-is rejected), and a scenario always holds its links sorted row-major.
+Scenario files are JSON in format version 2, the one format written and
+read. It stores columns: "nodes" maps x_m and y_m to one list each, and
+"links" maps from, to, throughput_mbps, delay_ms and jitter_ms to one list
+each, in row-major (from, to) order. Columns are checked one at a time
+(scenario_from_dict says what is rejected), and a scenario always holds its
+links sorted row-major. A version 1 file, with one object per node and per
+link, is refused with a hint to regenerate it: meshroute gen writes the same
+scenario for the same arguments.
 
 Links come from a cell list (_radio_pairs): nodes are bucketed into square
 cells about one radio range wide (_cells), each node is tested only against
@@ -37,7 +39,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -56,8 +57,6 @@ JITTER_RANGE_MS = (0.0, 20.0)
 MAX_PLACEMENT_RETRIES = 1000
 
 SCENARIO_FORMAT_VERSION = 2
-# the oldest format load_scenario still reads
-V1_FORMAT_VERSION = 1
 
 NODE_COLUMNS = ("x_m", "y_m")
 LINK_COLUMNS = ("from", "to", "throughput_mbps", "delay_ms", "jitter_ms")
@@ -341,6 +340,9 @@ def scenario_to_dict(scenario: NetworkScenario) -> dict:
 
 def _table(table: dict, keys: tuple[str, ...], name: str) -> list[list]:
     """The named columns of a format-2 table, checked to be lists of one length."""
+    if not isinstance(table, dict):
+        kind = type(table).__name__
+        raise ValueError(f"malformed scenario: {name!r} must be a JSON object of columns, not {kind}")
     columns = [table[key] for key in keys]
     for key, column in zip(keys, columns):
         if not isinstance(column, list):
@@ -350,12 +352,6 @@ def _table(table: dict, keys: tuple[str, ...], name: str) -> list[list]:
                 f"{name} column {key!r} has {len(column)} entries, {keys[0]!r} has {len(columns[0])}"
             )
     return columns
-
-
-def _v1_table(objects: list, keys: tuple[str, ...]) -> list[list]:
-    """The named fields of format-1 objects as columns. A missing key is
-    found object by object, in key order."""
-    return [list(column) for column in zip(*map(itemgetter(*keys), objects))] or [[] for _ in keys]
 
 
 _INTEGER = {int}
@@ -449,34 +445,27 @@ def _from_columns(data: dict, x: list, y: list, link_columns: list[list]) -> Net
 
 
 def scenario_from_dict(data: dict) -> NetworkScenario:
-    """Parse a format-1 or format-2 scenario; malformed input raises
-    ValueError naming the fault.
+    """Parse a format-2 scenario; malformed input raises ValueError naming
+    the fault.
 
-    Format-1 node ids must be JSON integers 0..n-1 in order. Link endpoints
-    must be JSON integers (bools are not) naming two distinct nodes, and
-    each ordered pair may appear once. Coordinates must be finite JSON
-    numbers, and metrics finite, non-negative JSON numbers. The seed must
-    be a non-negative JSON integer, and the area side and radio range
-    positive, finite JSON numbers, as generate_scenario writes them.
-    Format-2 columns must be lists of equal length.
+    Columns must be lists of equal length. Link endpoints must be JSON
+    integers (bools are not) naming two distinct nodes, and each ordered
+    pair may appear once. Coordinates must be finite JSON numbers, and
+    metrics finite, non-negative JSON numbers. The seed must be a
+    non-negative JSON integer, and the area side and radio range positive,
+    finite JSON numbers, as generate_scenario writes them.
     """
     if not isinstance(data, dict):
         raise ValueError("a scenario must be a JSON object")
     version = data.get("version")
-    if type(version) is not int or version not in (V1_FORMAT_VERSION, SCENARIO_FORMAT_VERSION):
-        raise ValueError(f"unsupported scenario format version {version!r}")
+    if type(version) is not int or version != SCENARIO_FORMAT_VERSION:
+        hint = ""
+        if type(version) is int and version == 1:
+            hint = "; regenerate the file with meshroute gen (same --nodes, --placement, --seed, --range)"
+        raise ValueError(f"unsupported scenario format version {version!r}{hint}")
     try:
-        if version == V1_FORMAT_VERSION:
-            ids, x, y = _v1_table(data["nodes"], ("id", *NODE_COLUMNS))
-            wrong = np.flatnonzero(_array(ids, True, "node", "id") != np.arange(len(ids)))
-            if len(wrong):
-                i = wrong[0]
-                raise ValueError(f"node {i} has id {ids[i]}; ids must be 0..n-1 in order")
-            links = _v1_table(data["links"], LINK_COLUMNS)
-        else:
-            x, y = _table(data["nodes"], NODE_COLUMNS, "nodes")
-            links = _table(data["links"], LINK_COLUMNS, "links")
-        return _from_columns(data, x, y, links)
+        x, y = _table(data["nodes"], NODE_COLUMNS, "nodes")
+        return _from_columns(data, x, y, _table(data["links"], LINK_COLUMNS, "links"))
     except KeyError as exc:
         raise ValueError(f"scenario is missing the required key {exc}") from None
     except (TypeError, OverflowError) as exc:
@@ -494,5 +483,5 @@ def save_scenario(scenario: NetworkScenario, path: str | Path) -> None:
 
 
 def load_scenario(path: str | Path) -> NetworkScenario:
-    """Read a format-1 or format-2 scenario file (see scenario_from_dict)."""
+    """Read a format-2 scenario file (see scenario_from_dict)."""
     return scenario_from_dict(json.loads(Path(path).read_text()))

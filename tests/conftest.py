@@ -2,15 +2,17 @@
 
 import pytest
 
-from meshroute.fuzzycost import CostMatrix, build_cost_matrix
+from meshroute.fuzzycost import build_cost_matrix
 from meshroute.oracle import shortest_path
 from meshroute.topology import generate_scenario
+
+from helpers import from_entries
 
 
 @pytest.fixture
 def line3_cm():
     # 0 - 1 - 2 bidirectional line; unique simple path 0 -> 2
-    return CostMatrix.from_entries(
+    return from_entries(
         3, {(0, 1): 0.3, (1, 0): 0.3, (1, 2): 0.25, (2, 1): 0.25}
     )
 
@@ -18,7 +20,7 @@ def line3_cm():
 @pytest.fixture
 def diamond_cm():
     # 0 -> {1, 2} -> 3; both middle nodes also link back to 0
-    return CostMatrix.from_entries(
+    return from_entries(
         4,
         {
             (0, 1): 0.4,

@@ -5,8 +5,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from meshroute.fuzzycost import build_cost_matrix
-from meshroute.pathcodec import Path, decode, path_cost
+from meshroute.fuzzycost import CostMatrix, build_cost_matrix
+from meshroute.pathcodec import Path, decode_path, path_cost
 from meshroute.topology import generate_scenario
 
 # (nodes, placement, scenario seed, optimizer seed) on which whole optimizer
@@ -17,6 +17,14 @@ OPTIMIZER_GOLDEN_CASES = [
     for scenario_seed, opt_seed in ((101, 9001), (102, 9002), (103, 9003))
 ]
 GOLDEN_GENERATIONS = 30
+
+
+def from_entries(n, entries):
+    """The cost matrix of n nodes whose links are the keys (src, dst) of
+    entries, with the values as their costs."""
+    pairs = np.array(list(entries), dtype=np.int64).reshape(-1, 2)
+    costs = np.fromiter(entries.values(), dtype=float, count=len(entries))
+    return CostMatrix.from_arrays(n, pairs[:, 0], pairs[:, 1], costs)
 
 
 @lru_cache(maxsize=None)
@@ -70,7 +78,7 @@ def traced_peak_bytes(call):
 def decode_then_price(keys, cm, source, terminal):
     """decode_path as it was before costs were summed on the walk: decode the
     nodes, then price them with path_cost."""
-    nodes = decode(keys, cm, source, terminal)
+    nodes = decode_path(keys, cm, source, terminal).nodes
     return Path(nodes, path_cost(nodes, cm))
 
 

@@ -1,40 +1,29 @@
-"""Format-1 scenario files as meshroute wrote and read them before format 2.
+"""The link-by-link scenario reader meshroute used for format-1 files.
 
-A format-1 file holds one JSON object per node and per link. These are the
-writer and reader of that format, link by link, kept as the golden
-reference for the columnar reader; they differ from the originals only in
-taking and giving the array-backed NetworkScenario. The reader keeps its
-old coercions (int() of an id or endpoint, float() of a metric) and its
-file order of links.
+A format-1 file held one JSON object per node and per link. meshroute no
+longer reads that format, but this reader, which checks one link at a time
+in file order, stays as the golden reference for the columnar format-2
+reader: v1_objects lays a format-2 object out as its input. It differs
+from the original only in giving the array-backed NetworkScenario, and
+keeps its old coercions (int() of an id or endpoint, float() of a metric)
+and its file order of links.
 """
 
 import math
 
 import numpy as np
 
-from meshroute.topology import NetworkScenario
+from meshroute.topology import LINK_COLUMNS, NODE_COLUMNS, NetworkScenario
 
 
-def v1_scenario_to_dict(scenario):
-    return {
-        "version": 1,
-        "seed": scenario.seed,
-        "area_side_m": scenario.area_side,
-        "radio_range_m": scenario.radio_range,
-        "nodes": [{"id": i, "x_m": x, "y_m": y} for i, (x, y) in enumerate(scenario.positions.tolist())],
-        "links": [
-            {
-                "from": src,
-                "to": dst,
-                "throughput_mbps": throughput,
-                "delay_ms": delay,
-                "jitter_ms": jitter,
-            }
-            for (src, dst), (throughput, delay, jitter) in sorted(
-                zip(scenario.links.tolist(), scenario.metrics.tolist()), key=lambda row: row[0]
-            )
-        ],
-    }
+def v1_objects(data):
+    """A format-2 scenario object laid out as format 1, the reference
+    reader's input: version 1, one object per node, with its id, and one per
+    link, in column order."""
+    node_rows = zip(*(data["nodes"][key] for key in NODE_COLUMNS))
+    nodes = [{"id": i, **dict(zip(NODE_COLUMNS, row))} for i, row in enumerate(node_rows)]
+    links = [dict(zip(LINK_COLUMNS, row)) for row in zip(*(data["links"][key] for key in LINK_COLUMNS))]
+    return {**data, "version": 1, "nodes": nodes, "links": links}
 
 
 def v1_scenario_from_dict(data):

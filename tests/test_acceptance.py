@@ -19,7 +19,7 @@ from meshroute.bbo import (
     update_probability,
 )
 from meshroute.bench import BenchPlan, lower_median, run_plan, write_results_csv
-from meshroute.fuzzycost import CostMatrix, build_cost_matrix, evaluate_ilc
+from meshroute.fuzzycost import build_cost_matrix, evaluate_ilc
 from meshroute.oracle import (
     UnreachableError,
     brute_force_shortest,
@@ -27,6 +27,8 @@ from meshroute.oracle import (
     shortest_path,
 )
 from meshroute.topology import generate_scenario
+
+from helpers import from_entries
 
 SEED_PAIRS = tuple((101 + i, 9001 + i) for i in range(10))
 POPULATION = 50
@@ -170,7 +172,7 @@ def test_ac5_oracle_agreement_campaign(capsys):
             for j in range(n)
             if i != j and rng.random() < p
         }
-        cm = CostMatrix.from_entries(n, entries)
+        cm = from_entries(n, entries)
         try:
             fast = shortest_path(cm, 0, n - 1)
         except UnreachableError:

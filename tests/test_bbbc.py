@@ -13,7 +13,7 @@ from meshroute.bbbc import (
     spawn,
 )
 from meshroute.oracle import percent_error
-from meshroute.pathcodec import decode_path, random_vector
+from meshroute.pathcodec import decode_path
 from meshroute.results import TracePoint
 
 from helpers import (
@@ -189,7 +189,7 @@ def reference_run_bbbc(cm, source, terminal, params):
     n_spawn = params.population_size - 1 - n_fresh
     best_vec = best_path = None
     trace = []
-    population = [random_vector(rng, cm.n) for _ in range(params.population_size)]
+    population = [rng.random(cm.n) for _ in range(params.population_size)]
     for gen in range(1, params.max_generations + 1):
         scored = [(vec, bbbc.decode_path(vec, cm, source, terminal)) for vec in population]
         scored.sort(key=lambda vp: vp[1].cost)
@@ -206,7 +206,7 @@ def reference_run_bbbc(cm, source, terminal, params):
             a = scored[int(rng.integers(pool))][0]
             noise = rng.standard_normal(a.shape)
             population.append(np.clip(a + params.upper_limit * noise / step, 0.0, 1.0))
-        population += [random_vector(rng, cm.n) for _ in range(n_fresh)]
+        population += [rng.random(cm.n) for _ in range(n_fresh)]
     return best_path, best_path.cost, tuple(trace)
 
 

@@ -19,7 +19,7 @@ from meshroute.bbo import (
     update_probability,
 )
 from meshroute.oracle import percent_error
-from meshroute.pathcodec import Path, decode_path, random_vector
+from meshroute.pathcodec import Path, decode_path
 from meshroute.results import TracePoint
 
 from helpers import (
@@ -37,7 +37,7 @@ MUTATION_TRIALS = 4_000  # habitats mutated; n dims each
 def make_sivs(n_dims, count, seed):
     """count random-keys genomes of n_dims keys, one per row."""
     rng = np.random.default_rng(seed)
-    return np.array([random_vector(rng, n_dims) for _ in range(count)])
+    return np.array([rng.random(n_dims) for _ in range(count)])
 
 
 def changed_rows(before, after):
@@ -103,7 +103,7 @@ def test_update_probability_normalizes():
     rng = np.random.default_rng(3)
     p = rng.random(11)
     p /= p.sum()
-    out = update_probability(p, rng.random(11), rng.random(11), dt=1.0)
+    out = update_probability(p, rng.random(11), rng.random(11))
     assert out.sum() == pytest.approx(1.0, abs=1e-9)
     assert (out >= 0).all()
 
@@ -427,7 +427,7 @@ def reference_run_bbo(cm, source, terminal, params):
     trace = []
     habitats = []
     for _ in range(n_pop):
-        siv = random_vector(rng, n_dims)
+        siv = rng.random(n_dims)
         path = bbo.decode_path(siv, cm, source, terminal)
         habitats.append(Habitat(siv, path, path.cost))
     p_species = np.full(n_pop + 1, 1.0 / (n_pop + 1))

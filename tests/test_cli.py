@@ -12,7 +12,7 @@ from meshroute.fuzzycost import build_cost_matrix
 from meshroute.oracle import shortest_path
 from meshroute.topology import NetworkScenario, generate_scenario, save_scenario, scenario_to_dict
 
-from scenario_v1 import v1_scenario_to_dict
+from scenario_v1 import v1_objects
 
 # Spelled out here, not read from ALGORITHMS, so `solve` is checked against
 # direct library calls.
@@ -210,21 +210,16 @@ def test_oracle_rejects_malformed_scenario(tmp_path, capsys, fault):
     assert captured.err.startswith("error: ")
 
 
-@pytest.mark.parametrize("version", [1, 2])
 @pytest.mark.parametrize(
     "table, key, value",
     [("links", "from", 0.9), ("links", "to", True), ("links", "throughput_mbps", "1.5"), ("nodes", "x_m", "nan")],
     ids=["float-endpoint", "bool-endpoint", "text-metric", "text-coordinate"],
 )
-def test_oracle_rejects_value_the_loader_used_to_coerce(tmp_path, capsys, version, table, key, value):
+def test_oracle_rejects_value_the_loader_used_to_coerce(tmp_path, capsys, table, key, value):
     scenario = tmp_path / "line.json"
-    if version == 1:
-        data = v1_scenario_to_dict(line_scenario())
-        data[table][0][key] = value
-    else:
-        write_line_scenario(scenario)
-        data = json.loads(scenario.read_text())
-        data[table][key][0] = value
+    write_line_scenario(scenario)
+    data = json.loads(scenario.read_text())
+    data[table][key][0] = value
     scenario.write_text(json.dumps(data))
     assert main(["oracle", "--scenario", str(scenario)]) == EXIT_USAGE
     captured = capsys.readouterr()
@@ -234,13 +229,12 @@ def test_oracle_rejects_value_the_loader_used_to_coerce(tmp_path, capsys, versio
     assert "Traceback" not in captured.err
 
 
-@pytest.mark.parametrize("version", [1, 2])
 @pytest.mark.parametrize(
     "key, value", [("seed", 1.7), ("area_side_m", "12"), ("radio_range_m", True)], ids=["seed", "area", "range"]
 )
-def test_oracle_rejects_scalar_the_loader_used_to_coerce(tmp_path, capsys, version, key, value):
+def test_oracle_rejects_scalar_the_loader_used_to_coerce(tmp_path, capsys, key, value):
     scenario = tmp_path / "line.json"
-    data = v1_scenario_to_dict(line_scenario()) if version == 1 else scenario_to_dict(line_scenario())
+    data = scenario_to_dict(line_scenario())
     data[key] = value
     scenario.write_text(json.dumps(data))
     assert main(["oracle", "--scenario", str(scenario)]) == EXIT_USAGE
@@ -250,13 +244,12 @@ def test_oracle_rejects_scalar_the_loader_used_to_coerce(tmp_path, capsys, versi
     assert "Traceback" not in captured.err
 
 
-@pytest.mark.parametrize("version", [1, 2])
 @pytest.mark.parametrize(
     "key, value", [("seed", -3), ("area_side_m", 0), ("radio_range_m", -5.0)], ids=["seed", "area", "range"]
 )
-def test_oracle_rejects_scalar_no_generated_scenario_has(tmp_path, capsys, version, key, value):
+def test_oracle_rejects_scalar_no_generated_scenario_has(tmp_path, capsys, key, value):
     scenario = tmp_path / "line.json"
-    data = v1_scenario_to_dict(line_scenario()) if version == 1 else scenario_to_dict(line_scenario())
+    data = scenario_to_dict(line_scenario())
     data[key] = value
     scenario.write_text(json.dumps(data))
     assert main(["oracle", "--scenario", str(scenario)]) == EXIT_USAGE
@@ -266,14 +259,17 @@ def test_oracle_rejects_scalar_no_generated_scenario_has(tmp_path, capsys, versi
     assert "Traceback" not in captured.err
 
 
-def test_oracle_reads_v1_scenario(tmp_path, capsys):
-    v1, v2 = tmp_path / "v1.json", tmp_path / "v2.json"
-    v1.write_text(json.dumps(v1_scenario_to_dict(line_scenario())))
-    write_line_scenario(v2)
-    assert main(["oracle", "--scenario", str(v1)]) == EXIT_OK
-    from_v1 = capsys.readouterr().out
-    assert main(["oracle", "--scenario", str(v2)]) == EXIT_OK
-    assert capsys.readouterr().out == from_v1
+@pytest.mark.parametrize("command", [["oracle"], ["solve", "--algo", "bbo"]], ids=["oracle", "solve"])
+def test_format_1_scenario_exits_with_a_hint_to_regenerate(tmp_path, capsys, command):
+    scenario = tmp_path / "v1.json"
+    scenario.write_text(json.dumps(v1_objects(scenario_to_dict(line_scenario()))))
+    assert main([*command, "--scenario", str(scenario)]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: unsupported scenario format version 1; "
+        "regenerate the file with meshroute gen (same --nodes, --placement, --seed, --range)\n"
+    )
 
 
 def test_bench_tiny_plan(tmp_path, capsys):

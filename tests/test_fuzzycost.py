@@ -13,17 +13,17 @@ from meshroute.fuzzycost import (
     RULE_TABLE,
     SAMPLE_OFFSETS,
     CostMatrix,
+    _memberships,
+    _normalize,
     build_cost_matrix,
     consequent_of,
     evaluate_ilc,
     exact_row_sums,
     ilc_costs,
-    input_memberships,
-    normalize_inputs,
 )
 from meshroute.topology import METRIC_HIGH, METRIC_LOW, NetworkScenario, generate_scenario
 
-from helpers import dense_adjacency, dense_costs, link_cost, out_neighbors, traced_peak_bytes
+from helpers import dense_adjacency, dense_costs, from_entries, link_cost, out_neighbors, traced_peak_bytes
 
 LATTICE = np.linspace(0.0, 1.0, 11)
 
@@ -105,16 +105,16 @@ def reference_from_arrays(n, src, dst, costs):
 
 def test_input_memberships_partition():
     for x in LATTICE:
-        m = input_memberships(float(x))
+        m = _memberships(np.array(x))
         assert m.shape == (3,)
         assert (m >= 0).all() and (m <= 1).all()
         assert sum(m) == pytest.approx(1.0)
 
 
 def test_input_memberships_peaks():
-    assert list(input_memberships(0.0)) == [1.0, 0.0, 0.0]
-    assert list(input_memberships(0.5)) == [0.0, 1.0, 0.0]
-    assert list(input_memberships(1.0)) == [0.0, 0.0, 1.0]
+    assert list(_memberships(np.array(0.0))) == [1.0, 0.0, 0.0]
+    assert list(_memberships(np.array(0.5))) == [0.0, 1.0, 0.0]
+    assert list(_memberships(np.array(1.0))) == [0.0, 0.0, 1.0]
 
 
 @pytest.mark.parametrize(
@@ -132,14 +132,14 @@ def test_rule_table_matches_score_rule():
 
 
 def test_normalize_endpoints_and_midpoint():
-    t, d, j = normalize_inputs(2.0, 50.5, 25.0)
+    t, d, j = _normalize(np.array([2.0, 50.5, 25.0])).tolist()
     assert t == 1.0
     assert d == pytest.approx(0.5)
     assert j == 1.0  # 25 ms clamps at the 20 ms jitter ceiling
 
 
 def test_normalize_clamps_below():
-    t, d, j = normalize_inputs(0.0, 0.0, -1.0)
+    t, d, j = _normalize(np.array([0.0, 0.0, -1.0])).tolist()
     assert (t, d, j) == (0.0, 0.0, 0.0)
 
 
@@ -299,12 +299,12 @@ def test_cost_matrix_no_links():
 def test_identical_metrics_identical_ilc(grid25):
     scenario, cm, _ = grid25
     (src, dst), (throughput, delay, jitter) = scenario.links[0].tolist(), scenario.metrics[0].tolist()
-    t, d, j = normalize_inputs(throughput, delay, jitter)
+    t, d, j = _normalize(np.array([throughput, delay, jitter])).tolist()
     assert link_cost(cm, src, dst) == evaluate_ilc(t, d, j)
 
 
 def test_cost_matrix_entry_errors():
-    cm = CostMatrix.from_entries(3, {(0, 1): 0.5})
+    cm = from_entries(3, {(0, 1): 0.5})
     assert 1 in out_neighbors(cm, 0)
     assert 0 not in out_neighbors(cm, 1)
     with pytest.raises(KeyError):
@@ -313,11 +313,11 @@ def test_cost_matrix_entry_errors():
 
 def test_cost_matrix_rejects_self_loops():
     with pytest.raises(ValueError):
-        CostMatrix.from_entries(2, {(1, 1): 0.3})
+        from_entries(2, {(1, 1): 0.3})
 
 
 def test_cost_matrix_neighbor_lists():
-    cm = CostMatrix.from_entries(4, {(0, 2): 0.1, (0, 1): 0.2, (3, 0): 0.4})
+    cm = from_entries(4, {(0, 2): 0.1, (0, 1): 0.2, (3, 0): 0.4})
     assert out_neighbors(cm, 0) == (1, 2)
     assert out_neighbors(cm, 3) == (0,)
     assert cm.links == (((1, 0.2), (2, 0.1)), (), (), ((0, 0.4),))
@@ -325,8 +325,8 @@ def test_cost_matrix_neighbor_lists():
 
 
 def test_cost_matrix_equality_is_identity():
-    a = CostMatrix.from_entries(3, {(0, 1): 0.5})
-    b = CostMatrix.from_entries(3, {(0, 1): 0.5})
+    a = from_entries(3, {(0, 1): 0.5})
+    b = from_entries(3, {(0, 1): 0.5})
     assert (a == b) is False
     assert (a == a) is True
 

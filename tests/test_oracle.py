@@ -5,7 +5,7 @@ import heapq
 import numpy as np
 import pytest
 
-from meshroute.fuzzycost import CostMatrix, build_cost_matrix
+from meshroute.fuzzycost import build_cost_matrix
 from meshroute.oracle import (
     OracleResult,
     UnreachableError,
@@ -16,7 +16,7 @@ from meshroute.oracle import (
 from meshroute.pathcodec import path_cost
 from meshroute.topology import generate_scenario
 
-from helpers import dense_costs, out_neighbors
+from helpers import dense_costs, from_entries, out_neighbors
 
 CAMPAIGN_GRAPHS = 150
 CAMPAIGN_SEED = 2024
@@ -79,25 +79,25 @@ def random_cm(rng, n, p):
         for j in range(n)
         if i != j and rng.random() < p
     }
-    return CostMatrix.from_entries(n, entries)
+    return from_entries(n, entries)
 
 
 def test_single_link():
-    cm = CostMatrix.from_entries(2, {(0, 1): 0.42})
+    cm = from_entries(2, {(0, 1): 0.42})
     r = shortest_path(cm, 0, 1)
     assert r.nodes == (0, 1)
     assert r.cost == pytest.approx(0.42)
 
 
 def test_two_hop_beats_direct():
-    cm = CostMatrix.from_entries(3, {(0, 2): 0.9, (0, 1): 0.3, (1, 2): 0.3})
+    cm = from_entries(3, {(0, 2): 0.9, (0, 1): 0.3, (1, 2): 0.3})
     r = shortest_path(cm, 0, 2)
     assert r.nodes == (0, 1, 2)
     assert r.cost == pytest.approx(0.6)
 
 
 def test_unreachable():
-    cm = CostMatrix.from_entries(3, {(0, 1): 0.5})
+    cm = from_entries(3, {(0, 1): 0.5})
     with pytest.raises(UnreachableError):
         shortest_path(cm, 0, 2)
     with pytest.raises(UnreachableError):
@@ -105,19 +105,19 @@ def test_unreachable():
 
 
 def test_source_equals_terminal_is_trivial():
-    cm = CostMatrix.from_entries(2, {(0, 1): 0.5})
+    cm = from_entries(2, {(0, 1): 0.5})
     r = shortest_path(cm, 1, 1)
     assert r == OracleResult((1,), 0.0)
 
 
 def test_out_of_range_endpoint():
-    cm = CostMatrix.from_entries(2, {(0, 1): 0.5})
+    cm = from_entries(2, {(0, 1): 0.5})
     with pytest.raises(ValueError):
         shortest_path(cm, 0, 2)
 
 
 def test_lexicographic_tie_break():
-    cm = CostMatrix.from_entries(
+    cm = from_entries(
         4, {(0, 1): 0.5, (0, 2): 0.5, (1, 3): 0.5, (2, 3): 0.5}
     )
     assert shortest_path(cm, 0, 3).nodes == (0, 1, 3)
@@ -127,7 +127,7 @@ def test_lexicographic_tie_break():
 def test_tie_compares_whole_routes_not_parents():
     # both routes to 3 cost 1.0; the parent route (0, 1) is a prefix of
     # (0, 1, 2), yet (0, 1, 2, 3) < (0, 1, 3)
-    cm = CostMatrix.from_entries(4, {(0, 1): 0.5, (1, 3): 0.5, (1, 2): 0.25, (2, 3): 0.25})
+    cm = from_entries(4, {(0, 1): 0.5, (1, 3): 0.5, (1, 2): 0.25, (2, 3): 0.25})
     expected = OracleResult((0, 1, 2, 3), 1.0)
     assert shortest_path(cm, 0, 3) == expected
     assert reference_shortest_path(cm, 0, 3) == expected
@@ -136,10 +136,10 @@ def test_tie_compares_whole_routes_not_parents():
 
 def test_equal_offer_keeps_or_replaces_label_by_whole_route():
     # the smaller route's parent 1 settles first: the later offer from 3 is dropped
-    keep = CostMatrix.from_entries(4, {(0, 1): 0.25, (1, 2): 0.5, (0, 3): 0.5, (3, 2): 0.25})
+    keep = from_entries(4, {(0, 1): 0.25, (1, 2): 0.5, (0, 3): 0.5, (3, 2): 0.25})
     assert shortest_path(keep, 0, 2) == OracleResult((0, 1, 2), 0.75)
     # the smaller route's parent 1 settles last: its equal offer replaces the label
-    swap = CostMatrix.from_entries(4, {(0, 3): 0.25, (3, 2): 0.5, (0, 1): 0.5, (1, 2): 0.25})
+    swap = from_entries(4, {(0, 3): 0.25, (3, 2): 0.5, (0, 1): 0.5, (1, 2): 0.25})
     assert shortest_path(swap, 0, 2) == OracleResult((0, 1, 2), 0.75)
 
 
@@ -170,7 +170,7 @@ def test_matches_reference_and_brute_force_on_ties():
             for j in range(n)
             if i != j and rng.random() < p
         }
-        cm = CostMatrix.from_entries(n, entries)
+        cm = from_entries(n, entries)
         for terminal in range(1, n):
             fast = outcome(shortest_path, cm, 0, terminal)
             assert fast == outcome(reference_shortest_path, cm, 0, terminal), (entries, terminal)
@@ -182,10 +182,10 @@ def test_matches_reference_and_brute_force_on_ties():
 def test_non_positive_link_raises_instead_of_looping():
     # a zero-cost link out of the source, and a negative link that would
     # lower a label (the old search returned an answer for both)
-    zero = CostMatrix.from_entries(3, {(0, 1): 0.0, (1, 0): 0.0, (1, 2): 0.5})
+    zero = from_entries(3, {(0, 1): 0.0, (1, 0): 0.0, (1, 2): 0.5})
     with pytest.raises(ValueError, match="link 0 -> 1 costs 0.0"):
         shortest_path(zero, 0, 2)
-    cycle = CostMatrix.from_entries(3, {(0, 1): 0.5, (1, 2): -1.0, (2, 1): 0.25})
+    cycle = from_entries(3, {(0, 1): 0.5, (1, 2): -1.0, (2, 1): 0.25})
     with pytest.raises(ValueError, match="link 1 -> 2 costs -1.0"):
         shortest_path(cycle, 0, 2)
 

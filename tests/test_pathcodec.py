@@ -11,15 +11,13 @@ from hypothesis import strategies as st
 from meshroute import bbbc, bbo
 from meshroute.bbbc import BbbcParams, run_bbbc
 from meshroute.bbo import BboParams, run_bbo
-from meshroute.fuzzycost import CostMatrix, build_cost_matrix
+from meshroute.fuzzycost import build_cost_matrix
 from meshroute.pathcodec import (
     BrokenPathError,
     NoPathError,
     Path,
-    decode,
     decode_path,
     path_cost,
-    random_vector,
 )
 from meshroute.topology import generate_scenario
 
@@ -27,6 +25,7 @@ from helpers import (
     OPTIMIZER_GOLDEN_CASES,
     dense_adjacency,
     dense_costs,
+    from_entries,
     link_cost,
     out_neighbors,
     scenario_cost_matrix,
@@ -34,7 +33,7 @@ from helpers import (
 
 
 def cm_of(n, pairs):
-    return CostMatrix.from_entries(n, {p: 0.1 for p in pairs})
+    return from_entries(n, {p: 0.1 for p in pairs})
 
 
 def reference_dfs(key_list, cm, source, terminal):
@@ -93,6 +92,10 @@ def reference_walk(key_list, cm, source, terminal):
     return tuple(path)
 
 
+def decode_nodes(keys, cm, source, terminal):
+    return decode_path(keys, cm, source, terminal).nodes
+
+
 def decode_or_none(decoder, *args):
     try:
         return decoder(*args)
@@ -116,57 +119,57 @@ def clique_trap(with_exit=True):
 
 def test_line_unique_path(line3_cm):
     for seed in range(5):
-        keys = random_vector(np.random.default_rng(seed), 3)
-        assert decode(keys, line3_cm, 0, 2) == (0, 1, 2)
+        keys = np.random.default_rng(seed).random(3)
+        assert decode_path(keys, line3_cm, 0, 2).nodes == (0, 1, 2)
 
 
 def test_diamond_prefers_higher_key(diamond_cm):
     keys = np.array([0.5, 0.9, 0.1, 0.0])
-    assert decode(keys, diamond_cm, 0, 3) == (0, 1, 3)
+    assert decode_path(keys, diamond_cm, 0, 3).nodes == (0, 1, 3)
     keys = np.array([0.5, 0.1, 0.9, 0.0])
-    assert decode(keys, diamond_cm, 0, 3) == (0, 2, 3)
+    assert decode_path(keys, diamond_cm, 0, 3).nodes == (0, 2, 3)
 
 
 def test_backtracks_out_of_dead_end():
     # node 1 carries the top key but is a dead end; node 2 reaches terminal
     cm = cm_of(4, [(0, 1), (0, 2), (2, 3)])
     keys = np.array([0.5, 0.9, 0.1, 0.3])
-    assert decode(keys, cm, 0, 3) == (0, 2, 3)
+    assert decode_path(keys, cm, 0, 3).nodes == (0, 2, 3)
 
 
 def test_equal_keys_tie_break_ascending_id(diamond_cm):
     keys = np.array([0.5, 0.4, 0.4, 0.0])
-    assert decode(keys, diamond_cm, 0, 3) == (0, 1, 3)
+    assert decode_path(keys, diamond_cm, 0, 3).nodes == (0, 1, 3)
 
 
 def test_decode_validates_arguments(line3_cm):
     with pytest.raises(ValueError):
-        decode(np.zeros(2), line3_cm, 0, 2)
+        decode_path(np.zeros(2), line3_cm, 0, 2).nodes
     with pytest.raises(ValueError):
-        decode(np.zeros(3), line3_cm, 0, 3)
+        decode_path(np.zeros(3), line3_cm, 0, 3).nodes
     with pytest.raises(ValueError):
-        decode(np.zeros(3), line3_cm, 1, 1)
+        decode_path(np.zeros(3), line3_cm, 1, 1).nodes
 
 
 def test_no_path_raises():
     cm = cm_of(3, [(0, 1)])
     with pytest.raises(NoPathError):
-        decode(np.array([0.1, 0.2, 0.3]), cm, 0, 2)
+        decode_path(np.array([0.1, 0.2, 0.3]), cm, 0, 2).nodes
 
 
 def test_nan_key_that_blocks_the_path_is_named(line3_cm):
     with pytest.raises(ValueError, match="key 1 is not finite: nan"):
-        decode(np.array([0.5, np.nan, 0.5]), line3_cm, 0, 2)
+        decode_path(np.array([0.5, np.nan, 0.5]), line3_cm, 0, 2).nodes
 
 
 def test_minus_inf_key_that_blocks_the_path_is_named(line3_cm):
     with pytest.raises(ValueError, match="key 1 is not finite: -inf"):
-        decode(np.array([0.5, -np.inf, 0.5]), line3_cm, 0, 2)
+        decode_path(np.array([0.5, -np.inf, 0.5]), line3_cm, 0, 2).nodes
 
 
 def test_decode_escapes_clique_trap():
     cm, keys = clique_trap(with_exit=True)
-    assert decode(keys, cm, 0, 9) == (0, 8, 9)
+    assert decode_path(keys, cm, 0, 9).nodes == (0, 8, 9)
     # the reference search agrees once it exhausts the clique
     assert reference_dfs(keys.tolist(), cm, 0, 9) == (0, 8, 9)
 
@@ -174,20 +177,20 @@ def test_decode_escapes_clique_trap():
 def test_clique_trap_without_exit_raises_no_path():
     cm, keys = clique_trap(with_exit=False)
     with pytest.raises(NoPathError):
-        decode(keys, cm, 0, 9)
+        decode_path(keys, cm, 0, 9).nodes
 
 
 def test_decode_deterministic(grid25):
     _, cm, _ = grid25
-    keys = random_vector(np.random.default_rng(7), cm.n)
-    assert decode(keys, cm, 0, 24) == decode(keys.copy(), cm, 0, 24)
+    keys = np.random.default_rng(7).random(cm.n)
+    assert decode_path(keys, cm, 0, 24).nodes == decode_path(keys.copy(), cm, 0, 24).nodes
 
 
 def test_decode_totality_on_grid(grid25):
     _, cm, _ = grid25
     rng = np.random.default_rng(123)
     for _ in range(100):
-        p = decode_path(random_vector(rng, cm.n), cm, 0, 24)
+        p = decode_path(rng.random(cm.n), cm, 0, 24)
         assert p.nodes[0] == 0 and p.nodes[-1] == 24
         assert len(set(p.nodes)) == len(p.nodes)
         hop_sum = sum(link_cost(cm, a, b) for a, b in zip(p.nodes, p.nodes[1:]))
@@ -217,7 +220,7 @@ def test_decode_matches_uncapped_dfs(case):
     n, edges, keys = case
     cm = cm_of(n, edges)
     reference = decode_or_none(reference_dfs, list(keys), cm, 0, n - 1)
-    assert decode_or_none(decode, np.array(keys), cm, 0, n - 1) == reference
+    assert decode_or_none(decode_nodes, np.array(keys), cm, 0, n - 1) == reference
     # the large-graph reference below is checked against the definition here
     assert decode_or_none(reference_walk, list(keys), cm, 0, n - 1) == reference
 
@@ -232,13 +235,13 @@ def test_decode_path_cost_is_path_cost_of_its_nodes(case, costs):
     # costs of mixed sign and far-apart magnitudes, on which another summation
     # order or a compensated sum rounds differently
     n, edges, keys = case
-    cm = CostMatrix.from_entries(n, dict(zip(edges, costs)))
+    cm = from_entries(n, dict(zip(edges, costs)))
     keys = np.array(keys)
     try:
         got = decode_path(keys, cm, 0, n - 1)
     except NoPathError:
         return
-    nodes = decode(keys, cm, 0, n - 1)
+    nodes = decode_path(keys, cm, 0, n - 1).nodes
     assert got.nodes == nodes
     assert got.cost == path_cost(nodes, cm) and type(got.cost) is float
 
@@ -246,11 +249,11 @@ def test_decode_path_cost_is_path_cost_of_its_nodes(case, costs):
 def perturbed_genomes(rng, n, count):
     """Fresh genomes, and offspring of one genome clipped to [0, 1] the way
     BB-BC makes them, which puts many equal keys at 0 and 1."""
-    center = random_vector(rng, n)
+    center = rng.random(n)
     genomes = []
     for i in range(count):
         if i % 2:
-            genomes.append(random_vector(rng, n))
+            genomes.append(rng.random(n))
         else:
             spread = 0.05 + 0.5 * i / count
             genomes.append(np.clip(center + spread * rng.standard_normal(n), 0.0, 1.0))
@@ -263,7 +266,7 @@ def test_decode_matches_reference_walk_on_large_scenarios(n, placement):
     rng = np.random.default_rng(101)
     for keys in perturbed_genomes(rng, n, 200):
         expected = reference_walk(keys.tolist(), cm, 0, n - 1)
-        assert decode(keys, cm, 0, n - 1) == expected
+        assert decode_path(keys, cm, 0, n - 1).nodes == expected
 
 
 def test_decode_matches_reference_walk_on_one_way_links():
@@ -276,9 +279,9 @@ def test_decode_matches_reference_walk_on_one_way_links():
         pairs = [(i, j) for i in range(n) for j in range(n) if i != j and rng.random() < density]
         cm = cm_of(n, pairs)
         for _ in range(10):
-            keys = np.round(random_vector(rng, n), 1)
+            keys = np.round(rng.random(n), 1)
             expected = decode_or_none(reference_walk, keys.tolist(), cm, 0, n - 1)
-            assert decode_or_none(decode, keys, cm, 0, n - 1) == expected
+            assert decode_or_none(decode_nodes, keys, cm, 0, n - 1) == expected
 
 
 def reference_decode_path(keys, cm, source, terminal):
@@ -320,13 +323,13 @@ def test_one_way_pocket_without_exit():
     # every node of the cycle still reaches the terminal through the source,
     # but none of them does once the walk holds the source
     cm, keys = one_way_pocket(exit_link=False)
-    assert decode(keys, cm, 0, 6) == (0, 4, 5, 6)
+    assert decode_path(keys, cm, 0, 6).nodes == (0, 4, 5, 6)
     assert reference_dfs(keys.tolist(), cm, 0, 6) == (0, 4, 5, 6)
 
 
 def test_one_way_exit_keeps_pocket_viable():
     cm, keys = one_way_pocket(exit_link=True)
-    assert decode(keys, cm, 0, 6) == (0, 1, 2, 5, 6)
+    assert decode_path(keys, cm, 0, 6).nodes == (0, 1, 2, 5, 6)
     assert reference_dfs(keys.tolist(), cm, 0, 6) == (0, 1, 2, 5, 6)
 
 
@@ -344,7 +347,7 @@ def decode_reads(keys, cm, source, terminal):
     """The decode on a copy of cm, and how many out-link lists it read."""
     links = CountingLinks(cm.links)
     counted = dataclasses.replace(cm, links=links)
-    return decode_or_none(decode, keys, counted, source, terminal), links.reads
+    return decode_or_none(decode_nodes, keys, counted, source, terminal), links.reads
 
 
 def test_decode_reads_each_node_at_most_twice():
@@ -366,7 +369,7 @@ def test_decode_reads_each_node_at_most_twice():
     rng = np.random.default_rng(4)
     for keys in perturbed_genomes(rng, cm.n, 40):
         path, reads = decode_reads(keys, cm, 0, cm.n - 1)
-        assert path == decode(keys, cm, 0, cm.n - 1)
+        assert path == decode_path(keys, cm, 0, cm.n - 1).nodes
         assert reads <= 2 * cm.n
 
 
@@ -406,7 +409,7 @@ def test_every_simple_path_is_reachable():
         cm = cm_of(n, pairs)
         for target_path in enumerate_simple_paths(cm, 0, n - 1):
             keys = keys_selecting(target_path, n)
-            assert decode(keys, cm, 0, n - 1) == target_path
+            assert decode_path(keys, cm, 0, n - 1).nodes == target_path
 
 
 def reference_path_cost(nodes, cm):
@@ -428,7 +431,7 @@ def test_path_cost_matches_dense_gather(n, placement, seed):
     cm = scenario_cost_matrix(n, placement, seed)
     rng = np.random.default_rng(seed)
     for _ in range(20):
-        nodes = decode(random_vector(rng, n), cm, 0, n - 1)
+        nodes = decode_path(rng.random(n), cm, 0, n - 1).nodes
         assert path_cost(nodes, cm).hex() == reference_path_cost(nodes, cm).hex()
         # the same node list, reversed, is a path over the reverse links
         back = nodes[::-1]
@@ -442,7 +445,7 @@ def test_path_cost_matches_dense_gather(n, placement, seed):
 
 def test_path_cost_additivity(grid25):
     _, cm, _ = grid25
-    nodes = decode(random_vector(np.random.default_rng(3), cm.n), cm, 0, 24)
+    nodes = decode_path(np.random.default_rng(3).random(cm.n), cm, 0, 24).nodes
     mid = len(nodes) // 2
     left = path_cost(nodes[: mid + 1], cm)
     right = path_cost(nodes[mid:], cm)
@@ -466,7 +469,7 @@ def test_path_cost_adds_left_to_right():
     # (math.fsum, or sum() from Python 3.12) and pairwise (np.sum) summation
     # keep the first seven and give 14.0
     costs = [1e16] + [1.0] * 7 + [-1e16] + [1.0] * 7
-    cm = CostMatrix.from_entries(17, {(i, i + 1): c for i, c in enumerate(costs)})
+    cm = from_entries(17, {(i, i + 1): c for i, c in enumerate(costs)})
     got = path_cost(tuple(range(17)), cm)
     assert got == 7.0 and type(got) is float
     assert math.fsum(costs) == float(np.sum(costs)) == 14.0
@@ -475,18 +478,19 @@ def test_path_cost_adds_left_to_right():
 def test_decode_path_adds_left_to_right():
     # the chain above, priced on the walk that decodes it
     costs = [1e16] + [1.0] * 7 + [-1e16] + [1.0] * 7
-    cm = CostMatrix.from_entries(17, {(i, i + 1): c for i, c in enumerate(costs)})
+    cm = from_entries(17, {(i, i + 1): c for i, c in enumerate(costs)})
     got = decode_path(np.full(17, 0.5), cm, 0, 16)
     assert got.nodes == tuple(range(17))
     assert got.cost == 7.0 and type(got.cost) is float
 
 
-def test_random_vector_contract():
+def test_random_keys_genome_contract():
+    # a random-keys genome is rng.random(n), the draw both optimizers make
     rng = np.random.default_rng(11)
-    a = random_vector(np.random.default_rng(11), 20)
-    b = random_vector(np.random.default_rng(11), 20)
+    a = np.random.default_rng(11).random(20)
+    b = np.random.default_rng(11).random(20)
     assert np.array_equal(a, b)
-    draws = [random_vector(rng, 20) for _ in range(100)]
+    draws = [rng.random(20) for _ in range(100)]
     assert all((d >= 0).all() and (d <= 1).all() for d in draws)
     assert any(not np.array_equal(draws[0], d) for d in draws[1:])
 

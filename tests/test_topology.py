@@ -36,7 +36,7 @@ from meshroute.topology import (
 )
 
 from helpers import traced_peak_bytes
-from scenario_v1 import v1_scenario_from_dict, v1_scenario_to_dict
+from scenario_v1 import v1_objects, v1_scenario_from_dict
 
 GRID25_LINKS = 80  # 2 * 2 * (5 * 4) orthogonal adjacencies on a 5x5 lattice
 GRID100_LINKS = 360
@@ -485,67 +485,9 @@ def test_scenario_version_check():
         scenario_from_dict(d)
 
 
-def grid9_dict():
-    """The 9-node grid as a format-1 object, one object per node and link."""
-    return v1_scenario_to_dict(generate_scenario(9, placement="grid", seed=0))
-
-
-def test_load_rejects_node_ids_not_in_order():
-    d = grid9_dict()
-    d["nodes"][3]["id"] = 7
-    with pytest.raises(ValueError, match="ids must be 0..n-1"):
-        scenario_from_dict(d)
-
-
-@pytest.mark.parametrize("end, node", [("to", 50), ("to", 9), ("from", -1)])
-def test_load_rejects_link_endpoint_out_of_range(end, node):
-    d = grid9_dict()
-    d["links"][4][end] = node
-    with pytest.raises(ValueError, match="outside 0..8"):
-        scenario_from_dict(d)
-
-
-def test_load_rejects_self_loop():
-    d = grid9_dict()
-    d["links"][0]["to"] = d["links"][0]["from"]
-    with pytest.raises(ValueError, match="self-loop"):
-        scenario_from_dict(d)
-
-
-def test_load_rejects_duplicate_link():
-    d = grid9_dict()
-    d["links"].append(dict(d["links"][5]))
-    with pytest.raises(ValueError, match="duplicate link"):
-        scenario_from_dict(d)
-
-
-@pytest.mark.parametrize("key", ["throughput_mbps", "delay_ms", "jitter_ms"])
-@pytest.mark.parametrize("value", [math.nan, math.inf, -0.5])
-def test_load_rejects_bad_metric(key, value):
-    d = grid9_dict()
-    d["links"][2][key] = value
-    with pytest.raises(ValueError, match="negative or not finite"):
-        scenario_from_dict(d)
-
-
-@pytest.mark.parametrize("where, key", [("top", "seed"), ("top", "links"), ("node", "x_m"), ("link", "delay_ms")])
-def test_load_rejects_missing_key(where, key):
-    d = grid9_dict()
-    holder = {"top": d, "node": d["nodes"][1], "link": d["links"][1]}[where]
-    del holder[key]
-    with pytest.raises(ValueError, match=f"required key '{key}'"):
-        scenario_from_dict(d)
-
-
 def test_load_rejects_non_object():
     with pytest.raises(ValueError, match="JSON object"):
         scenario_from_dict([1, 2, 3])
-
-
-def test_load_accepts_zero_metrics():
-    d = grid9_dict()
-    d["links"][0].update(throughput_mbps=0.0, delay_ms=0.0, jitter_ms=0.0)
-    assert scenario_from_dict(d).metrics[0, 1] == 0.0
 
 
 def test_scenario_links_sorted_in_file(tmp_path):
@@ -614,12 +556,38 @@ def test_hand_built_links_sorted_stably():
     assert not s.links.flags.writeable and not s.metrics.flags.writeable
 
 
-# --- format 2: the malformed-file cases of format 1, on columns -------------
+# --- malformed files -----------------------------------------------------------
 
 
 def grid9_v2_dict():
     """The 9-node grid as a format-2 object, one list per column."""
     return scenario_to_dict(generate_scenario(9, placement="grid", seed=0))
+
+
+def grid9_dict():
+    """The 9-node grid laid out as format 1, one object per node and link."""
+    return v1_objects(grid9_v2_dict())
+
+
+def test_load_refuses_format_1_with_a_hint_to_regenerate():
+    with pytest.raises(ValueError) as error:
+        scenario_from_dict(grid9_dict())
+    assert str(error.value) == (
+        "unsupported scenario format version 1; "
+        "regenerate the file with meshroute gen (same --nodes, --placement, --seed, --range)"
+    )
+
+
+@pytest.mark.parametrize(
+    "table, value, kind",
+    [("nodes", [], "list"), ("links", [{"from": 0, "to": 1}], "list"), ("nodes", 5, "int"), ("links", "x", "str")],
+)
+def test_load_names_a_table_that_is_not_an_object(table, value, kind):
+    d = grid9_v2_dict()
+    d[table] = value
+    message = f"malformed scenario: '{table}' must be a JSON object of columns, not {kind}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        scenario_from_dict(d)
 
 
 def test_v2_file_layout(tmp_path):
@@ -723,19 +691,7 @@ def test_load_rejects_version_that_is_not_an_integer(version):
         scenario_from_dict(d)
 
 
-# --- values that used to be coerced: both formats -----------------------------
-
-
-def set_entry(d, table, row, key, value):
-    """Set one node or link field of a format-1 or format-2 object."""
-    if d["version"] == 1:
-        d[table][row][key] = value
-    else:
-        d[table][key][row] = value
-
-
-def grid9_in(version):
-    return grid9_dict() if version == 1 else grid9_v2_dict()
+# --- values that used to be coerced -------------------------------------------
 
 
 COERCED = [
@@ -749,46 +705,33 @@ COERCED = [
 ]
 
 
-@pytest.mark.parametrize("version", [1, 2])
 @pytest.mark.parametrize("table, row, key, value, message", COERCED)
-def test_load_rejects_values_it_used_to_coerce(version, table, row, key, value, message):
-    d = grid9_in(version)
-    set_entry(d, table, row, key, value)
+def test_load_rejects_values_it_used_to_coerce(table, row, key, value, message):
+    d = grid9_v2_dict()
+    d[table][key][row] = value
     with pytest.raises(ValueError, match=message):
         scenario_from_dict(d)
 
 
-@pytest.mark.parametrize("version", [1, 2])
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("key", ["x_m", "y_m"])
-def test_load_rejects_coordinate_not_finite(version, value, key):
-    d = grid9_in(version)
-    set_entry(d, "nodes", 6, key, value)
+def test_load_rejects_coordinate_not_finite(value, key):
+    d = grid9_v2_dict()
+    d["nodes"][key][6] = value
     with pytest.raises(ValueError, match="node 6 has a coordinate that is not finite"):
         scenario_from_dict(d)
 
 
-@pytest.mark.parametrize("node_id, message", [(1.7, r"node 1 has 'id' 1\.7, not an integer"),
-                                              (True, r"node 1 has 'id' True, not an integer")])
-def test_load_v1_rejects_node_id_that_is_not_an_integer(node_id, message):
-    d = grid9_dict()
-    d["nodes"][1]["id"] = node_id
-    with pytest.raises(ValueError, match=message):
-        scenario_from_dict(d)
-
-
-@pytest.mark.parametrize("version", [1, 2])
-def test_load_names_endpoint_past_int64_as_out_of_range(version):
-    d = grid9_in(version)
-    set_entry(d, "links", 1, "to", 10**30)
+def test_load_names_endpoint_past_int64_as_out_of_range():
+    d = grid9_v2_dict()
+    d["links"]["to"][1] = 10**30
     with pytest.raises(ValueError, match=f"-> {10**30} has an endpoint outside 0..8"):
         scenario_from_dict(d)
 
 
-@pytest.mark.parametrize("version", [1, 2])
-def test_load_rejects_metric_past_float_range(version):
-    d = grid9_in(version)
-    set_entry(d, "links", 1, "delay_ms", 10**400)
+def test_load_rejects_metric_past_float_range():
+    d = grid9_v2_dict()
+    d["links"]["delay_ms"][1] = 10**400
     with pytest.raises(ValueError, match="malformed scenario: int too large"):
         scenario_from_dict(d)
 
@@ -803,16 +746,14 @@ SCALARS = [
 ]
 
 
-@pytest.mark.parametrize("version", [1, 2])
 @pytest.mark.parametrize("key, value, message", SCALARS)
-def test_load_rejects_scalar_it_used_to_coerce(version, key, value, message):
-    d = grid9_in(version)
+def test_load_rejects_scalar_it_used_to_coerce(key, value, message):
+    d = grid9_v2_dict()
     d[key] = value
     with pytest.raises(ValueError, match=message):
         scenario_from_dict(d)
 
 
-@pytest.mark.parametrize("version", [1, 2])
 @pytest.mark.parametrize(
     "key, value, message",
     [
@@ -823,26 +764,25 @@ def test_load_rejects_scalar_it_used_to_coerce(version, key, value, message):
         ("radio_range_m", -5, r"scenario 'radio_range_m' is -5, which is not positive"),
     ],
 )
-def test_load_rejects_scalar_generate_scenario_never_writes(version, key, value, message):
+def test_load_rejects_scalar_generate_scenario_never_writes(key, value, message):
     # generate_scenario refuses a radio range that is not positive, its
     # area side is positive for every node count it takes, and
     # numpy.random.default_rng refuses a negative seed
-    d = grid9_in(version)
+    d = grid9_v2_dict()
     d[key] = value
     with pytest.raises(ValueError, match=message):
         scenario_from_dict(d)
 
 
-@pytest.mark.parametrize("version", [1, 2])
-def test_load_keeps_integer_lengths_as_floats(version):
-    d = grid9_in(version)
+def test_load_keeps_integer_lengths_as_floats():
+    d = grid9_v2_dict()
     d.update(area_side_m=400, radio_range_m=250)
     s = scenario_from_dict(d)
     assert (type(s.area_side), type(s.radio_range)) == (float, float)
     assert s == generate_scenario(9, placement="grid", seed=0)
 
 
-# --- format 1 against format 2, and against the format-1 reference reader ----
+# --- files against the link-by-link reference reader ---------------------------
 
 
 def cost_hexes(scenario):
@@ -853,22 +793,24 @@ def cost_hexes(scenario):
     "n, placement, seed",
     [(n, placement, seed) for n, placement, seeds in GOLDEN_CASES for seed in seeds],
 )
-def test_v1_and_v2_files_load_equal(n, placement, seed, tmp_path):
+def test_file_loads_as_the_link_by_link_reader_reads_it(n, placement, seed, tmp_path):
     s = generate_scenario(n, placement=placement, seed=seed)
-    v1, v2 = tmp_path / "v1.json", tmp_path / "v2.json"
-    v1.write_text(json.dumps(v1_scenario_to_dict(s)) + "\n")
-    save_scenario(s, v2)
-    from_v1, from_v2 = load_scenario(v1), load_scenario(v2)
-    assert from_v1 == from_v2 == s
-    assert from_v1 == v1_scenario_from_dict(json.loads(v1.read_text()))
-    assert cost_hexes(from_v1) == cost_hexes(from_v2)
+    path = tmp_path / "s.json"
+    save_scenario(s, path)
+    loaded = load_scenario(path)
+    assert loaded == s
+    assert loaded == v1_scenario_from_dict(v1_objects(json.loads(path.read_text())))
+    assert cost_hexes(loaded) == cost_hexes(s)
 
 
-def test_shuffled_v1_file_loads_sorted_and_resaves_identically(tmp_path):
+def test_shuffled_file_loads_sorted_and_resaves_identically(tmp_path):
     s = generate_scenario(100, placement="random", seed=5)
-    d = v1_scenario_to_dict(s)
-    np.random.default_rng(0).shuffle(d["links"])
-    assert [(k["from"], k["to"]) for k in d["links"]] != s.links.tolist()
+    d = scenario_to_dict(s)
+    # the rows are permuted together, one link at a time
+    rows = list(zip(*d["links"].values()))
+    np.random.default_rng(0).shuffle(rows)
+    d["links"] = dict(zip(d["links"], map(list, zip(*rows))))
+    assert [list(row[:2]) for row in rows] != s.links.tolist()
     loaded = scenario_from_dict(d)
     assert loaded == s
     save_scenario(loaded, tmp_path / "a.json")
@@ -905,8 +847,6 @@ def test_first_fault_named_as_the_link_by_link_reader_names_it(faults, random):
             FAULTS[name](d["links"][at], 9)
     with pytest.raises(ValueError) as reference:
         v1_scenario_from_dict(d)
-    with pytest.raises(ValueError, match=f"^{re.escape(str(reference.value))}$"):
-        scenario_from_dict(d)
     v2 = {
         **d,
         "version": 2,
@@ -917,19 +857,13 @@ def test_first_fault_named_as_the_link_by_link_reader_names_it(faults, random):
         scenario_from_dict(v2)
 
 
-@pytest.mark.parametrize("version", [1, 2])
-def test_repeat_flags_the_later_copy_in_a_large_file(version):
+def test_repeat_flags_the_later_copy_in_a_large_file():
     # links 0..999 come back at the end and link 1000 has a bad metric
     # between the copies: the bad metric is met first, so the sort that finds
     # repeats must keep every pair of copies in file order
-    s = generate_scenario(2500, placement="grid", seed=0)
-    if version == 1:
-        d = v1_scenario_to_dict(s)
-        d["links"] += [dict(link) for link in d["links"][:1000]]
-    else:
-        d = scenario_to_dict(s)
-        for column in d["links"].values():
-            column += column[:1000]
-    set_entry(d, "links", 1000, "delay_ms", -1.0)
+    d = scenario_to_dict(generate_scenario(2500, placement="grid", seed=0))
+    for column in d["links"].values():
+        column += column[:1000]
+    d["links"]["delay_ms"][1000] = -1.0
     with pytest.raises(ValueError, match=r"^link 265 -> 264 has a metric that is negative or not finite$"):
         scenario_from_dict(d)
