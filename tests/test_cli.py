@@ -35,6 +35,18 @@ def line_scenario():
     )
 
 
+def line_scenario_in(version):
+    """The line scenario as a format-2 object, or laid out as format 1."""
+    data = scenario_to_dict(line_scenario())
+    return v1_objects(data) if version == 1 else data
+
+
+REGENERATE = (
+    "error: unsupported scenario format version 1; "
+    "regenerate the file with meshroute gen (same --nodes, --placement, --seed, --range)\n"
+)
+
+
 def write_split_scenario(path):
     positions = [(0.0, 0.0), (5000.0, 5000.0)]
     s = NetworkScenario(seed=0, area_side=5000.0, radio_range=250.0, positions=positions, links=[], metrics=[])
@@ -210,66 +222,81 @@ def test_oracle_rejects_malformed_scenario(tmp_path, capsys, fault):
     assert captured.err.startswith("error: ")
 
 
+# A format-1 file is refused with the regenerate hint whatever it holds; a
+# format-2 file is read, and its fault named.
+
+
+@pytest.mark.parametrize("version", [1, 2])
 @pytest.mark.parametrize(
     "table, key, value",
     [("links", "from", 0.9), ("links", "to", True), ("links", "throughput_mbps", "1.5"), ("nodes", "x_m", "nan")],
     ids=["float-endpoint", "bool-endpoint", "text-metric", "text-coordinate"],
 )
-def test_oracle_rejects_value_the_loader_used_to_coerce(tmp_path, capsys, table, key, value):
+def test_oracle_rejects_value_the_loader_used_to_coerce(tmp_path, capsys, version, table, key, value):
     scenario = tmp_path / "line.json"
-    write_line_scenario(scenario)
-    data = json.loads(scenario.read_text())
-    data[table][key][0] = value
+    data = line_scenario_in(version)
+    if version == 1:
+        data[table][0][key] = value
+    else:
+        data[table][key][0] = value
     scenario.write_text(json.dumps(data))
     assert main(["oracle", "--scenario", str(scenario)]) == EXIT_USAGE
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error: ")
-    assert "not a number" in captured.err or "not an integer" in captured.err
     assert "Traceback" not in captured.err
+    if version == 1:
+        assert captured.err == REGENERATE
+    else:
+        assert captured.err.startswith("error: ")
+        assert "not a number" in captured.err or "not an integer" in captured.err
 
 
+@pytest.mark.parametrize("version", [1, 2])
 @pytest.mark.parametrize(
     "key, value", [("seed", 1.7), ("area_side_m", "12"), ("radio_range_m", True)], ids=["seed", "area", "range"]
 )
-def test_oracle_rejects_scalar_the_loader_used_to_coerce(tmp_path, capsys, key, value):
+def test_oracle_rejects_scalar_the_loader_used_to_coerce(tmp_path, capsys, version, key, value):
     scenario = tmp_path / "line.json"
-    data = scenario_to_dict(line_scenario())
+    data = line_scenario_in(version)
     data[key] = value
     scenario.write_text(json.dumps(data))
     assert main(["oracle", "--scenario", str(scenario)]) == EXIT_USAGE
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith(f"error: scenario {key!r} is {value!r}, not ")
     assert "Traceback" not in captured.err
+    if version == 1:
+        assert captured.err == REGENERATE
+    else:
+        assert captured.err.startswith(f"error: scenario {key!r} is {value!r}, not ")
 
 
+@pytest.mark.parametrize("version", [1, 2])
 @pytest.mark.parametrize(
     "key, value", [("seed", -3), ("area_side_m", 0), ("radio_range_m", -5.0)], ids=["seed", "area", "range"]
 )
-def test_oracle_rejects_scalar_no_generated_scenario_has(tmp_path, capsys, key, value):
+def test_oracle_rejects_scalar_no_generated_scenario_has(tmp_path, capsys, version, key, value):
     scenario = tmp_path / "line.json"
-    data = scenario_to_dict(line_scenario())
+    data = line_scenario_in(version)
     data[key] = value
     scenario.write_text(json.dumps(data))
     assert main(["oracle", "--scenario", str(scenario)]) == EXIT_USAGE
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith(f"error: scenario {key!r} is {value!r}, which is ")
     assert "Traceback" not in captured.err
+    if version == 1:
+        assert captured.err == REGENERATE
+    else:
+        assert captured.err.startswith(f"error: scenario {key!r} is {value!r}, which is ")
 
 
 @pytest.mark.parametrize("command", [["oracle"], ["solve", "--algo", "bbo"]], ids=["oracle", "solve"])
 def test_format_1_scenario_exits_with_a_hint_to_regenerate(tmp_path, capsys, command):
     scenario = tmp_path / "v1.json"
-    scenario.write_text(json.dumps(v1_objects(scenario_to_dict(line_scenario()))))
+    scenario.write_text(json.dumps(line_scenario_in(1)))
     assert main([*command, "--scenario", str(scenario)]) == EXIT_USAGE
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == (
-        "error: unsupported scenario format version 1; "
-        "regenerate the file with meshroute gen (same --nodes, --placement, --seed, --range)\n"
-    )
+    assert captured.err == REGENERATE
 
 
 def test_bench_tiny_plan(tmp_path, capsys):

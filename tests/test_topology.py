@@ -569,13 +569,16 @@ def grid9_dict():
     return v1_objects(grid9_v2_dict())
 
 
+REGENERATE = (
+    "unsupported scenario format version 1; "
+    "regenerate the file with meshroute gen (same --nodes, --placement, --seed, --range)"
+)
+
+
 def test_load_refuses_format_1_with_a_hint_to_regenerate():
     with pytest.raises(ValueError) as error:
         scenario_from_dict(grid9_dict())
-    assert str(error.value) == (
-        "unsupported scenario format version 1; "
-        "regenerate the file with meshroute gen (same --nodes, --placement, --seed, --range)"
-    )
+    assert str(error.value) == REGENERATE
 
 
 @pytest.mark.parametrize(
@@ -691,7 +694,25 @@ def test_load_rejects_version_that_is_not_an_integer(version):
         scenario_from_dict(d)
 
 
-# --- values that used to be coerced -------------------------------------------
+# --- values that used to be coerced: format 2 reads them, format 1 is refused --
+
+
+def set_entry(d, table, row, key, value):
+    """Set one node or link field of a format-1 or format-2 object."""
+    if d["version"] == 1:
+        d[table][row][key] = value
+    else:
+        d[table][key][row] = value
+
+
+def grid9_in(version):
+    return grid9_dict() if version == 1 else grid9_v2_dict()
+
+
+def refusal(version, message):
+    """What the loader says of a fault in a file of this version: a format-1
+    file is refused with the hint before any field in it is read."""
+    return f"^{re.escape(REGENERATE)}$" if version == 1 else message
 
 
 COERCED = [
@@ -705,34 +726,38 @@ COERCED = [
 ]
 
 
+@pytest.mark.parametrize("version", [1, 2])
 @pytest.mark.parametrize("table, row, key, value, message", COERCED)
-def test_load_rejects_values_it_used_to_coerce(table, row, key, value, message):
-    d = grid9_v2_dict()
-    d[table][key][row] = value
-    with pytest.raises(ValueError, match=message):
+def test_load_rejects_values_it_used_to_coerce(version, table, row, key, value, message):
+    d = grid9_in(version)
+    set_entry(d, table, row, key, value)
+    with pytest.raises(ValueError, match=refusal(version, message)):
         scenario_from_dict(d)
 
 
+@pytest.mark.parametrize("version", [1, 2])
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("key", ["x_m", "y_m"])
-def test_load_rejects_coordinate_not_finite(value, key):
-    d = grid9_v2_dict()
-    d["nodes"][key][6] = value
-    with pytest.raises(ValueError, match="node 6 has a coordinate that is not finite"):
+def test_load_rejects_coordinate_not_finite(version, value, key):
+    d = grid9_in(version)
+    set_entry(d, "nodes", 6, key, value)
+    with pytest.raises(ValueError, match=refusal(version, "node 6 has a coordinate that is not finite")):
         scenario_from_dict(d)
 
 
-def test_load_names_endpoint_past_int64_as_out_of_range():
-    d = grid9_v2_dict()
-    d["links"]["to"][1] = 10**30
-    with pytest.raises(ValueError, match=f"-> {10**30} has an endpoint outside 0..8"):
+@pytest.mark.parametrize("version", [1, 2])
+def test_load_names_endpoint_past_int64_as_out_of_range(version):
+    d = grid9_in(version)
+    set_entry(d, "links", 1, "to", 10**30)
+    with pytest.raises(ValueError, match=refusal(version, f"-> {10**30} has an endpoint outside 0..8")):
         scenario_from_dict(d)
 
 
-def test_load_rejects_metric_past_float_range():
-    d = grid9_v2_dict()
-    d["links"]["delay_ms"][1] = 10**400
-    with pytest.raises(ValueError, match="malformed scenario: int too large"):
+@pytest.mark.parametrize("version", [1, 2])
+def test_load_rejects_metric_past_float_range(version):
+    d = grid9_in(version)
+    set_entry(d, "links", 1, "delay_ms", 10**400)
+    with pytest.raises(ValueError, match=refusal(version, "malformed scenario: int too large")):
         scenario_from_dict(d)
 
 
@@ -746,14 +771,16 @@ SCALARS = [
 ]
 
 
+@pytest.mark.parametrize("version", [1, 2])
 @pytest.mark.parametrize("key, value, message", SCALARS)
-def test_load_rejects_scalar_it_used_to_coerce(key, value, message):
-    d = grid9_v2_dict()
+def test_load_rejects_scalar_it_used_to_coerce(version, key, value, message):
+    d = grid9_in(version)
     d[key] = value
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(ValueError, match=refusal(version, message)):
         scenario_from_dict(d)
 
 
+@pytest.mark.parametrize("version", [1, 2])
 @pytest.mark.parametrize(
     "key, value, message",
     [
@@ -764,19 +791,24 @@ def test_load_rejects_scalar_it_used_to_coerce(key, value, message):
         ("radio_range_m", -5, r"scenario 'radio_range_m' is -5, which is not positive"),
     ],
 )
-def test_load_rejects_scalar_generate_scenario_never_writes(key, value, message):
+def test_load_rejects_scalar_generate_scenario_never_writes(version, key, value, message):
     # generate_scenario refuses a radio range that is not positive, its
     # area side is positive for every node count it takes, and
     # numpy.random.default_rng refuses a negative seed
-    d = grid9_v2_dict()
+    d = grid9_in(version)
     d[key] = value
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(ValueError, match=refusal(version, message)):
         scenario_from_dict(d)
 
 
-def test_load_keeps_integer_lengths_as_floats():
-    d = grid9_v2_dict()
+@pytest.mark.parametrize("version", [1, 2])
+def test_load_keeps_integer_lengths_as_floats(version):
+    d = grid9_in(version)
     d.update(area_side_m=400, radio_range_m=250)
+    if version == 1:
+        with pytest.raises(ValueError, match=f"^{re.escape(REGENERATE)}$"):
+            scenario_from_dict(d)
+        return
     s = scenario_from_dict(d)
     assert (type(s.area_side), type(s.radio_range)) == (float, float)
     assert s == generate_scenario(9, placement="grid", seed=0)
@@ -818,6 +850,72 @@ def test_shuffled_file_loads_sorted_and_resaves_identically(tmp_path):
     assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
 
 
+def as_columns(d):
+    """A format-1 object's nodes and links laid out as format-2 columns, in
+    the same order."""
+    return {
+        **d,
+        "version": 2,
+        "nodes": {key: [node[key] for node in d["nodes"]] for key in NODE_COLUMNS},
+        "links": {key: [link[key] for link in d["links"]] for key in LINK_COLUMNS},
+    }
+
+
+def assert_named_as_the_reference_names_it(columns, objects):
+    with pytest.raises(ValueError) as reference:
+        v1_scenario_from_dict(objects)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(reference.value))}$"):
+        scenario_from_dict(columns)
+
+
+ONE_FAULT = (
+    [pytest.param(4, {end: node}, id=f"{end}-{node}") for end, node in [("to", 50), ("to", 9), ("from", -1)]]
+    + [pytest.param(1, {"to": 10**30}, id="to-past-int64")]
+    + [pytest.param(0, {"to": 0}, id="self-loop")]
+    + [
+        pytest.param(2, {key: value}, id=f"{key}-{value}")
+        for value in [math.nan, math.inf, -0.5]
+        for key in ["throughput_mbps", "delay_ms", "jitter_ms"]
+    ]
+)
+
+
+@pytest.mark.parametrize("row, fields", ONE_FAULT)
+def test_one_link_fault_named_as_the_link_by_link_reader_names_it(row, fields):
+    # the format-2 twins above match a part of the message; this checks all of it
+    d = grid9_dict()
+    d["links"][row].update(fields)
+    assert_named_as_the_reference_names_it(as_columns(d), d)
+
+
+def test_duplicate_link_named_as_the_link_by_link_reader_names_it():
+    d = grid9_dict()
+    d["links"].append(dict(d["links"][5]))
+    assert_named_as_the_reference_names_it(as_columns(d), d)
+
+
+@pytest.mark.parametrize("where, key", [("top", "seed"), ("top", "links"), ("node", "x_m"), ("link", "delay_ms")])
+def test_missing_key_named_as_the_link_by_link_reader_names_it(where, key):
+    # format 2 loses a whole column where format 1 loses one field of a row
+    columns, objects = grid9_v2_dict(), grid9_dict()
+    holders = {
+        "top": (columns, objects),
+        "node": (columns["nodes"], objects["nodes"][1]),
+        "link": (columns["links"], objects["links"][1]),
+    }[where]
+    for holder in holders:
+        del holder[key]
+    assert_named_as_the_reference_names_it(columns, objects)
+
+
+def test_zero_metrics_load_as_the_link_by_link_reader_loads_them():
+    d = grid9_dict()
+    d["links"][0].update(throughput_mbps=0.0, delay_ms=0.0, jitter_ms=0.0)
+    loaded = scenario_from_dict(as_columns(d))
+    assert loaded == v1_scenario_from_dict(d)
+    assert loaded.metrics[0].tolist() == [0.0, 0.0, 0.0]
+
+
 FAULTS = {
     "outside": lambda link, n: link.update({"to": n + 3}),
     "negative": lambda link, n: link.update({"from": -1}),
@@ -845,19 +943,11 @@ def test_first_fault_named_as_the_link_by_link_reader_names_it(faults, random):
             d["links"].insert(max(at, other) + 1, dict(d["links"][min(at, other)]))
         else:
             FAULTS[name](d["links"][at], 9)
-    with pytest.raises(ValueError) as reference:
-        v1_scenario_from_dict(d)
-    v2 = {
-        **d,
-        "version": 2,
-        "nodes": {key: [node[key] for node in d["nodes"]] for key in NODE_COLUMNS},
-        "links": {key: [link[key] for link in d["links"]] for key in LINK_COLUMNS},
-    }
-    with pytest.raises(ValueError, match=f"^{re.escape(str(reference.value))}$"):
-        scenario_from_dict(v2)
+    assert_named_as_the_reference_names_it(as_columns(d), d)
 
 
-def test_repeat_flags_the_later_copy_in_a_large_file():
+@pytest.mark.parametrize("version", [1, 2])
+def test_repeat_flags_the_later_copy_in_a_large_file(version):
     # links 0..999 come back at the end and link 1000 has a bad metric
     # between the copies: the bad metric is met first, so the sort that finds
     # repeats must keep every pair of copies in file order
@@ -865,5 +955,8 @@ def test_repeat_flags_the_later_copy_in_a_large_file():
     for column in d["links"].values():
         column += column[:1000]
     d["links"]["delay_ms"][1000] = -1.0
-    with pytest.raises(ValueError, match=r"^link 265 -> 264 has a metric that is negative or not finite$"):
+    if version == 1:
+        d = v1_objects(d)
+    message = r"^link 265 -> 264 has a metric that is negative or not finite$"
+    with pytest.raises(ValueError, match=refusal(version, message)):
         scenario_from_dict(d)
