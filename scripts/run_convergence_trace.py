@@ -3,17 +3,21 @@
 
 Emits one trace CSV per algorithm and prints a fixed-width comparison of the
 convergence curves against the exact optimum, sampled every few generations.
-A bad argument prints one "error:" line and exits 2, as the meshroute CLI does.
+As with the meshroute CLI, a failure prints one "error:" line: a bad argument
+exits 2, and a domain error (a placement that never connects, no path, an
+unreachable terminal) exits 3.
 """
 
 import argparse
 import sys
 from pathlib import Path
 
-from meshroute.bench import ALGORITHMS, emit_trace, run_algorithm
+from meshroute.bench import ALGORITHMS, emit_trace
 from meshroute.fuzzycost import build_cost_matrix
-from meshroute.oracle import shortest_path
-from meshroute.topology import PLACEMENTS, generate_scenario
+from meshroute.oracle import UnreachableError, shortest_path
+from meshroute.pathcodec import NoPathError
+from meshroute.results import RunParams
+from meshroute.topology import PLACEMENTS, ConnectivityError, generate_scenario
 
 
 def parse_args(argv=None):
@@ -36,21 +40,25 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except (ConnectivityError, NoPathError, UnreachableError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
 
 
 def trace(args) -> int:
     if args.sample_every < 1:
         raise ValueError(f"--sample-every must be at least 1, got {args.sample_every}")
+    params = RunParams(
+        max_generations=args.generations, population_size=args.population, rng_seed=args.opt_seed
+    )
     scenario = generate_scenario(args.nodes, placement=args.placement, seed=args.scenario_seed)
     cm = build_cost_matrix(scenario)
     source, terminal = 0, scenario.n - 1
     oracle = shortest_path(cm, source, terminal)
 
     results = {
-        name: run_algorithm(
-            name, cm, source, terminal, args.generations, args.population, args.opt_seed
-        ).with_oracle(oracle.cost)
-        for name in ALGORITHMS
+        name: run(cm, source, terminal, params).with_oracle(oracle.cost)
+        for name, run in ALGORITHMS.items()
     }
 
     out_dir = Path(args.out)

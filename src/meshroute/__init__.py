@@ -12,7 +12,7 @@ from .bench import BenchPlan, run_plan, summarize
 from .fuzzycost import CostMatrix, build_cost_matrix, evaluate_ilc
 from .oracle import OracleResult, UnreachableError, percent_error, shortest_path
 from .pathcodec import BrokenPathError, NoPathError, Path, decode_path, path_cost
-from .results import RunResult, TracePoint
+from .results import RunParams, RunResult, TracePoint
 from .topology import (
     ConnectivityError,
     NetworkScenario,
@@ -34,6 +34,7 @@ __all__ = [
     "NoPathError",
     "OracleResult",
     "Path",
+    "RunParams",
     "RunResult",
     "TracePoint",
     "UnreachableError",

@@ -19,13 +19,11 @@ a per-offspring loop would.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .fuzzycost import CostMatrix
 from .pathcodec import decode_path
-from .results import RunResult, evolve
+from .results import RunParams, RunResult, evolve
 
 # Share of the non-elite slots refilled with fresh uniform candidates at each
 # bang; the rest are perturbations of the crunched mass points.
@@ -36,22 +34,12 @@ ANCHOR_POOL = 3
 # The 1/step contraction restarts every CYCLE_LEN generations so late
 # generations still alternate wide bangs with tight crunches.
 CYCLE_LEN = 8
+# Radius of the first bang in each cycle, in key units.
+UPPER_LIMIT = 1.0
 
 
-@dataclass(frozen=True)
-class BbbcParams:
-    max_generations: int
-    population_size: int = 50
-    upper_limit: float = 1.0
-    rng_seed: int = 0
-
-    def __post_init__(self):
-        if self.max_generations < 1:
-            raise ValueError("max_generations must be >= 1")
-        if self.population_size < 2:
-            raise ValueError("population_size must be >= 2")
-        if self.upper_limit <= 0:
-            raise ValueError("upper_limit must be positive")
+# The record's name from when each optimizer had its own, kept for importers.
+BbbcParams = RunParams
 
 
 def center_of_mass(population: np.ndarray, fitness: np.ndarray) -> np.ndarray:
@@ -93,7 +81,7 @@ def spawn(
     return _bang(center, rng.standard_normal(center.shape), upper_limit, step)
 
 
-def run_bbbc(cm: CostMatrix, source: int, terminal: int, params: BbbcParams) -> RunResult:
+def run_bbbc(cm: CostMatrix, source: int, terminal: int, params: RunParams) -> RunResult:
     pop_size = params.population_size
     pool = min(ANCHOR_POOL, pop_size)
     n_fresh = int(round(FRESH_SHARE * (pop_size - 1)))
@@ -116,7 +104,7 @@ def run_bbbc(cm: CostMatrix, source: int, terminal: int, params: BbbcParams) -> 
             picks[k] = rng.integers(pool)
             rng.standard_normal(out=spawned[k])
         np.take(pool_rows, picks, axis=0, out=anchors)
-        _bang(anchors, spawned, params.upper_limit, step)
+        _bang(anchors, spawned, UPPER_LIMIT, step)
         rng.random(out=population[1 + n_spawn :])
         return range(pop_size)
 

@@ -4,7 +4,7 @@ Habitats are candidate priority vectors whose SIVs migrate between habitats.
 Cost rank maps to a species count k; immigration falls and emigration rises
 linearly in k, so poor habitats absorb keys from good ones. A shared
 species-count probability distribution evolves by the master equation and
-drives mutation pressure toward improbable habitats. The elite_count best
+drives mutation pressure toward improbable habitats. The ELITE_COUNT best
 habitats are never modified.
 
 run_bbo is migrate, the probability update and mutate inside
@@ -19,36 +19,31 @@ replacement keys in one call.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .fuzzycost import CostMatrix
 from .pathcodec import decode_path
-from .results import RunResult, evolve
+from .results import RunParams, RunResult, evolve
 
 
-@dataclass(frozen=True)
-class BboParams:
-    max_generations: int
-    population_size: int = 50
-    immigration_max: float = 1.0
-    emigration_max: float = 1.0
-    mutation_max: float = 0.01
-    elite_count: int = 2
-    rng_seed: int = 0
+# Immigration and emigration rates of the emptiest and the fullest habitat.
+IMMIGRATION_MAX = 1.0
+EMIGRATION_MAX = 1.0
+# Mutation rate of a habitat at the least probable species count.
+MUTATION_MAX = 0.01
+# The best habitats, carried unchanged through every generation.
+ELITE_COUNT = 2
+# A run needs one habitat beside the elites to migrate into and mutate.
+MIN_POPULATION = ELITE_COUNT + 1
 
-    def __post_init__(self):
-        if self.max_generations < 1:
-            raise ValueError("max_generations must be >= 1")
-        if self.population_size < 2:
-            raise ValueError("population_size must be >= 2")
-        if self.immigration_max <= 0 or self.emigration_max <= 0:
-            raise ValueError("immigration_max and emigration_max must be positive")
-        if not 0.0 <= self.mutation_max <= 1.0:
-            raise ValueError("mutation_max must be in [0, 1]")
-        if not 0 <= self.elite_count < self.population_size:
-            raise ValueError("elite_count must be in [0, population_size)")
+# The record's name from when each optimizer had its own, kept for importers.
+BboParams = RunParams
+
+
+def check_population(population_size: int) -> None:
+    """Refuse a population that run_bbo cannot run: below MIN_POPULATION."""
+    if population_size < MIN_POPULATION:
+        raise ValueError(f"population_size must be at least {MIN_POPULATION}")
 
 
 def migration_rates(k: np.ndarray, n: int, immigration_max: float, emigration_max: float):
@@ -167,28 +162,25 @@ def mutate(
     return (np.flatnonzero(flips.any(axis=1)) + elite_count).tolist()
 
 
-def run_bbo(cm: CostMatrix, source: int, terminal: int, params: BboParams) -> RunResult:
+def run_bbo(cm: CostMatrix, source: int, terminal: int, params: RunParams) -> RunResult:
+    check_population(params.population_size)
     n_pop = params.population_size
     # migrate and mutate take their draws into one buffer for the whole run;
     # scratch arrays allocated afresh each generation raised the 400-node
     # random workload's peak RSS by about 1.7 MB
-    draws = np.empty((n_pop - params.elite_count, 2, cm.n))
+    draws = np.empty((n_pop - ELITE_COUNT, 2, cm.n))
     # one shared distribution over species counts 0..n_pop, initially uniform;
     # cost rank r holds species count n_pop - r, so [:0:-1] reads by rank
     p_species = np.full(n_pop + 1, 1.0 / (n_pop + 1))
-    lam_k, mu_k = migration_rates(
-        np.arange(n_pop + 1), n_pop, params.immigration_max, params.emigration_max
-    )
+    lam_k, mu_k = migration_rates(np.arange(n_pop + 1), n_pop, IMMIGRATION_MAX, EMIGRATION_MAX)
     # rank r's rates are fixed for the run, so its roulette is built once
     immigration, roulette = lam_k[:0:-1], donor_roulette(mu_k[:0:-1])
 
     def migrate_and_mutate(sivs, gen, rng):
         nonlocal p_species
-        migrated = migrate(sivs, immigration, roulette, params.elite_count, rng, draws)
+        migrated = migrate(sivs, immigration, roulette, ELITE_COUNT, rng, draws)
         p_species = update_probability(p_species, lam_k, mu_k)
-        mutated = mutate(
-            sivs, p_species[:0:-1], params.mutation_max, params.elite_count, rng, draws
-        )
+        mutated = mutate(sivs, p_species[:0:-1], MUTATION_MAX, ELITE_COUNT, rng, draws)
         return sorted({*migrated, *mutated})
 
     return evolve("bbo", cm, source, terminal, params, decode_path, migrate_and_mutate)

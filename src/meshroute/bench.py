@@ -14,11 +14,11 @@ import math
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
-from .bbbc import BbbcParams, run_bbbc
-from .bbo import BboParams, run_bbo
+from .bbbc import run_bbbc
+from .bbo import check_population, run_bbo
 from .fuzzycost import build_cost_matrix
 from .oracle import shortest_path
-from .results import RunResult
+from .results import RunParams, RunResult
 from .topology import DEFAULT_RADIO_RANGE_M, check_placement, generate_scenario
 
 RESULTS_COLUMNS = (
@@ -33,24 +33,11 @@ RESULTS_COLUMNS = (
     "wall_time_ms",
 )
 
-# The one place that knows which optimizers exist: name -> (params class, run).
-ALGORITHMS = {
-    "bbbc": (BbbcParams, run_bbbc),
-    "bbo": (BboParams, run_bbo),
-}
+# The one place that knows which optimizers exist: name -> run(cm, source,
+# terminal, RunParams).
+ALGORITHMS = {"bbbc": run_bbbc, "bbo": run_bbo}
 
 DEFAULT_SEED_PAIRS = tuple((101 + i, 9001 + i) for i in range(10))
-
-
-def run_algorithm(
-    name: str, cm, source: int, terminal: int, generations: int, population_size: int, rng_seed: int
-) -> RunResult:
-    """Run optimizer `name` with its default parameters apart from these three."""
-    params_cls, run = ALGORITHMS[name]
-    params = params_cls(
-        max_generations=generations, population_size=population_size, rng_seed=rng_seed
-    )
-    return run(cm, source, terminal, params)
 
 
 @dataclass(frozen=True)
@@ -66,6 +53,12 @@ class BenchPlan:
     def __post_init__(self):
         if not (self.node_counts and self.generation_budgets and self.seeds and self.algorithms):
             raise ValueError("node_counts, generation_budgets, seeds, algorithms must be non-empty")
+        # a repeated entry would rerun identical cells and count them as more runs
+        for name in ("node_counts", "generation_budgets", "seeds", "algorithms"):
+            entries = getattr(self, name)
+            repeated = [e for i, e in enumerate(entries) if e in entries[:i]]
+            if repeated:
+                raise ValueError(f"{name} repeats {repeated[0]!r}")
         unknown = set(self.algorithms) - set(ALGORITHMS)
         if unknown:
             raise ValueError(f"unknown algorithms {sorted(unknown)}")
@@ -75,14 +68,14 @@ class BenchPlan:
             raise ValueError("seeds must all be >= 0")
         if not (math.isfinite(self.radio_range) and self.radio_range > 0):
             raise ValueError(f"radio_range must be positive and finite, got {self.radio_range}")
-        # each planned optimizer's own parameter checks judge the population,
-        # so a plan that one of them cannot run fails before any cell runs
-        for name in self.algorithms:
-            params_cls, _ = ALGORITHMS[name]
+        # the population checks every run makes, and BBO's floor, so a plan
+        # that an optimizer cannot run fails before any cell runs
+        RunParams(max_generations=1, population_size=self.population_size)
+        if "bbo" in self.algorithms:
             try:
-                params_cls(max_generations=1, population_size=self.population_size)
+                check_population(self.population_size)
             except ValueError as exc:
-                raise ValueError(f"plan cannot run {name}: {exc}") from None
+                raise ValueError(f"plan cannot run bbo: {exc}") from None
         # every scenario is built before its first run, so check them all now
         for n in self.node_counts:
             check_placement(n, self.placement)
@@ -187,14 +180,17 @@ def run_plan(plan: BenchPlan, progress=None) -> list[RunResult]:
                     oracle = shortest_path(cm, 0, n - 1)
                     cache[key] = (cm, oracle)
                 cm, oracle = cache[key]
+                params = RunParams(
+                    max_generations=generations,
+                    population_size=plan.population_size,
+                    rng_seed=opt_seed,
+                )
                 for algorithm in plan.algorithms:
                     if progress:
                         progress(
                             f"n={n} gens={generations} seed={scenario_seed}/{opt_seed} {algorithm}"
                         )
-                    result = run_algorithm(
-                        algorithm, cm, 0, n - 1, generations, plan.population_size, opt_seed
-                    )
+                    result = ALGORITHMS[algorithm](cm, 0, n - 1, params)
                     result = replace(result, scenario_seed=scenario_seed).with_oracle(oracle.cost)
                     results.append(result)
     return results

@@ -17,6 +17,7 @@ from . import bench as bench_mod
 from .fuzzycost import build_cost_matrix
 from .oracle import UnreachableError, shortest_path
 from .pathcodec import NoPathError
+from .results import RunParams
 from .topology import (
     DEFAULT_RADIO_RANGE_M,
     PLACEMENTS,
@@ -89,9 +90,11 @@ def _cmd_solve(args) -> int:
     scenario = load_scenario(args.scenario)
     source, terminal = _resolve_endpoints(scenario, args.source, args.target)
     cm = build_cost_matrix(scenario)
-    result = bench_mod.run_algorithm(
-        args.algo, cm, source, terminal, args.generations, args.pop, args.seed
-    ).with_oracle(shortest_path(cm, source, terminal).cost)
+    params = RunParams(
+        max_generations=args.generations, population_size=args.pop, rng_seed=args.seed
+    )
+    result = bench_mod.ALGORITHMS[args.algo](cm, source, terminal, params)
+    result = result.with_oracle(shortest_path(cm, source, terminal).cost)
     if args.trace:
         bench_mod.emit_trace(result, args.trace)
     print(

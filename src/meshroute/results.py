@@ -12,6 +12,24 @@ from .pathcodec import Path
 
 
 @dataclass(frozen=True)
+class RunParams:
+    """One optimizer run's budget: generations, population and seed.
+
+    Both optimizers take it; their other settings are module constants.
+    """
+
+    max_generations: int
+    population_size: int = 50
+    rng_seed: int = 0
+
+    def __post_init__(self):
+        if self.max_generations < 1:
+            raise ValueError("max_generations must be >= 1")
+        if self.population_size < 2:
+            raise ValueError("population_size must be >= 2")
+
+
+@dataclass(frozen=True)
 class TracePoint:
     """Convergence sample at one generation (1-based)."""
 
@@ -41,7 +59,7 @@ class RunResult:
         )
 
 
-def evolve(algorithm, cm, source, terminal, params, decode, vary) -> RunResult:
+def evolve(algorithm, cm, source, terminal, params: RunParams, decode, vary) -> RunResult:
     """The generation loop of BB-BC and BBO, which differ only in vary.
 
     The population is one (P, n) array of uniform random keys drawn with

@@ -6,15 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from meshroute import bbbc
-from meshroute.bbbc import (
-    BbbcParams,
-    center_of_mass,
-    run_bbbc,
-    spawn,
-)
+from meshroute.bbbc import center_of_mass, run_bbbc, spawn
 from meshroute.oracle import percent_error
 from meshroute.pathcodec import decode_path
-from meshroute.results import TracePoint
+from meshroute.results import RunParams, TracePoint
 
 from helpers import (
     GOLDEN_GENERATIONS,
@@ -128,13 +123,13 @@ def test_spawn_shrinking_exploration():
 
 def test_params_validation():
     with pytest.raises(ValueError):
-        BbbcParams(max_generations=0)
+        RunParams(max_generations=0)
     with pytest.raises(ValueError):
-        BbbcParams(max_generations=10, population_size=1)
+        RunParams(max_generations=10, population_size=1)
 
 
 def test_line_graph_solved_at_generation_one(line3_cm):
-    params = BbbcParams(max_generations=1, population_size=4, rng_seed=0)
+    params = RunParams(max_generations=1, population_size=4, rng_seed=0)
     r = run_bbbc(line3_cm, 0, 2, params)
     assert r.best_path.nodes == (0, 1, 2)
     assert r.best_cost == pytest.approx(0.55)
@@ -143,14 +138,14 @@ def test_line_graph_solved_at_generation_one(line3_cm):
 
 def test_grid25_reaches_optimum(grid25):
     _, cm, oracle = grid25
-    params = BbbcParams(max_generations=30, population_size=50, rng_seed=42)
+    params = RunParams(max_generations=30, population_size=50, rng_seed=42)
     r = run_bbbc(cm, 0, 24, params)
     assert percent_error(r.best_cost, oracle.cost) == pytest.approx(0.0, abs=1e-9)
 
 
 def test_same_seed_same_result(grid25):
     _, cm, _ = grid25
-    params = BbbcParams(max_generations=15, population_size=20, rng_seed=5)
+    params = RunParams(max_generations=15, population_size=20, rng_seed=5)
     a = run_bbbc(cm, 0, 24, params)
     b = run_bbbc(cm, 0, 24, params)
     assert a.best_path == b.best_path
@@ -160,7 +155,7 @@ def test_same_seed_same_result(grid25):
 def test_trace_monotone_and_indexed(grid25):
     _, cm, _ = grid25
     for seed in range(4):
-        params = BbbcParams(max_generations=25, population_size=20, rng_seed=seed)
+        params = RunParams(max_generations=25, population_size=20, rng_seed=seed)
         r = run_bbbc(cm, 0, 24, params)
         costs = [p.best_cost_so_far for p in r.trace]
         assert all(b <= a for a, b in zip(costs, costs[1:]))
@@ -170,7 +165,7 @@ def test_trace_monotone_and_indexed(grid25):
 
 def test_result_metadata(grid25):
     _, cm, _ = grid25
-    params = BbbcParams(max_generations=5, population_size=10, rng_seed=1)
+    params = RunParams(max_generations=5, population_size=10, rng_seed=1)
     r = run_bbbc(cm, 0, 24, params)
     assert r.algorithm == "bbbc"
     assert r.n_nodes == 25
@@ -205,7 +200,7 @@ def reference_run_bbbc(cm, source, terminal, params):
         for _ in range(n_spawn):
             a = scored[int(rng.integers(pool))][0]
             noise = rng.standard_normal(a.shape)
-            population.append(np.clip(a + params.upper_limit * noise / step, 0.0, 1.0))
+            population.append(np.clip(a + bbbc.UPPER_LIMIT * noise / step, 0.0, 1.0))
         population += [rng.random(cm.n) for _ in range(n_fresh)]
     return best_path, best_path.cost, tuple(trace)
 
@@ -219,7 +214,7 @@ def assert_matches_reference(cm, n, params, monkeypatch):
 @pytest.mark.parametrize("n, placement, scenario_seed, opt_seed", OPTIMIZER_GOLDEN_CASES)
 def test_run_matches_reference(n, placement, scenario_seed, opt_seed, monkeypatch):
     cm = scenario_cost_matrix(n, placement, scenario_seed)
-    params = BbbcParams(max_generations=GOLDEN_GENERATIONS, rng_seed=opt_seed)
+    params = RunParams(max_generations=GOLDEN_GENERATIONS, rng_seed=opt_seed)
     assert_matches_reference(cm, n, params, monkeypatch)
 
 
@@ -228,20 +223,18 @@ def test_slot_zero_holds_best_so_far(n, placement, scenario_seed, opt_seed):
     # the bang carries row 0 unchanged, so each generation's best is the
     # best so far
     cm = scenario_cost_matrix(n, placement, scenario_seed)
-    result = run_bbbc(cm, 0, n - 1, BbbcParams(max_generations=GOLDEN_GENERATIONS, rng_seed=opt_seed))
+    result = run_bbbc(cm, 0, n - 1, RunParams(max_generations=GOLDEN_GENERATIONS, rng_seed=opt_seed))
     assert all(t.generation_best_cost == t.best_cost_so_far for t in result.trace)
 
 
-@pytest.mark.parametrize(
-    "overrides",
-    [{"population_size": 2}, {"population_size": 3}, {"population_size": 11}, {"upper_limit": 0.3}],
-    ids=["population-2", "population-3", "population-11", "upper-limit-0.3"],
-)
-def test_run_matches_reference_off_defaults(overrides, monkeypatch):
+@pytest.mark.parametrize("population_size", [2, 3, 11], ids=lambda p: f"population-{p}")
+def test_run_matches_reference_off_defaults(population_size, monkeypatch):
     # populations 2 and 3 have no fresh slot, and 2 is smaller than the
     # anchor pool; population 11 has one fresh slot
     cm = scenario_cost_matrix(100, "grid", 101)
-    params = BbbcParams(max_generations=GOLDEN_GENERATIONS, rng_seed=9001, **overrides)
+    params = RunParams(
+        max_generations=GOLDEN_GENERATIONS, population_size=population_size, rng_seed=9001
+    )
     assert_matches_reference(cm, 100, params, monkeypatch)
 
 
@@ -249,7 +242,7 @@ def test_decodes_every_genome_each_generation(monkeypatch):
     # P genomes per generation: slot 0, the best-so-far genome, is decoded
     # again with the P - 1 new ones
     cm = scenario_cost_matrix(100, "grid", 101)
-    params = BbbcParams(max_generations=50, population_size=50, rng_seed=9001)
+    params = RunParams(max_generations=50, population_size=50, rng_seed=9001)
     calls = count_decodes(monkeypatch, bbbc, decode_path)
     run_bbbc(cm, 0, 99, params)
     assert len(calls) == 50 * 50

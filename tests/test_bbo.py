@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from meshroute import bbo
 from meshroute.bbo import (
-    BboParams,
     donor_roulette,
     migrate,
     migration_rates,
@@ -20,7 +19,7 @@ from meshroute.bbo import (
 )
 from meshroute.oracle import percent_error
 from meshroute.pathcodec import Path, decode_path
-from meshroute.results import TracePoint
+from meshroute.results import RunParams, TracePoint
 
 from helpers import (
     GOLDEN_GENERATIONS,
@@ -198,17 +197,24 @@ def test_mutate_frequency():
 
 def test_params_validation():
     with pytest.raises(ValueError):
-        BboParams(max_generations=0)
-    with pytest.raises(ValueError):
-        BboParams(max_generations=5, immigration_max=0.0)
-    with pytest.raises(ValueError):
-        BboParams(max_generations=5, mutation_max=1.5)
-    with pytest.raises(ValueError):
-        BboParams(max_generations=5, population_size=10, elite_count=10)
+        RunParams(max_generations=0)
+
+
+def test_run_refuses_population_below_floor_before_drawing(line3_cm, monkeypatch):
+    # two elites leave a population of 2 no habitat to migrate into, and the
+    # run stops before evolve draws its first population
+    assert bbo.MIN_POPULATION == bbo.ELITE_COUNT + 1 == 3
+    calls = []
+    monkeypatch.setattr(bbo, "evolve", lambda *args: calls.append(args))
+    with pytest.raises(ValueError, match="^population_size must be at least 3$"):
+        run_bbo(line3_cm, 0, 2, RunParams(max_generations=5, population_size=2))
+    assert calls == []
+    run_bbo(line3_cm, 0, 2, RunParams(max_generations=5, population_size=3))
+    assert len(calls) == 1
 
 
 def test_line_graph_solved_at_generation_one(line3_cm):
-    params = BboParams(max_generations=1, population_size=4, rng_seed=0)
+    params = RunParams(max_generations=1, population_size=4, rng_seed=0)
     r = run_bbo(line3_cm, 0, 2, params)
     assert r.best_path.nodes == (0, 1, 2)
     assert len(r.trace) == 1
@@ -216,14 +222,14 @@ def test_line_graph_solved_at_generation_one(line3_cm):
 
 def test_grid25_reaches_optimum(grid25):
     _, cm, oracle = grid25
-    params = BboParams(max_generations=30, population_size=50, rng_seed=42)
+    params = RunParams(max_generations=30, population_size=50, rng_seed=42)
     r = run_bbo(cm, 0, 24, params)
     assert percent_error(r.best_cost, oracle.cost) == pytest.approx(0.0, abs=1e-9)
 
 
 def test_same_seed_same_result(grid25):
     _, cm, _ = grid25
-    params = BboParams(max_generations=12, population_size=15, rng_seed=5)
+    params = RunParams(max_generations=12, population_size=15, rng_seed=5)
     a = run_bbo(cm, 0, 24, params)
     b = run_bbo(cm, 0, 24, params)
     assert a.best_path == b.best_path
@@ -233,7 +239,7 @@ def test_same_seed_same_result(grid25):
 def test_trace_monotone(grid25):
     _, cm, _ = grid25
     for seed in range(4):
-        params = BboParams(max_generations=20, population_size=15, rng_seed=seed)
+        params = RunParams(max_generations=20, population_size=15, rng_seed=seed)
         r = run_bbo(cm, 0, 24, params)
         costs = [p.best_cost_so_far for p in r.trace]
         assert all(b <= a for a, b in zip(costs, costs[1:]))
@@ -242,11 +248,10 @@ def test_trace_monotone(grid25):
 
 def test_result_metadata(grid25):
     _, cm, _ = grid25
-    params = BboParams(max_generations=5, population_size=10, rng_seed=2)
+    params = RunParams(max_generations=5, population_size=10, rng_seed=2)
     r = run_bbo(cm, 0, 24, params)
     assert r.algorithm == "bbo"
-    assert r.params["elite_count"] == 2
-    assert r.params["rng_seed"] == 2
+    assert r.params == {"max_generations": 5, "population_size": 10, "rng_seed": 2}
     assert r.n_nodes == 25
 
 
@@ -432,7 +437,7 @@ def reference_run_bbo(cm, source, terminal, params):
         habitats.append(Habitat(siv, path, path.cost))
     p_species = np.full(n_pop + 1, 1.0 / (n_pop + 1))
     lam_k, mu_k = migration_rates(
-        np.arange(n_pop + 1), n_pop, params.immigration_max, params.emigration_max
+        np.arange(n_pop + 1), n_pop, bbo.IMMIGRATION_MAX, bbo.EMIGRATION_MAX
     )
     for gen in range(1, params.max_generations + 1):
         habitats.sort(key=lambda h: h.cost)
@@ -444,15 +449,15 @@ def reference_run_bbo(cm, source, terminal, params):
         for rank, h in enumerate(habitats):
             h.species_count = n_pop - rank
             lam, mu = migration_rates(
-                h.species_count, n_pop, params.immigration_max, params.emigration_max
+                h.species_count, n_pop, bbo.IMMIGRATION_MAX, bbo.EMIGRATION_MAX
             )
             h.immigration_rate, h.emigration_rate = float(lam), float(mu)
-        reference_migrate(habitats, cm, source, terminal, params.elite_count, rng)
+        reference_migrate(habitats, cm, source, terminal, bbo.ELITE_COUNT, rng)
         p_species = update_probability(p_species, lam_k, mu_k)
         for h in habitats:
             h.p_s = float(p_species[h.species_count])
         reference_mutate(
-            habitats, cm, source, terminal, params.mutation_max, params.elite_count, rng
+            habitats, cm, source, terminal, bbo.MUTATION_MAX, bbo.ELITE_COUNT, rng
         )
     return best_path, best_path.cost, tuple(trace)
 
@@ -460,26 +465,16 @@ def reference_run_bbo(cm, source, terminal, params):
 @pytest.mark.parametrize("n, placement, scenario_seed, opt_seed", OPTIMIZER_GOLDEN_CASES)
 def test_run_matches_reference(n, placement, scenario_seed, opt_seed, monkeypatch):
     cm = scenario_cost_matrix(n, placement, scenario_seed)
-    params = BboParams(max_generations=GOLDEN_GENERATIONS, rng_seed=opt_seed)
+    params = RunParams(max_generations=GOLDEN_GENERATIONS, rng_seed=opt_seed)
     got = run_bbo(cm, 0, n - 1, params)
     monkeypatch.setattr(bbo, "decode_path", decode_then_price)
     assert (got.best_path, got.best_cost, got.trace) == reference_run_bbo(cm, 0, n - 1, params)
 
 
-@pytest.mark.parametrize(
-    "overrides",
-    [
-        {"elite_count": 0},
-        {"population_size": 2, "elite_count": 0},
-        {"mutation_max": 0.0},
-        {"mutation_max": 1.0},
-        {"immigration_max": 2.0, "emigration_max": 0.5},
-    ],
-    ids=["no-elites", "population-2", "no-mutation", "full-mutation", "uneven-rates"],
-)
-def test_run_matches_reference_off_defaults(overrides, monkeypatch):
+def test_run_matches_reference_at_population_floor(monkeypatch):
+    # population 3 leaves one habitat beside the two elites
     cm = scenario_cost_matrix(100, "grid", 101)
-    params = BboParams(max_generations=GOLDEN_GENERATIONS, rng_seed=9001, **overrides)
+    params = RunParams(max_generations=GOLDEN_GENERATIONS, population_size=3, rng_seed=9001)
     got = run_bbo(cm, 0, 99, params)
     monkeypatch.setattr(bbo, "decode_path", decode_then_price)
     assert (got.best_path, got.best_cost, got.trace) == reference_run_bbo(cm, 0, 99, params)
@@ -490,7 +485,7 @@ def test_elites_hold_best_so_far(n, placement, scenario_seed, opt_seed):
     # the elite rows are never modified, so each generation's best is the
     # best so far
     cm = scenario_cost_matrix(n, placement, scenario_seed)
-    result = run_bbo(cm, 0, n - 1, BboParams(max_generations=GOLDEN_GENERATIONS, rng_seed=opt_seed))
+    result = run_bbo(cm, 0, n - 1, RunParams(max_generations=GOLDEN_GENERATIONS, rng_seed=opt_seed))
     assert all(t.generation_best_cost == t.best_cost_so_far for t in result.trace)
 
 
@@ -499,7 +494,7 @@ def test_decodes_only_changed_habitats(monkeypatch):
     # any generation in which migrate or mutate changed its keys, where the
     # reference decodes it in each operator that touches it
     cm = scenario_cost_matrix(100, "grid", 101)
-    params = BboParams(max_generations=50, population_size=50, rng_seed=9001)
+    params = RunParams(max_generations=50, population_size=50, rng_seed=9001)
     calls = count_decodes(monkeypatch, bbo, decode_path)
     run_bbo(cm, 0, 99, params)
     assert len(calls) == 2400

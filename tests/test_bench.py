@@ -4,8 +4,8 @@ import math
 
 import pytest
 
-from meshroute.bbbc import BbbcParams, run_bbbc
-from meshroute.bbo import BboParams, run_bbo
+from meshroute.bbbc import run_bbbc
+from meshroute.bbo import run_bbo
 from meshroute.bench import (
     ALGORITHMS,
     DEFAULT_SEED_PAIRS,
@@ -25,12 +25,12 @@ from meshroute.bench import (
 )
 from meshroute.fuzzycost import build_cost_matrix
 from meshroute.pathcodec import Path as RoutePath
-from meshroute.results import RunResult
+from meshroute.results import RunParams, RunResult
 from meshroute.topology import generate_scenario
 
 # Spelled out here, not read from ALGORITHMS, so the dispatch table is
 # checked against direct library calls.
-DIRECT_CALLS = {"bbbc": (BbbcParams, run_bbbc), "bbo": (BboParams, run_bbo)}
+DIRECT_CALLS = {"bbbc": run_bbbc, "bbo": run_bbo}
 
 TINY_PLAN = BenchPlan(
     node_counts=(9,),
@@ -63,7 +63,7 @@ def test_plan_validation():
     with pytest.raises(ValueError, match="population_size"):
         BenchPlan(population_size=1)
     # BBO keeps 2 elites, so it needs 3 habitats; BB-BC runs on 2 genomes
-    with pytest.raises(ValueError, match="cannot run bbo: elite_count"):
+    with pytest.raises(ValueError, match="^plan cannot run bbo: population_size must be at least 3$"):
         BenchPlan(population_size=2)
     assert BenchPlan(population_size=2, algorithms=("bbbc",)).population_size == 2
     with pytest.raises(ValueError, match="placement"):
@@ -74,6 +74,27 @@ def test_plan_validation():
     with pytest.raises(ValueError, match="at least 2 nodes"):
         BenchPlan(node_counts=(1,), placement="random")
     assert BenchPlan(node_counts=(30,), placement="random").node_counts == (30,)
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("node_counts", (25, 64, 25), "node_counts repeats 25"),
+        ("generation_budgets", (30, 30), "generation_budgets repeats 30"),
+        ("seeds", ((101, 9001), (102, 9002), (101, 9001)), r"seeds repeats \(101, 9001\)"),
+        ("algorithms", ("bbbc", "bbo", "bbbc"), "algorithms repeats 'bbbc'"),
+    ],
+)
+def test_plan_refuses_repeated_entries(field, value, message):
+    # a repeat would rerun identical cells, count them as separate runs in
+    # summary.csv and rewrite the same trace file
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        BenchPlan(**{field: value})
+
+
+def test_plan_keeps_seed_pairs_that_share_one_seed():
+    seeds = ((101, 9001), (101, 9002), (102, 9001))
+    assert BenchPlan(seeds=seeds).seeds == seeds
 
 
 def test_plan_round_trip(tmp_path):
@@ -162,13 +183,12 @@ def test_run_plan_cells_match_direct_calls(tiny_results):
     assert len(cells) == len(tiny_results)
     for (generations, scenario_seed, opt_seed, algorithm), result in zip(cells, tiny_results):
         cm = build_cost_matrix(generate_scenario(9, seed=scenario_seed))
-        params_cls, run = DIRECT_CALLS[algorithm]
-        params = params_cls(
+        params = RunParams(
             max_generations=generations,
             population_size=TINY_PLAN.population_size,
             rng_seed=opt_seed,
         )
-        expected = run(cm, 0, 8, params)
+        expected = DIRECT_CALLS[algorithm](cm, 0, 8, params)
         assert result.algorithm == algorithm
         assert result.best_path == expected.best_path
         assert result.best_cost == expected.best_cost

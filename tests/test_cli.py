@@ -4,19 +4,20 @@ import json
 
 import pytest
 
-from meshroute.bbbc import BbbcParams, run_bbbc
-from meshroute.bbo import BboParams, run_bbo
+from meshroute.bbbc import run_bbbc
+from meshroute.bbo import run_bbo
 from meshroute.bench import ALGORITHMS, load_plan, plan_from_dict
 from meshroute.cli import EXIT_DOMAIN, EXIT_IO, EXIT_OK, EXIT_USAGE, main
 from meshroute.fuzzycost import build_cost_matrix
 from meshroute.oracle import shortest_path
+from meshroute.results import RunParams
 from meshroute.topology import NetworkScenario, generate_scenario, save_scenario, scenario_to_dict
 
 from scenario_v1 import v1_objects
 
 # Spelled out here, not read from ALGORITHMS, so `solve` is checked against
 # direct library calls.
-DIRECT_CALLS = {"bbbc": (BbbcParams, run_bbbc), "bbo": (BboParams, run_bbo)}
+DIRECT_CALLS = {"bbbc": run_bbbc, "bbo": run_bbo}
 
 
 def write_line_scenario(path):
@@ -130,9 +131,8 @@ def test_solve_prints_library_result(tmp_path, capsys, algo):
     del payload["wall_time_ms"]
 
     cm = build_cost_matrix(generate_scenario(16, seed=101))
-    params_cls, run = DIRECT_CALLS[algo]
-    params = params_cls(max_generations=6, population_size=10, rng_seed=9001)
-    result = run(cm, 0, 15, params).with_oracle(shortest_path(cm, 0, 15).cost)
+    params = RunParams(max_generations=6, population_size=10, rng_seed=9001)
+    result = DIRECT_CALLS[algo](cm, 0, 15, params).with_oracle(shortest_path(cm, 0, 15).cost)
     assert payload == {
         "algorithm": algo,
         "n_nodes": 16,
@@ -145,6 +145,7 @@ def test_solve_prints_library_result(tmp_path, capsys, algo):
         "generations": 6,
         "params": result.params,
     }
+    assert payload["params"] == {"max_generations": 6, "population_size": 10, "rng_seed": 9001}
 
 
 def test_solve_writes_trace(tmp_path):
@@ -160,6 +161,16 @@ def test_solve_writes_trace(tmp_path):
     assert code == EXIT_OK
     lines = trace.read_text().splitlines()
     assert len(lines) == 5
+
+
+def test_solve_refuses_population_bbo_cannot_run(tmp_path, capsys):
+    scenario = tmp_path / "line.json"
+    write_line_scenario(scenario)
+    code = main(["solve", "--algo", "bbo", "--scenario", str(scenario), "--pop", "2"])
+    assert code == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: population_size must be at least 3\n"
 
 
 def test_solve_same_source_target(tmp_path):
@@ -343,12 +354,13 @@ def test_bench_tiny_plan(tmp_path, capsys):
         ('{"radio_range": true}', "radio_range"),
         ('{"seeds": [[-1, 9001]]}', "seeds"),
         ('{"radio_range": 0}', "radio_range"),
+        ('{"seeds": [[101, 9001], [101, 9001]], "algorithms": ["bbbc", "bbbc"]}', "seeds repeats"),
     ],
     ids=[
         "node-counts-scalar", "seed-not-a-pair", "null-population", "text-range", "bare-number",
         "zero-generations", "population-one", "unknown-placement", "dropped-field",
         "float-node-count", "bool-generations", "text-seed", "float-population", "bool-range",
-        "negative-seed", "zero-range",
+        "negative-seed", "zero-range", "repeated-seed-pair",
     ],
 )
 def test_bench_rejects_malformed_plan(tmp_path, capsys, plan_text, field):
@@ -375,7 +387,7 @@ def test_bench_rejects_population_bbo_cannot_run(tmp_path, capsys):
     assert not out_dir.exists()
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: plan cannot run bbo: elite_count must be in [0, population_size)\n"
+    assert captured.err == "error: plan cannot run bbo: population_size must be at least 3\n"
 
 
 def test_bench_rejects_non_square_grid_before_any_cell(tmp_path, capsys):

@@ -9,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from meshroute import bbbc, bbo
-from meshroute.bbbc import BbbcParams, run_bbbc
-from meshroute.bbo import BboParams, run_bbo
+from meshroute.bbbc import run_bbbc
+from meshroute.bbo import run_bbo
 from meshroute.fuzzycost import build_cost_matrix
 from meshroute.pathcodec import (
     BrokenPathError,
@@ -19,6 +19,7 @@ from meshroute.pathcodec import (
     decode_path,
     path_cost,
 )
+from meshroute.results import RunParams
 from meshroute.topology import generate_scenario
 
 from helpers import (
@@ -295,8 +296,8 @@ def test_optimizers_match_reference_decoder(n, monkeypatch):
     # stored hash, so the check holds under any BLAS
     cm = build_cost_matrix(generate_scenario(n, placement="grid", seed=101))
     runs = [
-        lambda: run_bbbc(cm, 0, n - 1, BbbcParams(max_generations=10, rng_seed=9001)),
-        lambda: run_bbo(cm, 0, n - 1, BboParams(max_generations=10, rng_seed=9001)),
+        lambda: run_bbbc(cm, 0, n - 1, RunParams(max_generations=10, rng_seed=9001)),
+        lambda: run_bbo(cm, 0, n - 1, RunParams(max_generations=10, rng_seed=9001)),
     ]
     got = [run() for run in runs]
     monkeypatch.setattr(bbbc, "decode_path", reference_decode_path)

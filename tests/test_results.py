@@ -1,13 +1,13 @@
 """The generation loop both optimizers share: evolve's contract, on stubs."""
 
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from types import SimpleNamespace
 
 import numpy as np
 
-from meshroute.bbbc import BbbcParams
+from meshroute import bbbc, bbo
 from meshroute.pathcodec import Path
-from meshroute.results import TracePoint, evolve
+from meshroute.results import RunParams, TracePoint, evolve
 
 N_POP, N_DIMS, SEED = 6, 4, 7
 CM = SimpleNamespace(n=N_DIMS)
@@ -47,7 +47,7 @@ class StubVary:
 
 
 def run(generations, decode, vary):
-    params = BbbcParams(max_generations=generations, population_size=N_POP, rng_seed=SEED)
+    params = RunParams(max_generations=generations, population_size=N_POP, rng_seed=SEED)
     return evolve("stub", CM, 0, N_DIMS - 1, params, decode, vary)
 
 
@@ -110,7 +110,7 @@ def test_vary_not_called_after_last_generation():
 
 
 def test_result_record():
-    params = BbbcParams(max_generations=3, population_size=N_POP, rng_seed=SEED)
+    params = RunParams(max_generations=3, population_size=N_POP, rng_seed=SEED)
     result = evolve("stub", CM, 0, N_DIMS - 1, params, StubDecode(), StubVary())
     best = initial_population()[:, 0].min()
     assert result.algorithm == "stub"
@@ -120,3 +120,10 @@ def test_result_record():
     assert result.trace == tuple(TracePoint(g, best, best) for g in (1, 2, 3))
     assert result.params == asdict(params)
     assert result.wall_time_ms >= 0
+
+
+def test_one_run_record_for_both_optimizers():
+    # the old per-optimizer names are the same class, with a budget only
+    assert bbbc.BbbcParams is bbo.BboParams is RunParams
+    assert [f.name for f in fields(RunParams)] == ["max_generations", "population_size", "rng_seed"]
+    assert RunParams(max_generations=7) == RunParams(7, 50, 0)
