@@ -67,7 +67,6 @@ ILC_FLOOR = 1e-6
 INPUT_LEVELS = 3  # low, medium, high
 OUTPUT_LEVELS = 5  # very low .. very high
 INPUT_PEAKS = (0.0, 0.5, 1.0)
-OUTPUT_PEAK_STEP = 0.25
 
 _UNIT_ROUNDOFF = 2.0**-53  # half the spacing of floats in [1, 2)
 # links whose aggregates are summed at once: the (101, 160) float64 work

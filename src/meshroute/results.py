@@ -27,6 +27,8 @@ class RunParams:
             raise ValueError("max_generations must be >= 1")
         if self.population_size < 2:
             raise ValueError("population_size must be >= 2")
+        if self.rng_seed < 0:
+            raise ValueError("rng_seed must be >= 0")
 
 
 @dataclass(frozen=True)

@@ -126,6 +126,9 @@ def test_params_validation():
         RunParams(max_generations=0)
     with pytest.raises(ValueError):
         RunParams(max_generations=10, population_size=1)
+    # named by RunParams, not left to numpy's seeding inside the run
+    with pytest.raises(ValueError, match="^rng_seed must be >= 0$"):
+        RunParams(1, rng_seed=-1)
 
 
 def test_line_graph_solved_at_generation_one(line3_cm):

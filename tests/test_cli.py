@@ -4,14 +4,22 @@ import json
 
 import pytest
 
+from meshroute import bench
 from meshroute.bbbc import run_bbbc
 from meshroute.bbo import run_bbo
 from meshroute.bench import ALGORITHMS, load_plan, plan_from_dict
 from meshroute.cli import EXIT_DOMAIN, EXIT_IO, EXIT_OK, EXIT_USAGE, main
 from meshroute.fuzzycost import build_cost_matrix
-from meshroute.oracle import shortest_path
+from meshroute.oracle import UnreachableError, shortest_path
+from meshroute.pathcodec import NoPathError
 from meshroute.results import RunParams
-from meshroute.topology import NetworkScenario, generate_scenario, save_scenario, scenario_to_dict
+from meshroute.topology import (
+    ConnectivityError,
+    NetworkScenario,
+    generate_scenario,
+    save_scenario,
+    scenario_to_dict,
+)
 
 from scenario_v1 import v1_objects
 
@@ -171,6 +179,16 @@ def test_solve_refuses_population_bbo_cannot_run(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: population_size must be at least 3\n"
+
+
+def test_solve_refuses_negative_seed(tmp_path, capsys):
+    scenario = tmp_path / "grid9.json"
+    save_scenario(generate_scenario(9, seed=0), scenario)
+    code = main(["solve", "--algo", "bbbc", "--scenario", str(scenario), "--seed", "-1"])
+    assert code == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: rng_seed must be >= 0\n"
 
 
 def test_solve_same_source_target(tmp_path):
@@ -333,6 +351,51 @@ def test_bench_tiny_plan(tmp_path, capsys):
     assert [line.split()[:3] for line in table[2:]] == [
         ["9", "3", "bbbc"], ["9", "3", "bbo"]
     ]
+
+
+# one scenario's convergence curves: both algorithms on one 25-node grid
+ONE_CELL_PLAN = {"node_counts": [25], "generation_budgets": [5], "seeds": [[101, 9001]]}
+
+
+def test_bench_one_cell_traces_match_direct_calls(tmp_path):
+    # one trace per algorithm, byte-equal to the trace of a direct run
+    plan_path = tmp_path / "plan.json"
+    plan_path.write_text(json.dumps(ONE_CELL_PLAN))
+    out_dir = tmp_path / "bench"
+    assert main(["bench", "--plan", str(plan_path), "--out", str(out_dir)]) == EXIT_OK
+    cm = build_cost_matrix(generate_scenario(25, seed=101))
+    expected = {}
+    for algo, run in DIRECT_CALLS.items():
+        bench.emit_trace(run(cm, 0, 24, RunParams(5, 50, 9001)), tmp_path / f"{algo}.csv")
+        expected[f"trace_{algo}_n25_g5_s101_o9001.csv"] = (tmp_path / f"{algo}.csv").read_bytes()
+    written = {p.name: p.read_bytes() for p in out_dir.glob("trace_*.csv")}
+    assert written == expected
+
+
+@pytest.mark.parametrize(
+    "error",
+    [
+        ConnectivityError("no placement connecting node 0 to node 24 in 1000 attempts"),
+        NoPathError("no path 0 -> 24"),
+        UnreachableError("node 24 is unreachable from node 0"),
+    ],
+    ids=["placement", "no-path", "unreachable"],
+)
+def test_bench_domain_error_exits_3(tmp_path, capsys, monkeypatch, error):
+    def refuse(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(bench, "generate_scenario", refuse)
+    plan_path = tmp_path / "plan.json"
+    plan_path.write_text(json.dumps(ONE_CELL_PLAN))
+    out_dir = tmp_path / "bench"
+    assert main(["bench", "--plan", str(plan_path), "--out", str(out_dir)]) == EXIT_DOMAIN
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {error}\n"
+    # the plan is written before the first cell runs; no results are
+    assert load_plan(out_dir / "plan.json") == plan_from_dict(ONE_CELL_PLAN)
+    assert not (out_dir / "results.csv").exists()
 
 
 @pytest.mark.parametrize(
