@@ -357,19 +357,55 @@ def test_bench_tiny_plan(tmp_path, capsys):
 ONE_CELL_PLAN = {"node_counts": [25], "generation_budgets": [5], "seeds": [[101, 9001]]}
 
 
-def test_bench_one_cell_traces_match_direct_calls(tmp_path):
-    # one trace per algorithm, byte-equal to the trace of a direct run
+def run_one_cell(tmp_path, plan):
     plan_path = tmp_path / "plan.json"
-    plan_path.write_text(json.dumps(ONE_CELL_PLAN))
+    plan_path.write_text(json.dumps(plan))
     out_dir = tmp_path / "bench"
     assert main(["bench", "--plan", str(plan_path), "--out", str(out_dir)]) == EXIT_OK
-    cm = build_cost_matrix(generate_scenario(25, seed=101))
+    return out_dir
+
+
+def assert_one_cell_traces_match_direct_calls(tmp_path, plan, scenario):
+    # one trace per algorithm, byte-equal to the trace of a direct run
+    out_dir = run_one_cell(tmp_path, plan)
+    n = scenario.n
+    cm = build_cost_matrix(scenario)
     expected = {}
     for algo, run in DIRECT_CALLS.items():
-        bench.emit_trace(run(cm, 0, 24, RunParams(5, 50, 9001)), tmp_path / f"{algo}.csv")
-        expected[f"trace_{algo}_n25_g5_s101_o9001.csv"] = (tmp_path / f"{algo}.csv").read_bytes()
+        bench.emit_trace(run(cm, 0, n - 1, RunParams(5, 50, 9001)), tmp_path / f"{algo}.csv")
+        expected[f"trace_{algo}_n{n}_g5_s101_o9001.csv"] = (tmp_path / f"{algo}.csv").read_bytes()
     written = {p.name: p.read_bytes() for p in out_dir.glob("trace_*.csv")}
     assert written == expected
+
+
+def test_bench_one_cell_traces_match_direct_calls(tmp_path):
+    assert_one_cell_traces_match_direct_calls(
+        tmp_path, ONE_CELL_PLAN, generate_scenario(25, seed=101)
+    )
+
+
+def test_bench_one_cell_random_placement_traces_match_direct_calls(tmp_path):
+    plan = {**ONE_CELL_PLAN, "node_counts": [30], "placement": "random"}
+    assert_one_cell_traces_match_direct_calls(
+        tmp_path, plan, generate_scenario(30, placement="random", seed=101)
+    )
+
+
+def test_bench_one_cell_prints_final_percent_error(tmp_path, capsys):
+    # with one seed pair the seed-median row is the run's own final cost and
+    # its percent error above the optimum
+    run_one_cell(tmp_path, ONE_CELL_PLAN)
+    table = capsys.readouterr().err.split("med %err", 1)[1].splitlines()[2:]
+    cm = build_cost_matrix(generate_scenario(25, seed=101))
+    optimum = shortest_path(cm, 0, 24).cost
+    expected = []
+    for algo, run in DIRECT_CALLS.items():
+        result = run(cm, 0, 24, RunParams(5, 50, 9001)).with_oracle(optimum)
+        assert result.percent_error >= 0.0
+        expected.append(
+            ["25", "5", algo, f"{result.best_cost:.4f}", f"{result.percent_error:.3f}"]
+        )
+    assert [line.split()[:5] for line in table] == expected
 
 
 @pytest.mark.parametrize(
