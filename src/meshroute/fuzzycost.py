@@ -10,46 +10,39 @@ implication scales the consequent set, and the rule outputs are summed
 before a discrete 101-sample centroid defuzzifies the aggregate. High
 throughput pulls cost down; high delay or jitter pushes it up.
 
-All links are scored in one batch (`ilc_costs`); the scalar entry points are
-one-link calls of it. Three choices keep every cost bit-identical to scoring
-links one at a time with a per-rule loop:
-- rule weights are added into each output level in (throughput, delay,
-  jitter) rule order, so each level sums the same terms in the same order
-  (the zero terms a loop would skip add +0.0, which is exact);
-- the aggregate is a stacked vector-matrix product, which numpy sends to the
-  same gemv kernel as a single vector @ matrix; a 2-D matrix product, np.dot
-  or einsum rounds differently on some links;
-- the centroid's two sums per link are correctly rounded, which is what
-  `math.fsum` returns, so a mirror-symmetric aggregate defuzzifies to exactly
-  0.5. `exact_row_sums` gets them for a block of links at once, bit for bit
-  equal to `math.fsum` of each row, as follows.
+The centroid needs no samples. Output level o's set is sampled at
+x = j / 100 (j = 0..100) as s_o(j) = max(0, 1 - |j - 25 o| / 25), and the
+aggregate is sum_o w_o s_o(j), where the weight w_o sums the strengths of
+the rules that pick level o. Mass and first moment are linear in the
+aggregate, so they are sum_o w_o S_o and sum_o w_o M_o with each set's own
+sums S_o = sum_j s_o(j) and M_o = sum_j (j - 50) s_o(j), taken about the
+grid midpoint. Those are integers:
 
-TwoSum (Knuth) turns finite a, b into s = fl(a + b) and the exact error
-a + b - s, subnormals included. A pairwise tree of n - 1 TwoSums over a row
-of n = 101 samples leaves the exact sum S as s plus the n - 1 errors (Ogita,
-Rump and Oishi, "Accurate sum and dot product", SIAM J. Sci. Comput. 26(6),
-2005). The errors are added in float into e and their magnitudes into ae.
-With u = 2**-53, float addition of m terms in any order is off by at most
-(m - 1) u / (1 - (m - 1) u) times the sum of magnitudes, and ae falls short
-of that sum by under a factor (1 - u)**(m - 1), so e is within n u ae of the
-errors' exact sum. One more TwoSum gives r = fl(s + e) and its exact error
-r_err, so |S - r| <= |r_err| + n u ae. The certificate is
+    S = (13, 25, 25, 25, 13),  M = (-546, -625, 0, 625, 546).
 
-    fl(|r_err| + fl(2 n u ae)) < half the gap from r to its nearer neighbour.
+An interior set is a full triangle, 1 + 2 (24 - 12) = 25, and symmetric about
+its peak, so M_o = 25 (25 o - 50); an end set is a half triangle,
+1 + (24 - 12) = 13, and sum_{j<25} (j - 50)(1 - j / 25) = -950 + 404 = -546.
+So the 101-sample centroid is exactly
 
-The factor 2 absorbs the rounding of the bound itself. Rounding is monotone
-and the half gap is a float (or rounds down to 0), so the computed test
-implies the exact one; then S lies strictly inside r's rounding interval and
-r is the correctly rounded S. A tie fails the strict test, so ties-to-even
-never has to be decided here. Underflow cannot hide an error: every sample
-is a multiple of 2**-1074, so e differs from the errors' exact sum by a
-multiple of 2**-1074, and an error of at least 2**-1074 makes the bound
-large enough that its underflow cannot pull it below n u ae. A row that
-fails the certificate, including any non-finite row (NaN compares false) and
-every exact-zero sum (the half gap at 0 underflows to 0), is summed again by
-`math.fsum`. That fallback is what makes the result exact; it takes about 35
-of the 19,600 sums at 2500 nodes, most of them the zero offsets of
-mirror-symmetric aggregates.
+    0.5 + (546 (w4 - w0) + 625 (w3 - w1)) / (100 (13 (w0 + w4) + 25 (w1 + w2 + w3))).
+
+The offset is taken as paired differences, so a mirror-symmetric weight
+vector (w0 = w4, w1 = w3) defuzzifies to exactly 0.5. Every operation is
+element-wise, so a link's cost is the same bit for bit whether it is scored
+alone or in a batch.
+
+Error bound. With u = 2**-53, each float operation is off by at most u
+times its result; no intermediate is subnormal, since a non-zero membership
+is at least 2**-54 and so a non-zero weight at least 2**-162. Write T for the
+exact mass and g_k = k u / (1 - k u). Each offset term takes three roundings,
+so the offset is within g_3 (546 |w4 - w0| + 625 |w3 - w1|) <= 42 g_3 T of
+exact (546 = 42 * 13 and 625 < 42 * 25), which is 0.42 g_3 after division by
+100 T. The mass takes at most four roundings, and 100 T and the quotient one
+each, so the quotient, whose magnitude is at most 0.42, carries a relative
+error of at most g_6. The cost is below 1, so adding 0.5 rounds by at most
+u / 2. In all, a cost is within 0.42 (g_3 + g_6 + g_3 g_6) + u / 2 < 4.3 u
+(about 4.8e-16) of the exact centroid of its weights.
 """
 
 from __future__ import annotations
@@ -61,41 +54,16 @@ import numpy as np
 
 from .topology import METRIC_HIGH, METRIC_LOW
 
-CENTROID_SAMPLES = 101
 ILC_FLOOR = 1e-6
 
 INPUT_LEVELS = 3  # low, medium, high
 OUTPUT_LEVELS = 5  # very low .. very high
 INPUT_PEAKS = (0.0, 0.5, 1.0)
 
-_UNIT_ROUNDOFF = 2.0**-53  # half the spacing of floats in [1, 2)
-# links whose aggregates are summed at once: the (101, 160) float64 work
-# arrays stay just under glibc's 128 KiB mmap threshold and are reused from
-# the heap; 256-link blocks raised that threshold and left about 1.4 MB more
-# resident after the build
-_BLOCK_ROWS = 80
-
 
 def _memberships(x: np.ndarray) -> np.ndarray:
     """(*x.shape, 3) degrees of membership of each value in the input sets."""
     return np.maximum(0.0, 1.0 - np.abs(x[..., None] - np.asarray(INPUT_PEAKS)) / 0.5)
-
-
-def _output_samples() -> np.ndarray:
-    """(5, 101) membership samples of the output sets on the unit grid.
-
-    Sample j of level o is max(0, 1 - |j - 25 o| / 25): integer arithmetic in
-    the distance keeps mirrored samples bitwise equal, which the centroid
-    relies on for exact symmetry.
-    """
-    idx = np.arange(CENTROID_SAMPLES)
-    levels = np.arange(OUTPUT_LEVELS)[:, None]
-    return np.maximum(0.0, 1.0 - np.abs(idx - 25 * levels) / 25.0)
-
-
-OUT_SAMPLES = _output_samples()
-# (j - 50) for sample j: the centroid's first moment is taken about the grid midpoint
-SAMPLE_OFFSETS = np.arange(CENTROID_SAMPLES) - 50.0
 
 
 def consequent_of(i_thr: int, i_delay: int, i_jitter: int) -> int:
@@ -121,54 +89,21 @@ def _normalize(raw: np.ndarray) -> np.ndarray:
     return np.fmin(1.0, np.fmax(0.0, (raw - lo) / (hi - lo)))
 
 
-def _two_sum(x: np.ndarray, y: np.ndarray, err: np.ndarray) -> None:
-    """Knuth's TwoSum in place: x becomes s = fl(x + y) and err the exact
-    rounding error x + y - s; y is overwritten."""
-    s = x + y
-    y_virtual = s - x
-    np.subtract(x, np.subtract(s, y_virtual, out=err), out=err)
-    y -= y_virtual
-    err += y
-    x[...] = s
-
-
-def exact_row_sums(rows: np.ndarray) -> np.ndarray:
-    """math.fsum of each row of a 2-D float array, bit for bit.
-
-    A pairwise TwoSum tree sums each row and keeps every rounding error; a
-    row whose certificate (module docstring) fails is summed by math.fsum.
-    The 101 samples take seven folds of a few whole-array operations each,
-    not one operation per sample, which keeps a one-link call cheap.
-    """
-    rows = np.asarray(rows, dtype=float)
-    a = rows.T.copy()  # sample-major, so each fold reads whole contiguous rows
-    k, done = a.shape[0], 0
-    errs = np.empty((k - 1, a.shape[1]))
-    while k > 1:
-        # fold sample k - h + i onto sample i; an odd k leaves sample h in place
-        h = k // 2
-        _two_sum(a[:h], a[k - h : k], errs[done : done + h])
-        done += h
-        k -= h
-    r, e = a[0].copy(), errs.sum(axis=0)
-    r_err = np.empty_like(e)
-    _two_sum(r, e, r_err)
-    half_gap = 0.5 * np.minimum(np.nextafter(r, np.inf) - r, r - np.nextafter(r, -np.inf))
-    bound = np.abs(r_err) + 2.0 * len(a) * _UNIT_ROUNDOFF * np.abs(errs).sum(axis=0)
-    for i in np.flatnonzero(~(bound < half_gap)).tolist():
-        r[i] = math.fsum(rows[i].tolist())
-    return r
+def _centroids(weights: np.ndarray) -> np.ndarray:
+    """Centroids of (L, 5) output-level weights by the closed form of the
+    module docstring, each floored at ILC_FLOOR."""
+    w0, w1, w2, w3, w4 = weights.T
+    offset = 546.0 * (w4 - w0) + 625.0 * (w3 - w1)
+    total = 13.0 * (w0 + w4) + 25.0 * (w1 + w2 + w3)
+    return np.maximum(0.5 + offset / (100.0 * total), ILC_FLOOR)
 
 
 def ilc_costs(inputs: np.ndarray) -> np.ndarray:
     """Integrated link costs of (L, 3) normalized (throughput, delay, jitter) rows.
 
-    Returns L costs in [ILC_FLOOR, 1]. The centroid is computed as an offset
-    from the grid midpoint with correctly rounded sums (`exact_row_sums`,
-    equal to math.fsum bit for bit), so a mirror-symmetric aggregate
-    defuzzifies to 0.5 with no rounding residue. The links are scored in
-    blocks of _BLOCK_ROWS: the (L, 101) aggregate is never held whole, and
-    each block's stacked product is the same per-link gemv.
+    Returns L costs in [ILC_FLOOR, 1]. Each link's rule weights are summed
+    into its output levels in (throughput, delay, jitter) rule order, and
+    the weights defuzzify by the closed-form centroid (`_centroids`).
     """
     x = np.asarray(inputs, dtype=float).reshape(-1, 3)
     outside = ~((x >= 0.0) & (x <= 1.0))
@@ -185,14 +120,7 @@ def ilc_costs(inputs: np.ndarray) -> np.ndarray:
             wij = mt[:, i] * md[:, j]
             for k in range(INPUT_LEVELS):
                 weights[:, RULE_TABLE[i, j, k]] += wij * mj[:, k]
-
-    total, offset = np.empty(len(x)), np.empty(len(x))
-    for lo in range(0, len(x), _BLOCK_ROWS):
-        block = slice(lo, lo + _BLOCK_ROWS)
-        mu = (weights[block, None, :] @ OUT_SAMPLES)[:, 0, :]
-        sums = exact_row_sums(np.concatenate((mu, mu * SAMPLE_OFFSETS)))
-        total[block], offset[block] = sums.reshape(2, -1)
-    return np.maximum(0.5 + offset / (100.0 * total), ILC_FLOOR)
+    return _centroids(weights)
 
 
 def evaluate_ilc(throughput_n: float, delay_n: float, jitter_n: float) -> float:

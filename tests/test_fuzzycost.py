@@ -1,24 +1,23 @@
 """Fuzzy link-cost evaluator: memberships, rule table, centroid, cost matrix."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from meshroute.fuzzycost import (
     ILC_FLOOR,
-    OUT_SAMPLES,
     RULE_TABLE,
-    SAMPLE_OFFSETS,
     CostMatrix,
+    _centroids,
     _memberships,
     _normalize,
     build_cost_matrix,
     consequent_of,
     evaluate_ilc,
-    exact_row_sums,
     ilc_costs,
 )
 from meshroute.topology import METRIC_HIGH, METRIC_LOW, NetworkScenario, generate_scenario
@@ -59,23 +58,93 @@ def reference_weights(throughput_n, delay_n, jitter_n):
     return weights
 
 
-def reference_ilc(throughput_n, delay_n, jitter_n):
-    """One link at a time: the 27-rule loop, a vector-matrix product, two fsums."""
-    mu = reference_weights(throughput_n, delay_n, jitter_n) @ OUT_SAMPLES
+# the output sets' samples at x = j / 100 as floats, computed as the
+# defuzzifier did before it took the closed form, and exactly
+OUT_SAMPLES = np.maximum(0.0, 1.0 - np.abs(np.arange(101) - 25 * np.arange(5)[:, None]) / 25.0)
+EXACT_SAMPLES = [[Fraction(max(0, 25 - abs(j - 25 * o)), 25) for j in range(101)] for o in range(5)]
+# each output set's mass and first moment about the grid midpoint, in samples
+LEVEL_MASS = (13, 25, 25, 25, 13)
+LEVEL_MOMENT = (-546, -625, 0, 625, 546)
+
+U = 2.0**-53  # unit roundoff
+# how far a cost may lie from the exact centroid of its weights: the
+# closed form's bound is derived in the fuzzycost module docstring, the
+# sampled pipeline's in sampled_centroid's
+CLOSED_FORM_BOUND = 4.3 * U
+SAMPLED_BOUND = 6.0 * U
+
+
+def sampled_centroid(weights):
+    """The 101-sample centroid of five output-level weights as it was
+    computed before the closed form: a vector-matrix aggregate of the float
+    samples and two correctly rounded sums, floored at ILC_FLOOR.
+
+    Its error bound, first order in u = 2**-53 (second-order terms are far
+    below the slack): a float sample of level o is (25 - k) / 25 with
+    k = |j - 25 o| <= 24 off by at most u (the division rounds, and the
+    subtraction from 1 is exact for k >= 13 and rounds by u / 2 below), and
+    is exactly 0 off the set's N_o = 25 or 49 samples. An aggregate sample
+    sums at most two non-zero products, two roundings, so it is within
+    sum_o w_o (u + 2 u s_o(j)) of exact. With N_o <= 1.96 S_o and the sum's
+    own rounding, the mass is within (1.96 + 2 + 1) u T of its exact value
+    T. For the offset, A_o = sum of |j - 50| over the set's samples (950,
+    1225, 600, at most 73.1 S_o) and F_o = sum_j |j - 50| s_o(j) (546, 625,
+    208, at most 42 S_o): the sample errors add 73.1 u T + 2 * 42 u T, the
+    products by j - 50 another 42 u T and the rounded sum at most 42 u T, so
+    2.41 u after division by 100 T. The quotient, at most 0.42 in magnitude,
+    takes a relative 4.96 u from the mass and u each from 100 T and the
+    division, and adding 0.5 rounds by at most u / 2. In all
+    2.41 u + 0.42 * 6.96 u + 0.5 u < 5.9 u, within SAMPLED_BOUND.
+    """
+    mu = np.asarray(weights, dtype=float) @ OUT_SAMPLES
     total = math.fsum(mu)
     offset = math.fsum((idx - 50) * m for idx, m in enumerate(mu))
     return max(0.5 + offset / (100.0 * total), ILC_FLOOR)
+
+
+def closed_form_centroid(weights):
+    """The closed-form centroid of five output-level weights in Python
+    floats, in the operation order of fuzzycost._centroids."""
+    w0, w1, w2, w3, w4 = (float(w) for w in weights)
+    offset = 546.0 * (w4 - w0) + 625.0 * (w3 - w1)
+    total = 13.0 * (w0 + w4) + 25.0 * (w1 + w2 + w3)
+    return max(0.5 + offset / (100.0 * total), ILC_FLOOR)
+
+
+def exact_centroid(weights):
+    """The 101-sample centroid of five float weights in exact arithmetic."""
+    w = [Fraction(float(x)) for x in weights]
+    mass = sum(s * x for s, x in zip(LEVEL_MASS, w))
+    moment = sum(m * x for m, x in zip(LEVEL_MOMENT, w))
+    return Fraction(1, 2) + moment / (100 * mass)
+
+
+def reference_ilc(throughput_n, delay_n, jitter_n):
+    """One link at a time: the 27-rule loop and the sampled centroid."""
+    return sampled_centroid(reference_weights(throughput_n, delay_n, jitter_n))
+
+
+def closed_form_ilc(throughput_n, delay_n, jitter_n):
+    """One link at a time: the 27-rule loop and the closed-form centroid."""
+    return closed_form_centroid(reference_weights(throughput_n, delay_n, jitter_n))
+
+
+def normalized_links(scenario):
+    """(src, dst, throughput, delay, jitter) of each link, normalized one
+    value at a time."""
+    for (src, dst), raw in zip(scenario.links.tolist(), scenario.metrics.tolist()):
+        t, d, j = (
+            min(1.0, max(0.0, (x - lo) / (hi - lo))) for x, lo, hi in zip(raw, METRIC_LOW, METRIC_HIGH)
+        )
+        yield src, dst, t, d, j
 
 
 def reference_cost_matrix(scenario):
     """Link-by-link scoring into a dense matrix, neighbour lists by per-row scans."""
     n = scenario.n
     values = np.full((n, n), np.nan)
-    for (src, dst), raw in zip(scenario.links.tolist(), scenario.metrics.tolist()):
-        t, d, j = (
-            min(1.0, max(0.0, (x - lo) / (hi - lo))) for x, lo, hi in zip(raw, METRIC_LOW, METRIC_HIGH)
-        )
-        values[src, dst] = reference_ilc(t, d, j)
+    for src, dst, t, d, j in normalized_links(scenario):
+        values[src, dst] = closed_form_ilc(t, d, j)
     adjacency = np.isfinite(values)
     neighbors = tuple(tuple(np.nonzero(adjacency[i])[0].tolist()) for i in range(n))
     return values, adjacency, neighbors
@@ -196,21 +265,40 @@ def test_ilc_range_property(t, d, j):
 @given(unit_floats, unit_floats, unit_floats)
 @settings(max_examples=300)
 def test_ilc_matches_reference_property(t, d, j):
-    assert evaluate_ilc(t, d, j) == reference_ilc(t, d, j)
+    assert evaluate_ilc(t, d, j) == closed_form_ilc(t, d, j)
 
 
 def test_ilc_batch_matches_reference_on_lattice():
     grid = np.array([(t, d, j) for t in LATTICE for d in LATTICE for j in LATTICE])
-    expected = [reference_ilc(*row) for row in grid.tolist()]
+    expected = [closed_form_ilc(*row) for row in grid.tolist()]
     assert ilc_costs(grid).tolist() == expected
 
 
+@given(st.lists(st.tuples(unit_floats, unit_floats, unit_floats), max_size=6))
+@settings(max_examples=100)
+def test_ilc_batch_equals_one_link_calls(rows):
+    costs = ilc_costs(np.array(rows, dtype=float).reshape(-1, 3))
+    assert [c.hex() for c in costs.tolist()] == [evaluate_ilc(*row).hex() for row in rows]
+
+
+def test_level_moments_are_the_sampled_ones():
+    # the closed form's integer mass and first moment of each output set
+    # are its exact samples' sums; the float samples sum to them as well,
+    # and each float sample is within u of its exact value
+    assert [sum(row) for row in EXACT_SAMPLES] == list(LEVEL_MASS)
+    assert [sum((j - 50) * x for j, x in enumerate(row)) for row in EXACT_SAMPLES] == list(LEVEL_MOMENT)
+    assert [math.fsum(row) for row in OUT_SAMPLES.tolist()] == list(LEVEL_MASS)
+    assert [math.fsum(row * (np.arange(101) - 50.0)) for row in OUT_SAMPLES] == list(LEVEL_MOMENT)
+    for row, exact in zip(OUT_SAMPLES.tolist(), EXACT_SAMPLES):
+        assert max(abs(Fraction(x) - y) for x, y in zip(row, exact)) <= U
+
+
 @st.composite
-def aggregates(draw):
-    """One link's 101 aggregate samples from five output-level weights: any
-    weights, mirror-symmetric ones (offset exactly 0), a single non-zero
-    level, or the weights of an input-lattice point; scaled down as far as
-    subnormal samples."""
+def weight_vectors(draw):
+    """Five output-level weights, not all zero: any weights,
+    mirror-symmetric ones, a single non-zero level, or the weights of an
+    input-lattice point, at full scale or scaled down to the size of three
+    small memberships' products."""
     kind = draw(st.sampled_from(("any", "mirror", "single", "lattice")))
     if kind == "any":
         weights = draw(st.lists(st.floats(0.0, 3.0), min_size=5, max_size=5))
@@ -222,51 +310,42 @@ def aggregates(draw):
         weights[draw(st.integers(0, 4))] = draw(st.floats(0.0, 3.0))
     else:
         weights = reference_weights(*(draw(st.sampled_from(LATTICE.tolist())) for _ in range(3)))
-    scale = draw(st.sampled_from((1.0, 1e-300, 1e-310, 5e-324)))
-    return (np.asarray(weights) * scale) @ OUT_SAMPLES
+    weights = np.asarray(weights) * draw(st.sampled_from((1.0, 2.0**-160)))
+    # as in ilc_costs, where a non-zero weight is at least 2**-162, no
+    # product or sum of the centroid comes near the subnormal range
+    assume(((weights == 0.0) | (weights >= 2.0**-900)).all())
+    assume(weights.max() > 0.0)
+    return weights
 
 
-@st.composite
-def near_ties(draw):
-    """Rows whose exact sum sits a hair off a rounding tie: x, half an ulp of
-    x and a far smaller nudge either way, in shuffled sample positions. A
-    float sum of the rounding errors lands on the tie, so only a correctly
-    rounded sum gets these right."""
-    x = draw(st.floats(1e-200, 1e200))
-    half_ulp = math.ulp(x) / 2
-    nudge = draw(st.sampled_from((1.0, -1.0))) * half_ulp * 2.0**-draw(st.integers(1, 60))
-    row = np.zeros(101)
-    row[draw(st.lists(st.integers(0, 100), min_size=3, max_size=3, unique=True))] = (x, half_ulp, nudge)
-    return row
-
-
-def fsum_hex(rows):
-    return [math.fsum(row).hex() for row in np.asarray(rows).tolist()]
-
-
-@given(st.lists(aggregates(), max_size=4))
+@given(weight_vectors())
 @settings(max_examples=300)
-def test_exact_row_sums_equal_fsum_on_aggregates(mus):
-    """Both centroid sums of every link, as ilc_costs stacks them."""
-    mu = np.array(mus).reshape(-1, 101)
-    rows = np.concatenate((mu, mu * SAMPLE_OFFSETS))
-    assert [v.hex() for v in exact_row_sums(rows).tolist()] == fsum_hex(rows)
+def test_centroids_within_bound_of_exact(weights):
+    exact = exact_centroid(weights)
+    cost = _centroids(weights[None, :])[0]
+    assert cost == closed_form_centroid(weights)
+    assert abs(Fraction(cost) - exact) <= CLOSED_FORM_BOUND
+    assert abs(Fraction(sampled_centroid(weights)) - exact) <= SAMPLED_BOUND
 
 
-@given(st.lists(near_ties(), min_size=1, max_size=3))
+@given(st.lists(st.floats(0.0, 3.0), min_size=3, max_size=3), st.sampled_from((1.0, 2.0**-160)))
 @settings(max_examples=200)
-def test_exact_row_sums_equal_fsum_near_ties(rows):
-    assert [v.hex() for v in exact_row_sums(np.array(rows)).tolist()] == fsum_hex(rows)
+def test_mirror_symmetric_weights_give_half(levels, scale):
+    a, b, c = (x * scale for x in levels)
+    assume(a + b + c > 0.0)
+    assert _centroids(np.array([[a, b, c, b, a]])).tolist() == [0.5]
 
 
-def test_exact_row_sums_edge_cases():
-    assert exact_row_sums(np.empty((0, 101))).shape == (0,)
+def test_mirror_symmetric_inputs_give_half():
+    # medium throughput and mirrored delay and jitter weigh level o as much
+    # as level 4 - o; eighths keep every membership product exact
+    eighths = np.linspace(0.0, 1.0, 9)
+    rows = np.array([(0.5, d, 1.0 - d) for d in eighths])
+    assert ilc_costs(rows).tolist() == [0.5] * len(rows)
+
+
+def test_ilc_costs_of_no_links():
     assert ilc_costs(np.empty((0, 3))).shape == (0,)
-    # float addition of the rounding errors rounds 2**-53 + 2**-106 down to
-    # the tie 2**-53, and 1 + 2**-53 rounds to even; the exact sum rounds up
-    row = np.zeros((1, 101))
-    row[0, :3] = (1.0, 2.0**-53, 2.0**-106)
-    assert exact_row_sums(row).tolist() == [1.0 + 2.0**-52]
 
 
 def test_ilc_batch_rejects_out_of_range_row():
@@ -435,6 +514,23 @@ def test_cost_matrix_matches_reference(n, placement, seed):
     assert cm.links == tuple(
         tuple((u, float(values[v, u])) for u in neighbors[v]) for v in range(n)
     )
+
+
+@pytest.mark.parametrize(
+    "n, placement, seed",
+    [(n, placement, seed) for n, placement, seeds in GOLDEN_CASES for seed in seeds],
+)
+def test_costs_within_bound_of_exact_and_sampled(n, placement, seed):
+    # every link cost of the scenario against the exact centroid of its
+    # weights and against the sampled pipeline the closed form replaced
+    scenario = generate_scenario(n, placement=placement, seed=seed)
+    costs = dense_costs(build_cost_matrix(scenario))
+    for src, dst, t, d, j in normalized_links(scenario):
+        weights = reference_weights(t, d, j)
+        exact, cost = exact_centroid(weights), costs[src, dst]
+        assert abs(Fraction(cost) - exact) <= CLOSED_FORM_BOUND
+        assert abs(Fraction(sampled_centroid(weights)) - exact) <= SAMPLED_BOUND
+        assert abs(cost - sampled_centroid(weights)) <= CLOSED_FORM_BOUND + SAMPLED_BOUND
 
 
 # the dense (n, n) fields took about 5,900 traced bytes per link at 2500 nodes
