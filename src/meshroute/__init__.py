@@ -10,7 +10,7 @@ from .bbbc import BbbcParams, run_bbbc
 from .bbo import BboParams, run_bbo
 from .bench import BenchPlan, run_plan, summarize
 from .fuzzycost import CostMatrix, build_cost_matrix, evaluate_ilc
-from .oracle import OracleResult, UnreachableError, percent_error, shortest_path
+from .oracle import UnreachableError, percent_error, shortest_path
 from .pathcodec import BrokenPathError, NoPathError, Path, decode_path, path_cost
 from .results import RunParams, RunResult, TracePoint
 from .topology import (
@@ -32,7 +32,6 @@ __all__ = [
     "CostMatrix",
     "NetworkScenario",
     "NoPathError",
-    "OracleResult",
     "Path",
     "RunParams",
     "RunResult",

@@ -25,19 +25,13 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
 
 from .fuzzycost import CostMatrix
+from .pathcodec import Path
 
 
 class UnreachableError(RuntimeError):
     """Terminal not reachable from source."""
-
-
-@dataclass(frozen=True)
-class OracleResult:
-    nodes: tuple[int, ...]
-    cost: float
 
 
 def _route(pred: list[int], v: int) -> list[int]:
@@ -50,7 +44,7 @@ def _route(pred: list[int], v: int) -> list[int]:
     return nodes
 
 
-def shortest_path(cm: CostMatrix, source: int, terminal: int) -> OracleResult:
+def shortest_path(cm: CostMatrix, source: int, terminal: int) -> Path:
     """Minimum-cost path by Dijkstra with predecessor labels; link costs must be positive.
 
     Among equal-cost paths the lexicographically smallest node sequence wins
@@ -63,7 +57,7 @@ def shortest_path(cm: CostMatrix, source: int, terminal: int) -> OracleResult:
     if not (0 <= source < n and 0 <= terminal < n):
         raise ValueError(f"source {source} or terminal {terminal} out of range")
     if source == terminal:
-        return OracleResult((source,), 0.0)
+        return Path((source,), 0.0)
     links = cm.links
     dist = [math.inf] * n
     pred = [-1] * n
@@ -75,7 +69,7 @@ def shortest_path(cm: CostMatrix, source: int, terminal: int) -> OracleResult:
         if cost > dist[v]:
             continue  # stale: v was pushed again at a lower cost
         if v == terminal:
-            return OracleResult(tuple(_route(pred, v)), cost)
+            return Path(tuple(_route(pred, v)), cost)
         for u, w in links[v]:
             c = cost + w
             d = dist[u]
@@ -92,13 +86,13 @@ def shortest_path(cm: CostMatrix, source: int, terminal: int) -> OracleResult:
     raise UnreachableError(f"node {terminal} unreachable from {source}")
 
 
-def brute_force_shortest(cm: CostMatrix, source: int, terminal: int) -> OracleResult:
+def brute_force_shortest(cm: CostMatrix, source: int, terminal: int) -> Path:
     """Enumerate all simple paths; independent check of shortest_path on tiny graphs."""
     n = cm.n
     if n > 12:
         raise ValueError(f"brute force limited to 12 nodes, got {n}")
     if source == terminal:
-        return OracleResult((source,), 0.0)
+        return Path((source,), 0.0)
     best_cost = math.inf
     best_nodes: tuple[int, ...] | None = None
 
@@ -127,7 +121,7 @@ def brute_force_shortest(cm: CostMatrix, source: int, terminal: int) -> OracleRe
     walk(source, (source,), 0.0)
     if best_nodes is None:
         raise UnreachableError(f"node {terminal} unreachable from {source}")
-    return OracleResult(best_nodes, float(best_cost))
+    return Path(best_nodes, float(best_cost))
 
 
 def percent_error(found_cost: float, optimal_cost: float) -> float:

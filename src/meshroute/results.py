@@ -23,12 +23,13 @@ class RunParams:
     rng_seed: int = 0
 
     def __post_init__(self):
-        if self.max_generations < 1:
-            raise ValueError("max_generations must be >= 1")
-        if self.population_size < 2:
-            raise ValueError("population_size must be >= 2")
-        if self.rng_seed < 0:
-            raise ValueError("rng_seed must be >= 0")
+        for name, least in (("max_generations", 1), ("population_size", 2), ("rng_seed", 0)):
+            value = getattr(self, name)
+            # as in a plan file, no float or bool stands in for an integer
+            if type(value) is not int:
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if value < least:
+                raise ValueError(f"{name} must be >= {least}")
 
 
 @dataclass(frozen=True)

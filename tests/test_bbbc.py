@@ -131,6 +131,26 @@ def test_params_validation():
         RunParams(1, rng_seed=-1)
 
 
+@pytest.mark.parametrize(
+    "kwargs, field",
+    [
+        ({"max_generations": 2.5}, "max_generations"),
+        ({"max_generations": 3.0}, "max_generations"),
+        ({"max_generations": True}, "max_generations"),
+        ({"max_generations": 3, "population_size": 10.0}, "population_size"),
+        ({"max_generations": 3, "population_size": True}, "population_size"),
+        ({"max_generations": 3, "rng_seed": 1.0}, "rng_seed"),
+        ({"max_generations": 3, "rng_seed": False}, "rng_seed"),
+        ({"max_generations": 3, "rng_seed": np.int64(7)}, "rng_seed"),
+    ],
+)
+def test_params_refuse_non_integers(kwargs, field):
+    # refused by RunParams, naming the field, not by numpy inside the run;
+    # a bool is no integer here, as in a plan file
+    with pytest.raises(ValueError, match=f"^{field} must be an integer, got "):
+        RunParams(**kwargs)
+
+
 def test_line_graph_solved_at_generation_one(line3_cm):
     params = RunParams(max_generations=1, population_size=4, rng_seed=0)
     r = run_bbbc(line3_cm, 0, 2, params)

@@ -7,13 +7,12 @@ import pytest
 
 from meshroute.fuzzycost import build_cost_matrix
 from meshroute.oracle import (
-    OracleResult,
     UnreachableError,
     brute_force_shortest,
     percent_error,
     shortest_path,
 )
-from meshroute.pathcodec import path_cost
+from meshroute.pathcodec import Path, path_cost
 from meshroute.topology import generate_scenario
 
 from helpers import dense_costs, from_entries, out_neighbors
@@ -46,7 +45,7 @@ def reference_shortest_path(cm, source, terminal):
     if not (0 <= source < n and 0 <= terminal < n):
         raise ValueError(f"source {source} or terminal {terminal} out of range")
     if source == terminal:
-        return OracleResult((source,), 0.0)
+        return Path((source,), 0.0)
     values = dense_costs(cm)
     settled = bytearray(n)
     heap = [(0.0, (source,))]
@@ -56,7 +55,7 @@ def reference_shortest_path(cm, source, terminal):
         if settled[v]:
             continue
         if v == terminal:
-            return OracleResult(nodes, cost)
+            return Path(nodes, cost)
         settled[v] = 1
         for u in out_neighbors(cm, v):
             if not settled[u]:
@@ -107,7 +106,7 @@ def test_unreachable():
 def test_source_equals_terminal_is_trivial():
     cm = from_entries(2, {(0, 1): 0.5})
     r = shortest_path(cm, 1, 1)
-    assert r == OracleResult((1,), 0.0)
+    assert r == Path((1,), 0.0)
 
 
 def test_out_of_range_endpoint():
@@ -128,7 +127,7 @@ def test_tie_compares_whole_routes_not_parents():
     # both routes to 3 cost 1.0; the parent route (0, 1) is a prefix of
     # (0, 1, 2), yet (0, 1, 2, 3) < (0, 1, 3)
     cm = from_entries(4, {(0, 1): 0.5, (1, 3): 0.5, (1, 2): 0.25, (2, 3): 0.25})
-    expected = OracleResult((0, 1, 2, 3), 1.0)
+    expected = Path((0, 1, 2, 3), 1.0)
     assert shortest_path(cm, 0, 3) == expected
     assert reference_shortest_path(cm, 0, 3) == expected
     assert brute_force_shortest(cm, 0, 3) == expected
@@ -137,10 +136,10 @@ def test_tie_compares_whole_routes_not_parents():
 def test_equal_offer_keeps_or_replaces_label_by_whole_route():
     # the smaller route's parent 1 settles first: the later offer from 3 is dropped
     keep = from_entries(4, {(0, 1): 0.25, (1, 2): 0.5, (0, 3): 0.5, (3, 2): 0.25})
-    assert shortest_path(keep, 0, 2) == OracleResult((0, 1, 2), 0.75)
+    assert shortest_path(keep, 0, 2) == Path((0, 1, 2), 0.75)
     # the smaller route's parent 1 settles last: its equal offer replaces the label
     swap = from_entries(4, {(0, 3): 0.25, (3, 2): 0.5, (0, 1): 0.5, (1, 2): 0.25})
-    assert shortest_path(swap, 0, 2) == OracleResult((0, 1, 2), 0.75)
+    assert shortest_path(swap, 0, 2) == Path((0, 1, 2), 0.75)
 
 
 @pytest.mark.parametrize(
