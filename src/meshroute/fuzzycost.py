@@ -52,7 +52,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .topology import METRIC_HIGH, METRIC_LOW
+from .topology import METRIC_HIGH, METRIC_LOW, _link_order
 
 ILC_FLOOR = 1e-6
 
@@ -152,29 +152,20 @@ class CostMatrix:
 
     @classmethod
     def from_arrays(cls, n: int, src, dst, costs) -> "CostMatrix":
-        """Matrix of links src[l] -> dst[l] with cost costs[l].
-
-        A repeated link keeps its last cost; a non-finite cost leaves no link.
-        A scalar cost applies to every link.
+        """Matrix of links src[l] -> dst[l] with cost costs[l]; a scalar cost
+        applies to every link. The first link with an endpoint outside
+        0..n-1, a self-loop, a repeat or a cost that is not finite is named
+        in a ValueError (topology._link_order, the rule of scenario links).
         """
         src = np.asarray(src, dtype=np.int64)
         dst = np.asarray(dst, dtype=np.int64)
-        loops = np.flatnonzero(src == dst)
-        if len(loops):
-            raise ValueError(f"self-loop cost at node {src[loops[0]]}")
-        if len(src) and (min(src.min(), dst.min()) < 0 or max(src.max(), dst.max()) >= n):
-            raise ValueError(f"link endpoint outside 0..{n - 1}")
         costs = np.broadcast_to(np.asarray(costs, dtype=float), src.shape)
-        keys = src * n + dst
-        # a stable sort keeps a repeated link's entries in input order, so the
-        # last entry of each run of equal keys holds the link's last cost
-        order = np.argsort(keys, kind="stable")
-        keys = keys[order]
-        last = np.ones(len(keys), dtype=bool)
-        last[:-1] = keys[1:] != keys[:-1]
-        order = order[last]
-        order = order[np.isfinite(costs[order])]
-        heads, tails, values = src[order], dst[order], costs[order]
+        order = _link_order(n, src, dst, ~np.isfinite(costs), "a cost that is not finite")
+        return cls._from_sorted(n, src[order], dst[order], costs[order])
+
+    @classmethod
+    def _from_sorted(cls, n: int, heads: np.ndarray, tails: np.ndarray, values: np.ndarray) -> "CostMatrix":
+        """from_arrays on valid links in row-major order, unchecked."""
         indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(np.bincount(heads, minlength=n), out=indptr[1:])
         pairs = list(zip(tails.tolist(), values.tolist()))
@@ -186,6 +177,7 @@ class CostMatrix:
 
 
 def build_cost_matrix(scenario) -> CostMatrix:
-    """Score every observed link of a scenario with the fuzzy system."""
+    """Score every observed link of a scenario with the fuzzy system. The
+    scenario checked and sorted its links when it was built."""
     costs = ilc_costs(_normalize(scenario.metrics))
-    return CostMatrix.from_arrays(scenario.n, scenario.links[:, 0], scenario.links[:, 1], costs)
+    return CostMatrix._from_sorted(scenario.n, scenario.links[:, 0], scenario.links[:, 1].copy(), costs)

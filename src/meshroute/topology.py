@@ -11,11 +11,12 @@ positions (n, 2), links (L, 2) as (from, to) rows and metrics (L, 3) as
 Scenario files are JSON in format version 2, the one format written and
 read. It stores columns: "nodes" maps x_m and y_m to one list each, and
 "links" maps from, to, throughput_mbps, delay_ms and jitter_ms to one list
-each, in row-major (from, to) order. Columns are checked one at a time
-(scenario_from_dict says what is rejected), and a scenario always holds its
-links sorted row-major. A version 1 file, with one object per node and per
-link, is refused with a hint to regenerate it: meshroute gen writes the same
-scenario for the same arguments.
+each, in row-major (from, to) order. A version 1 file, with one object per
+node and per link, is refused with a hint to regenerate it: meshroute gen
+writes the same scenario for the same arguments. scenario_from_dict checks
+a file's layout and JSON types and NetworkScenario every value, so a
+scenario that builds is one that load_scenario reads back; its link rules
+(_link_order) are also CostMatrix.from_arrays's.
 
 Links come from a cell list (_radio_pairs): nodes are bucketed into square
 cells about one radio range wide (_cells), each node is tested only against
@@ -38,7 +39,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -76,6 +78,35 @@ def _rows(value, dtype, width: int, name: str) -> np.ndarray:
     return array
 
 
+def _link_order(n: int, src: np.ndarray, dst: np.ndarray, bad: np.ndarray, value: str) -> np.ndarray:
+    """The row-major order of the links src[l] -> dst[l] among n nodes.
+
+    The first faulty link in the order given raises ValueError naming, of
+    its faults, an endpoint outside 0..n-1, a self-loop, a repeat of an
+    earlier link or else a bad value (bad[l]; value words it). One stable
+    sort of the keys src * n + dst gives the order and flags the later copy
+    of a repeat. Keys of out-of-range links may collide, but such a link is
+    itself a fault that comes no later than the link it collides with.
+    """
+    outside = (src < 0) | (src >= n) | (dst < 0) | (dst >= n)
+    keys = src * n + dst
+    order = np.argsort(keys, kind="stable")
+    repeat = np.zeros(len(keys), dtype=bool)
+    repeat[order[1:][keys[order[1:]] == keys[order[:-1]]]] = True
+    fault = outside | (src == dst) | repeat | bad
+    if fault.any():
+        k = int(np.argmax(fault))
+        a, b = int(src[k]), int(dst[k])
+        if outside[k]:
+            raise ValueError(f"link {a} -> {b} has an endpoint outside 0..{n - 1}")
+        if a == b:
+            raise ValueError(f"self-loop link at node {a}")
+        if repeat[k]:
+            raise ValueError(f"duplicate link {a} -> {b}")
+        raise ValueError(f"link {a} -> {b} has {value}")
+    return order
+
+
 @dataclass(frozen=True, eq=False)
 class NetworkScenario:
     """Node positions and directed links with their raw metrics.
@@ -86,7 +117,11 @@ class NetworkScenario:
     is a read-only copy of what was passed, with the links and their metric
     rows put in row-major (from, to) order, so save_scenario writes them
     sorted. Scenarios are equal when their scalars are equal and their arrays
-    hold equal values.
+    hold equal values. Construction refuses, with the loader's message and
+    in this order, a coordinate that is not finite, a faulty link or metric
+    (_link_order), a seed that is not an integer >= 0, and an area side or
+    radio range that is not a positive, finite number (bools are neither);
+    the seed is kept as an int and the lengths as floats.
     """
 
     seed: int
@@ -102,14 +137,31 @@ class NetworkScenario:
         metrics = _rows(self.metrics, np.float64, 3, "metrics")
         if len(metrics) != len(links):
             raise ValueError(f"{len(links)} links but {len(metrics)} metric rows")
-        head, tail = links[:-1], links[1:]
-        if ((tail[:, 0] < head[:, 0]) | ((tail[:, 0] == head[:, 0]) & (tail[:, 1] < head[:, 1]))).any():
-            # a stable sort, so repeated links keep the order given
-            order = np.lexsort((links[:, 1], links[:, 0]))
-            links, metrics = links[order], metrics[order]
-        for name, array in (("positions", positions), ("links", links), ("metrics", metrics)):
+        # column by column: a row-wise all() is several times slower on short rows
+        finite = np.isfinite(positions)
+        bad = np.flatnonzero(~(finite[:, 0] & finite[:, 1]))
+        if len(bad):
+            raise ValueError(f"node {bad[0]} has a coordinate that is not finite")
+        # the chained comparisons are false for NaN as well
+        ok = (0.0 <= metrics) & (metrics < math.inf)
+        bad_metric = ~(ok[:, 0] & ok[:, 1] & ok[:, 2])
+        order = _link_order(len(positions), *links.T, bad_metric, "a metric that is negative or not finite")
+        if isinstance(self.seed, bool) or not isinstance(self.seed, numbers.Integral):
+            raise ValueError(f"scenario 'seed' is {self.seed!r}, not an integer")
+        if self.seed < 0:
+            raise ValueError(f"scenario 'seed' is {self.seed!r}, which is negative")
+        for key, value in (("area_side_m", self.area_side), ("radio_range_m", self.radio_range)):
+            if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+                raise ValueError(f"scenario {key!r} is {value!r}, not a finite number")
+            if value <= 0:
+                raise ValueError(f"scenario {key!r} is {value!r}, which is not positive")
+        # take is much faster than fancy indexing on (L, 2) and (L, 3) rows
+        links, metrics = np.take(links, order, axis=0), np.take(metrics, order, axis=0)
+        for array in (positions, links, metrics):
             array.flags.writeable = False
-            object.__setattr__(self, name, array)
+        values = (int(self.seed), float(self.area_side), float(self.radio_range), positions, links, metrics)
+        for field, value in zip(fields(self), values):
+            object.__setattr__(self, field.name, value)
 
     @property
     def n(self) -> int:
@@ -358,9 +410,10 @@ _INTEGER = {int}
 _NUMBER = {int, float}
 
 
-def _array(values: list, integer: bool, owner: str, key: str) -> np.ndarray:
+def _array(values: list, integer: bool, owner: str, key: str) -> np.ndarray | None:
     """A column as an int64 or float64 array. Every entry must be a JSON
-    integer (not a bool) or a JSON number; the first that is not is named."""
+    integer (not a bool) or a JSON number; the first that is not is named.
+    An integer column with an entry past int64 gives None."""
     allowed = _INTEGER if integer else _NUMBER
     if not set(map(type, values)) <= allowed:
         k = next(k for k, v in enumerate(values) if type(v) not in allowed)
@@ -371,77 +424,28 @@ def _array(values: list, integer: bool, owner: str, key: str) -> np.ndarray:
     except OverflowError:
         if not integer:
             raise
-        # past int64, so outside every node range: -1 stands in for it
-        return np.array([v if abs(v) < 2**63 else -1 for v in values], dtype=np.int64)
-
-
-def _scalar(data: dict, key: str, integer: bool):
-    """A top-level value: a non-negative JSON integer, or a positive finite
-    JSON number as a float. Bools are neither."""
-    value = data[key]
-    if integer:
-        if type(value) is not int:
-            raise ValueError(f"scenario {key!r} is {value!r}, not an integer")
-        if value < 0:
-            raise ValueError(f"scenario {key!r} is {value!r}, which is negative")
-        return value
-    if type(value) not in _NUMBER or not math.isfinite(value):
-        raise ValueError(f"scenario {key!r} is {value!r}, not a finite number")
-    if value <= 0:
-        raise ValueError(f"scenario {key!r} is {value!r}, which is not positive")
-    return float(value)
+        return None
 
 
 def _from_columns(data: dict, x: list, y: list, link_columns: list[list]) -> NetworkScenario:
-    """Check the columns and the scalars and build the scenario.
-
-    Types are checked column by column, then coordinates. Of the faults in
-    the link values, the one named is the one a link-by-link pass in file
-    order meets first: the first faulty link, and for it an endpoint out of
-    range, then a self-loop, then a repeat of an earlier link, then a bad
-    metric. The seed, area side and radio range are checked last.
-    """
+    """Check the JSON types of the columns, nodes first, and build the
+    scenario, which checks the values. An endpoint past int64, which no
+    array holds, is outside every node range: it is named, as the file
+    writes it, unless an earlier link has a fault."""
     positions = np.stack((_array(x, False, "node", "x_m"), _array(y, False, "node", "y_m")), 1)
-    bad = np.flatnonzero(~np.isfinite(positions).all(axis=1))
-    if len(bad):
-        raise ValueError(f"node {bad[0]} has a coordinate that is not finite")
-    n = len(positions)
     src_list, dst_list = link_columns[:2]
     src = _array(src_list, True, "link", "from")
     dst = _array(dst_list, True, "link", "to")
     metrics = np.stack(
         [_array(column, False, "link", key) for key, column in zip(LINK_COLUMNS[2:], link_columns[2:])], 1
     )
-    outside = (src < 0) | (src >= n) | (dst < 0) | (dst >= n)
-    loop = src == dst
-    # a stable sort keeps repeats in file order, so the later copy is flagged;
-    # keys of out-of-range links may collide, but such a link is itself a fault
-    # that comes no later than the link it collides with
-    keys = src * n + dst
-    order = np.argsort(keys, kind="stable")
-    repeat = np.zeros(len(keys), dtype=bool)
-    repeat[order[1:][keys[order[1:]] == keys[order[:-1]]]] = True
-    # the chained comparisons are false for NaN as well
-    bad_metric = ~((0.0 <= metrics) & (metrics < math.inf)).all(axis=1)
-    fault = outside | loop | repeat | bad_metric
-    if fault.any():
-        k = int(np.argmax(fault))
-        a, b = src_list[k], dst_list[k]
-        if outside[k]:
-            raise ValueError(f"link {a} -> {b} has an endpoint outside 0..{n - 1}")
-        if loop[k]:
-            raise ValueError(f"self-loop link at node {a}")
-        if repeat[k]:
-            raise ValueError(f"duplicate link {a} -> {b}")
-        raise ValueError(f"link {a} -> {b} has a metric that is negative or not finite")
-    return NetworkScenario(
-        seed=_scalar(data, "seed", True),
-        area_side=_scalar(data, "area_side_m", False),
-        radio_range=_scalar(data, "radio_range_m", False),
-        positions=positions,
-        links=np.stack((src, dst), 1),
-        metrics=metrics,
-    )
+    seed, area_side, radio_range = data["seed"], data["area_side_m"], data["radio_range_m"]
+    if src is None or dst is None:
+        k = next(k for k, ends in enumerate(zip(src_list, dst_list)) if max(map(abs, ends)) >= 2**63)
+        # raises for a fault of an earlier link; the scalars are checked after the links
+        NetworkScenario(0, 1.0, 1.0, positions, list(zip(src_list[:k], dst_list[:k])), metrics[:k])
+        raise ValueError(f"link {src_list[k]} -> {dst_list[k]} has an endpoint outside 0..{len(positions) - 1}")
+    return NetworkScenario(seed, area_side, radio_range, positions, np.stack((src, dst), 1), metrics)
 
 
 def scenario_from_dict(data: dict) -> NetworkScenario:
@@ -453,7 +457,8 @@ def scenario_from_dict(data: dict) -> NetworkScenario:
     pair may appear once. Coordinates must be finite JSON numbers, and
     metrics finite, non-negative JSON numbers. The seed must be a
     non-negative JSON integer, and the area side and radio range positive,
-    finite JSON numbers, as generate_scenario writes them.
+    finite JSON numbers, as generate_scenario writes them. The values are
+    NetworkScenario's to check.
     """
     if not isinstance(data, dict):
         raise ValueError("a scenario must be a JSON object")

@@ -546,14 +546,180 @@ def test_hand_built_links_round_trip_equal():
 
 
 def test_hand_built_links_sorted_stably():
-    # 300 links over 6 pairs, one an endpoint no node has: a sort that is not
-    # stable reorders the repeats on arrays this long
-    links = [((5 * k) % 3 - 1, k % 2) for k in range(300)]
-    s = NetworkScenario(0, 1.0, 1.0, [(0.0, 0.0)] * 2, links, [(float(k), 1.0, 1.0) for k in range(300)])
+    # 300 distinct links among 20 nodes, shuffled: they come back row-major,
+    # each with its own metric row
+    pairs = [(a, b) for a in range(20) for b in range(20) if a != b]
+    links = [pairs[k] for k in np.random.default_rng(0).permutation(len(pairs))[:300]]
+    metrics = [(float(k), 1.0, 1.0) for k in range(301)]
+    positions = [(0.0, 0.0)] * 20
+    s = NetworkScenario(0, 1.0, 1.0, positions, links, metrics[:300])
     order = sorted(range(300), key=links.__getitem__)
     assert s.links.tolist() == [list(links[k]) for k in order]
     assert s.metrics[:, 0].tolist() == [float(k) for k in order]
     assert not s.links.flags.writeable and not s.metrics.flags.writeable
+    # link 250 comes back at 261, after a bad metric at 255: the bad metric is
+    # met first, so the sort that finds repeats must keep the copies in order
+    repeated = links[:261] + [links[250]] + links[261:]
+    bad = metrics[:255] + [(1.0, -1.0, 1.0)] + metrics[256:]
+    a, b = links[255]
+    with pytest.raises(ValueError, match=rf"^link {a} -> {b} has a metric that is negative or not finite$"):
+        NetworkScenario(0, 1.0, 1.0, positions, repeated, bad)
+    a, b = links[250]
+    with pytest.raises(ValueError, match=rf"^duplicate link {a} -> {b}$"):
+        NetworkScenario(0, 1.0, 1.0, positions, repeated, metrics)
+    # 300 links over 6 pairs, one an endpoint no node has, which link 0 names
+    links = [((5 * k) % 3 - 1, k % 2) for k in range(300)]
+    with pytest.raises(ValueError, match=r"^link -1 -> 0 has an endpoint outside 0\.\.1$"):
+        NetworkScenario(0, 1.0, 1.0, positions[:2], links, metrics[:300])
+    # its links between the two nodes alternate 1 -> 0 and 0 -> 1
+    links = [link for link in links if -1 not in link and link[0] != link[1]]
+    with pytest.raises(ValueError, match=r"^duplicate link 1 -> 0$"):
+        NetworkScenario(0, 1.0, 1.0, positions[:2], links, metrics[: len(links)])
+
+
+def three_node_scenario(**changes):
+    """NetworkScenario's arguments for a 3-node line with changes applied,
+    and the same scenario as a format-2 object. A change replaces a scalar,
+    or one entry of positions, links or metrics given as (row, col, value)."""
+    args = {
+        "seed": 0,
+        "area_side": 400.0,
+        "radio_range": 250.0,
+        "positions": [[0.0, 0.0], [200.0, 0.0], [400.0, 0.0]],
+        "links": [[0, 1], [1, 0], [1, 2], [2, 1]],
+        "metrics": [[1.2, 30.0, 5.0], [0.8, 40.0, 3.0], [1.5, 20.0, 2.0], [1.0, 25.0, 4.0]],
+    }
+    for key, change in changes.items():
+        if isinstance(change, tuple):
+            row, col, value = change
+            args[key][row][col] = value
+        else:
+            args[key] = change
+    return args, scenario_dict(**args)
+
+
+def scenario_dict(seed, area_side, radio_range, positions, links, metrics):
+    """The format-2 object of NetworkScenario's arguments, rows in the order given."""
+    link_rows = [tuple(link) + tuple(metric) for link, metric in zip(links, metrics)]
+    return {
+        "version": 2,
+        "seed": seed,
+        "area_side_m": area_side,
+        "radio_range_m": radio_range,
+        "nodes": {key: [p[i] for p in positions] for i, key in enumerate(NODE_COLUMNS)},
+        "links": {key: [row[i] for row in link_rows] for i, key in enumerate(LINK_COLUMNS)},
+    }
+
+
+HAND_BUILT_FAULTS = [
+    pytest.param({"metrics": (2, 1, math.nan)}, "link 1 -> 2 has a metric that is negative or not finite", id="nan"),
+    pytest.param({"metrics": (2, 2, math.inf)}, "link 1 -> 2 has a metric that is negative or not finite", id="inf"),
+    pytest.param({"metrics": (1, 0, -0.5)}, "link 1 -> 0 has a metric that is negative or not finite", id="negative"),
+    pytest.param({"links": (3, 1, 2)}, "self-loop link at node 2", id="self-loop"),
+    pytest.param({"links": (1, 1, 2)}, "duplicate link 1 -> 2", id="repeat"),
+    pytest.param({"links": (0, 1, 3)}, "link 0 -> 3 has an endpoint outside 0..2", id="outside"),
+    pytest.param({"links": (2, 0, -1)}, "link -1 -> 2 has an endpoint outside 0..2", id="negative-end"),
+    pytest.param({"positions": (1, 0, math.nan)}, "node 1 has a coordinate that is not finite", id="x-nan"),
+    pytest.param({"positions": (2, 1, -math.inf)}, "node 2 has a coordinate that is not finite", id="y-inf"),
+    pytest.param({"seed": -1}, "scenario 'seed' is -1, which is negative", id="seed"),
+    pytest.param({"area_side": 0.0}, "scenario 'area_side_m' is 0.0, which is not positive", id="area-0"),
+    pytest.param({"area_side": -5}, "scenario 'area_side_m' is -5, which is not positive", id="area-neg"),
+    pytest.param({"area_side": math.inf}, "scenario 'area_side_m' is inf, not a finite number", id="area-inf"),
+    pytest.param({"radio_range": 0}, "scenario 'radio_range_m' is 0, which is not positive", id="range-0"),
+    pytest.param({"radio_range": math.nan}, "scenario 'radio_range_m' is nan, not a finite number", id="range-nan"),
+]
+
+
+@pytest.mark.parametrize("changes, message", HAND_BUILT_FAULTS)
+def test_hand_built_scenario_refused_with_the_loaders_message(changes, message):
+    args, data = three_node_scenario(**changes)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        NetworkScenario(**args)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        scenario_from_dict(data)
+
+
+def test_hand_built_scalars_keep_their_types(tmp_path):
+    args, _ = three_node_scenario(seed=np.int64(7), area_side=400, radio_range=np.float64(250.0))
+    s = NetworkScenario(**args)
+    assert (type(s.seed), type(s.area_side), type(s.radio_range)) == (int, float, float)
+    save_scenario(s, tmp_path / "s.json")
+    assert load_scenario(tmp_path / "s.json") == s
+
+
+finite_floats = st.floats(allow_nan=False, allow_infinity=False)
+metric_values = st.floats(min_value=0.0, allow_infinity=False)
+lengths = st.integers(1, 10**6) | st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+SCENARIO_FAULTS = [None, "metric", "repeat", "self-loop", "endpoint", "coordinate", "seed", "area_side", "radio_range"]
+
+
+@st.composite
+def scenario_arguments(draw):
+    """NetworkScenario's arguments for 2-9 nodes and up to 24 distinct links
+    in any order, with at most one fault in the values: a metric that is
+    negative or not finite, a repeated link, a self-loop, an endpoint
+    outside 0..n-1, a coordinate that is not finite, a negative seed, or an
+    area side or radio range that is not positive and finite."""
+    n = draw(st.integers(2, 9))
+    positions = draw(st.lists(st.lists(finite_floats, min_size=2, max_size=2), min_size=n, max_size=n))
+    pairs = [[a, b] for a in range(n) for b in range(n) if a != b]
+    fault = draw(st.sampled_from(SCENARIO_FAULTS))
+    links = draw(st.lists(st.sampled_from(pairs), unique_by=tuple, min_size=fault == "repeat", max_size=24))
+    metrics = draw(st.lists(st.lists(metric_values, min_size=3, max_size=3), min_size=len(links), max_size=len(links)))
+    args = {
+        "seed": draw(st.integers(0, 2**64)),
+        "area_side": draw(lengths),
+        "radio_range": draw(lengths),
+        "positions": positions,
+        "links": links,
+        "metrics": metrics,
+    }
+    if fault in ("repeat", "self-loop", "endpoint"):
+        if fault == "repeat":
+            k = draw(st.integers(0, len(links) - 1))
+            link = links[k]
+            at = draw(st.integers(k + 1, len(links)))
+        else:
+            at = draw(st.integers(0, len(links)))
+            v = draw(st.integers(0, n - 1))
+            link = [v, v]
+            if fault == "endpoint":
+                link[draw(st.integers(0, 1))] = draw(st.integers(-(2**63), -1) | st.integers(n, 2**63 - 1))
+        links.insert(at, list(link))
+        metrics.insert(at, draw(st.lists(metric_values, min_size=3, max_size=3)))
+    elif fault == "metric" and links:
+        row = draw(st.sampled_from(metrics))
+        row[draw(st.integers(0, 2))] = draw(st.sampled_from([math.nan, math.inf, -math.inf]) | st.floats(max_value=-1e-300))
+    elif fault == "coordinate":
+        draw(st.sampled_from(positions))[draw(st.integers(0, 1))] = draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+    elif fault == "seed":
+        args["seed"] = draw(st.integers(max_value=-1))
+    elif fault in ("area_side", "radio_range"):
+        args[fault] = draw(st.sampled_from([0, 0.0, -0.0, math.nan, math.inf, -math.inf]) | st.floats(max_value=-1e-300) | st.integers(max_value=-1))
+    return args
+
+
+@settings(max_examples=300, deadline=None)
+@given(scenario_arguments())
+@example(args=three_node_scenario(metrics=(2, 1, math.nan))[0])
+def test_scenario_builds_exactly_when_the_loader_reads_it(tmp_path_factory, args):
+    # the one link contract: NetworkScenario and the file reader refuse the
+    # same values with the same message, and what builds saves and loads back
+    data = scenario_dict(**args)
+    try:
+        expected = scenario_from_dict(data)
+    except ValueError as error:
+        with pytest.raises(ValueError) as raised:
+            NetworkScenario(**args)
+        assert str(raised.value) == str(error)
+        return
+    s = NetworkScenario(**args)
+    assert s == expected
+    directory = tmp_path_factory.mktemp("contract")
+    save_scenario(s, directory / "a.json")
+    save_scenario(s, directory / "b.json")
+    assert (directory / "a.json").read_bytes() == (directory / "b.json").read_bytes()
+    assert load_scenario(directory / "a.json") == s
 
 
 # --- malformed files -----------------------------------------------------------
