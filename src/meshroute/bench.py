@@ -9,9 +9,11 @@ wall-time fields.
 
 from __future__ import annotations
 
+import csv
 import json
 import math
 from dataclasses import asdict, dataclass, replace
+from operator import attrgetter
 from pathlib import Path
 
 from .bbbc import run_bbbc
@@ -51,6 +53,13 @@ class BenchPlan:
     radio_range: float = DEFAULT_RADIO_RANGE_M
 
     def __post_init__(self):
+        # a plan built in Python gets a plan file's checks, and keeps tuples
+        for name, parse in _PLAN_FIELD_PARSERS.items():
+            try:
+                value = parse(getattr(self, name))
+            except (ValueError, OverflowError) as exc:
+                raise ValueError(f"plan field {name!r} is malformed: {exc}") from None
+            object.__setattr__(self, name, value)
         if not (self.node_counts and self.generation_budgets and self.seeds and self.algorithms):
             raise ValueError("node_counts, generation_budgets, seeds, algorithms must be non-empty")
         # a repeated entry would rerun identical cells and count them as more runs
@@ -94,8 +103,9 @@ def _integer(value) -> int:
 
 
 def _number(value) -> float:
-    """A finite JSON number as a float; bools are not numbers."""
-    if type(value) not in (int, float) or not math.isfinite(value):
+    """A JSON number as a float; bools are not numbers. BenchPlan refuses a
+    radio range that is not finite."""
+    if type(value) not in (int, float):
         raise ValueError(f"{value!r} is not a finite number")
     return float(value)
 
@@ -107,23 +117,23 @@ def _string(value) -> str:
 
 
 def _seed_pair(value) -> tuple[int, int]:
-    if not isinstance(value, list) or len(value) != 2:
+    if not isinstance(value, (list, tuple)) or len(value) != 2:
         raise ValueError(f"{value!r} is not a [scenario_seed, opt_seed] pair")
     return _integer(value[0]), _integer(value[1])
 
 
 def _list_of(parse):
-    """Parser of a JSON list whose entries each go through parse."""
+    """Parser of a JSON list, or a tuple, whose entries each go through parse."""
 
     def parse_list(value) -> tuple:
-        if not isinstance(value, list):
+        if not isinstance(value, (list, tuple)):
             raise ValueError(f"{value!r} is not a list")
         return tuple(map(parse, value))
 
     return parse_list
 
 
-# each parser takes the JSON value as it is, as the scenario loader does:
+# each parser takes the field's value as it is, as the scenario loader does:
 # no float, bool or string stands in for an integer, nor a bool for a number
 _PLAN_FIELD_PARSERS = {
     "node_counts": _list_of(_integer),
@@ -143,13 +153,7 @@ def plan_from_dict(data: dict) -> BenchPlan:
     unknown = set(data) - set(_PLAN_FIELD_PARSERS)
     if unknown:
         raise ValueError(f"unknown plan fields {sorted(unknown)}")
-    fields = {}
-    for key, value in data.items():
-        try:
-            fields[key] = _PLAN_FIELD_PARSERS[key](value)
-        except (ValueError, OverflowError) as exc:
-            raise ValueError(f"plan field {key!r} is malformed: {exc}") from None
-    return BenchPlan(**fields)
+    return BenchPlan(**data)
 
 
 def load_plan(path: str | Path) -> BenchPlan:
@@ -180,11 +184,7 @@ def run_plan(plan: BenchPlan, progress=None) -> list[RunResult]:
                     oracle = shortest_path(cm, 0, n - 1)
                     cache[key] = (cm, oracle)
                 cm, oracle = cache[key]
-                params = RunParams(
-                    max_generations=generations,
-                    population_size=plan.population_size,
-                    rng_seed=opt_seed,
-                )
+                params = RunParams(generations, plan.population_size, opt_seed)
                 for algorithm in plan.algorithms:
                     if progress:
                         progress(
@@ -212,8 +212,7 @@ def summarize(results: list[RunResult]) -> list[dict]:
     for r in results:
         groups.setdefault((r.n_nodes, len(r.trace), r.algorithm), []).append(r)
     rows = []
-    for (n, gens, algorithm) in sorted(groups, key=lambda k: (k[0], k[1], k[2])):
-        members = groups[(n, gens, algorithm)]
+    for (n, gens, algorithm), members in sorted(groups.items()):
         rows.append(
             {
                 "n_nodes": n,
@@ -241,86 +240,60 @@ def format_summary(results: list[RunResult]) -> str:
     return "\n".join(lines)
 
 
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    if value is None:
-        return ""
-    return str(value)
+def _write_csv(path: str | Path, header, rows) -> None:
+    """CSV lines ending in \n: each value by str, which for a float is its
+    repr, and None as an empty field."""
+    with Path(path).open("w", newline="") as file:
+        writer = csv.writer(file, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def write_results_csv(results: list[RunResult], path: str | Path) -> None:
-    lines = [",".join(RESULTS_COLUMNS)]
-    for r in results:
-        lines.append(
-            ",".join(
-                _fmt(v)
-                for v in (
-                    r.algorithm,
-                    r.n_nodes,
-                    len(r.trace),
-                    r.scenario_seed,
-                    r.params.get("rng_seed"),
-                    r.best_cost,
-                    r.oracle_cost,
-                    r.percent_error,
-                    r.wall_time_ms,
-                )
-            )
-        )
-    Path(path).write_text("\n".join(lines) + "\n")
+    rows = (
+        (r.algorithm, r.n_nodes, len(r.trace), r.scenario_seed, r.params["rng_seed"],
+         r.best_cost, r.oracle_cost, r.percent_error, r.wall_time_ms)
+        for r in results
+    )
+    _write_csv(path, RESULTS_COLUMNS, rows)
+
+
+# summarize's seed medians, in the order summary.csv writes them
+SUMMARY_MEDIANS = ("median_cost", "median_percent_error", "median_wall_time_ms")
 
 
 def write_summary_csv(results: list[RunResult], path: str | Path) -> None:
-    """Table-style pivot: one row per (n, generations), algorithms side by side."""
-    rows = summarize(results)
+    """Table-style pivot: one row per (n, generations), algorithms side by
+    side, blank where the plan did not run an algorithm."""
     by_cell: dict[tuple[int, int], dict[str, dict]] = {}
-    for row in rows:
+    for row in summarize(results):
         by_cell.setdefault((row["n_nodes"], row["generations"]), {})[row["algorithm"]] = row
     header = ["n_nodes", "generations"]
-    for algorithm in ALGORITHMS:
-        header += [
-            f"{algorithm}_median_cost",
-            f"{algorithm}_median_percent_error",
-            f"{algorithm}_median_wall_time_ms",
-        ]
+    header += [f"{algorithm}_{median}" for algorithm in ALGORITHMS for median in SUMMARY_MEDIANS]
     header.append("bbo_over_bbbc_time_ratio")
-    lines = [",".join(header)]
-    for (n, gens) in sorted(by_cell):
-        cell = by_cell[(n, gens)]
-        fields = [str(n), str(gens)]
+    rows = []
+    for (n, gens), cell in sorted(by_cell.items()):
+        fields = [n, gens]
         for algorithm in ALGORITHMS:
-            row = cell.get(algorithm)
-            if row is None:
-                fields += ["", "", ""]
-            else:
-                fields += [
-                    _fmt(row["median_cost"]),
-                    _fmt(row["median_percent_error"]),
-                    _fmt(row["median_wall_time_ms"]),
-                ]
+            fields += [cell.get(algorithm, {}).get(median) for median in SUMMARY_MEDIANS]
+        ratio = None
         if "bbbc" in cell and "bbo" in cell and cell["bbbc"]["median_wall_time_ms"] > 0:
             ratio = cell["bbo"]["median_wall_time_ms"] / cell["bbbc"]["median_wall_time_ms"]
-            fields.append(_fmt(ratio))
-        else:
-            fields.append("")
-        lines.append(",".join(fields))
-    Path(path).write_text("\n".join(lines) + "\n")
+        rows.append(fields + [ratio])
+    _write_csv(path, header, rows)
+
+
+TRACE_COLUMNS = ("generation", "best_cost_so_far", "generation_best_cost")
 
 
 def emit_trace(result: RunResult, path: str | Path) -> None:
     if not result.trace:
         raise ValueError("run has an empty trace")
-    lines = ["generation,best_cost_so_far,generation_best_cost"]
-    for point in result.trace:
-        lines.append(
-            f"{point.generation},{_fmt(point.best_cost_so_far)},{_fmt(point.generation_best_cost)}"
-        )
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_csv(path, TRACE_COLUMNS, map(attrgetter(*TRACE_COLUMNS), result.trace))
 
 
 def trace_filename(result: RunResult) -> str:
     return (
         f"trace_{result.algorithm}_n{result.n_nodes}_g{len(result.trace)}"
-        f"_s{result.scenario_seed}_o{result.params.get('rng_seed')}.csv"
+        f"_s{result.scenario_seed}_o{result.params['rng_seed']}.csv"
     )

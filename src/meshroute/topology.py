@@ -14,9 +14,10 @@ read. It stores columns: "nodes" maps x_m and y_m to one list each, and
 each, in row-major (from, to) order. A version 1 file, with one object per
 node and per link, is refused with a hint to regenerate it: meshroute gen
 writes the same scenario for the same arguments. scenario_from_dict checks
-a file's layout and JSON types and NetworkScenario every value, so a
-scenario that builds is one that load_scenario reads back; its link rules
-(_link_order) are also CostMatrix.from_arrays's.
+a file's layout and JSON types; NetworkScenario checks the kind of number
+each array holds (_rows) and every value, so a scenario that builds is one
+that load_scenario reads back; its link rules (_link_order) are also
+CostMatrix.from_arrays's.
 
 Links come from a cell list (_radio_pairs): nodes are bucketed into square
 cells about one radio range wide (_cells), each node is tested only against
@@ -69,13 +70,26 @@ class ConnectivityError(RuntimeError):
 
 
 def _rows(value, dtype, width: int, name: str) -> np.ndarray:
-    """An (m, width) copy of value."""
-    array = np.array(value, dtype=dtype)
+    """An (m, width) copy of value as dtype, np.int64 or np.float64.
+
+    The dtype numpy picks for value must be of integer kind for int64 rows,
+    and of integer or float kind for float64 rows: bool, string and object
+    arrays are refused, though numpy makes a list that mixes bools and ints
+    int64. Python ints past int64, which numpy stores as uint64, float64 or
+    object, are kept exact in an object array, for _link_order to name.
+    """
+    array = np.array(value)
     if array.size == 0:
-        array = array.reshape(0, width)
+        return np.empty((0, width), dtype)
+    integer = dtype is np.int64
+    if array.dtype.kind not in ("iu" if integer else "iuf"):
+        exact = np.array(value, dtype=object)
+        if not integer or not all(type(v) is int for v in exact.flat):
+            raise ValueError(f"{name} must hold {'integers' if integer else 'numbers'}, not {array.dtype}")
+        array = exact
     if array.ndim != 2 or array.shape[1] != width:
         raise ValueError(f"{name} must have shape (m, {width}), got {array.shape}")
-    return array
+    return array.astype(dtype if np.can_cast(array.dtype, dtype) else object, copy=False)
 
 
 def _link_order(n: int, src: np.ndarray, dst: np.ndarray, bad: np.ndarray, value: str) -> np.ndarray:
@@ -87,6 +101,8 @@ def _link_order(n: int, src: np.ndarray, dst: np.ndarray, bad: np.ndarray, value
     sort of the keys src * n + dst gives the order and flags the later copy
     of a repeat. Keys of out-of-range links may collide, but such a link is
     itself a fault that comes no later than the link it collides with.
+    src and dst are int64, or object arrays of Python ints when an endpoint
+    is past int64, so that endpoint is named as given.
     """
     outside = (src < 0) | (src >= n) | (dst < 0) | (dst >= n)
     keys = src * n + dst
@@ -117,8 +133,10 @@ class NetworkScenario:
     is a read-only copy of what was passed, with the links and their metric
     rows put in row-major (from, to) order, so save_scenario writes them
     sorted. Scenarios are equal when their scalars are equal and their arrays
-    hold equal values. Construction refuses, with the loader's message and
-    in this order, a coordinate that is not finite, a faulty link or metric
+    hold equal values. Construction refuses links that numpy does not store
+    as integers and positions or metrics that it does not store as integers
+    or floats (_rows), then, with the loader's message and in this order, a
+    coordinate that is not finite, a faulty link or metric
     (_link_order), a seed that is not an integer >= 0, and an area side or
     radio range that is not a positive, finite number (bools are neither);
     the seed is kept as an int and the lengths as floats.
@@ -156,7 +174,8 @@ class NetworkScenario:
             if value <= 0:
                 raise ValueError(f"scenario {key!r} is {value!r}, which is not positive")
         # take is much faster than fancy indexing on (L, 2) and (L, 3) rows
-        links, metrics = np.take(links, order, axis=0), np.take(metrics, order, axis=0)
+        links = np.take(links, order, axis=0).astype(np.int64, copy=False)
+        metrics = np.take(metrics, order, axis=0)
         for array in (positions, links, metrics):
             array.flags.writeable = False
         values = (int(self.seed), float(self.area_side), float(self.radio_range), positions, links, metrics)
@@ -410,10 +429,11 @@ _INTEGER = {int}
 _NUMBER = {int, float}
 
 
-def _array(values: list, integer: bool, owner: str, key: str) -> np.ndarray | None:
+def _array(values: list, integer: bool, owner: str, key: str) -> np.ndarray:
     """A column as an int64 or float64 array. Every entry must be a JSON
     integer (not a bool) or a JSON number; the first that is not is named.
-    An integer column with an entry past int64 gives None."""
+    An integer column with an entry past int64 is an object array of ints,
+    whose faulty link NetworkScenario names as the file writes it."""
     allowed = _INTEGER if integer else _NUMBER
     if not set(map(type, values)) <= allowed:
         k = next(k for k, v in enumerate(values) if type(v) not in allowed)
@@ -424,28 +444,17 @@ def _array(values: list, integer: bool, owner: str, key: str) -> np.ndarray | No
     except OverflowError:
         if not integer:
             raise
-        return None
+        return np.array(values, dtype=object)
 
 
 def _from_columns(data: dict, x: list, y: list, link_columns: list[list]) -> NetworkScenario:
     """Check the JSON types of the columns, nodes first, and build the
-    scenario, which checks the values. An endpoint past int64, which no
-    array holds, is outside every node range: it is named, as the file
-    writes it, unless an earlier link has a fault."""
+    scenario, which checks the values."""
     positions = np.stack((_array(x, False, "node", "x_m"), _array(y, False, "node", "y_m")), 1)
-    src_list, dst_list = link_columns[:2]
-    src = _array(src_list, True, "link", "from")
-    dst = _array(dst_list, True, "link", "to")
-    metrics = np.stack(
-        [_array(column, False, "link", key) for key, column in zip(LINK_COLUMNS[2:], link_columns[2:])], 1
-    )
-    seed, area_side, radio_range = data["seed"], data["area_side_m"], data["radio_range_m"]
-    if src is None or dst is None:
-        k = next(k for k, ends in enumerate(zip(src_list, dst_list)) if max(map(abs, ends)) >= 2**63)
-        # raises for a fault of an earlier link; the scalars are checked after the links
-        NetworkScenario(0, 1.0, 1.0, positions, list(zip(src_list[:k], dst_list[:k])), metrics[:k])
-        raise ValueError(f"link {src_list[k]} -> {dst_list[k]} has an endpoint outside 0..{len(positions) - 1}")
-    return NetworkScenario(seed, area_side, radio_range, positions, np.stack((src, dst), 1), metrics)
+    # from and to are integer columns, the metrics number columns
+    columns = [_array(column, k < 2, "link", LINK_COLUMNS[k]) for k, column in enumerate(link_columns)]
+    links, metrics = np.stack(columns[:2], 1), np.stack(columns[2:], 1)
+    return NetworkScenario(data["seed"], data["area_side_m"], data["radio_range_m"], positions, links, metrics)
 
 
 def scenario_from_dict(data: dict) -> NetworkScenario:

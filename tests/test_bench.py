@@ -1,5 +1,6 @@
 """Benchmark harness: plan handling, sweep execution, CSV emission."""
 
+import json
 import math
 
 import pytest
@@ -114,27 +115,81 @@ def test_plan_rejects_unknown_fields():
         plan_from_dict({"node_count": [25]})
 
 
-@pytest.mark.parametrize(
-    "field, value, message",
-    [
-        ("node_counts", [25.9], "25.9 is not an integer"),
-        ("node_counts", [True], "True is not an integer"),
-        ("generation_budgets", ["30"], "'30' is not an integer"),
-        ("seeds", [[101.5, 9001]], "101.5 is not an integer"),
-        ("seeds", [[101, "9001"]], "'9001' is not an integer"),
-        ("seeds", [[101, 9001, 5]], "not a \\[scenario_seed, opt_seed\\] pair"),
-        ("population_size", 50.7, "50.7 is not an integer"),
-        ("population_size", False, "False is not an integer"),
-        ("radio_range", True, "True is not a finite number"),
-        ("radio_range", "250", "'250' is not a finite number"),
-        ("radio_range", 10**400, "int too large"),
-        ("algorithms", "bbbc", "'bbbc' is not a list"),
-        ("placement", 5, "5 is not a string"),
-    ],
-)
+# values a plan file once had coerced, and the message each is refused with
+REFUSED_FIELD_VALUES = [
+    ("node_counts", [25.9], "25.9 is not an integer"),
+    ("node_counts", [True], "True is not an integer"),
+    ("generation_budgets", ["30"], "'30' is not an integer"),
+    ("seeds", [[101.5, 9001]], "101.5 is not an integer"),
+    ("seeds", [[101, "9001"]], "'9001' is not an integer"),
+    ("seeds", [[101, 9001, 5]], "not a \\[scenario_seed, opt_seed\\] pair"),
+    ("population_size", 50.7, "50.7 is not an integer"),
+    ("population_size", False, "False is not an integer"),
+    ("radio_range", True, "True is not a finite number"),
+    ("radio_range", "250", "'250' is not a finite number"),
+    ("radio_range", 10**400, "int too large"),
+    ("algorithms", "bbbc", "'bbbc' is not a list"),
+    ("placement", 5, "5 is not a string"),
+]
+
+
+def as_tuples(value):
+    """value with every list in it turned into a tuple."""
+    return tuple(map(as_tuples, value)) if isinstance(value, list) else value
+
+
+@pytest.mark.parametrize("field, value, message", REFUSED_FIELD_VALUES)
 def test_plan_from_dict_rejects_what_it_used_to_coerce(field, value, message):
     with pytest.raises(ValueError, match=f"plan field '{field}' is malformed: .*{message}"):
         plan_from_dict({field: value})
+
+
+@pytest.mark.parametrize("field, value, message", REFUSED_FIELD_VALUES)
+def test_hand_built_plan_refuses_what_a_plan_file_refuses(field, value, message):
+    # given as lists, the plan file's own message; given as tuples, the same
+    # message with the value written as a tuple
+    with pytest.raises(ValueError) as from_file:
+        plan_from_dict({field: value})
+    with pytest.raises(ValueError) as hand_built:
+        BenchPlan(**{field: value})
+    assert str(hand_built.value) == str(from_file.value)
+    with pytest.raises(ValueError, match=f"^plan field '{field}' is malformed: .*{message}"):
+        BenchPlan(**{field: as_tuples(value)})
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("node_counts", (25.0,)),
+        ("generation_budgets", (2.5,)),
+        ("seeds", ((101.5, 9001),)),
+        ("seeds", ((101,),)),
+        ("radio_range", True),
+    ],
+)
+def test_hand_built_plan_refuses_a_field_of_the_wrong_type_before_any_cell(field, value):
+    # each of these once built a plan, or raised TypeError, and failed mid-run
+    with pytest.raises(ValueError, match=f"^plan field '{field}' is malformed: "):
+        BenchPlan(**{field: value})
+
+
+def test_plan_built_with_lists_stores_tuples(tmp_path):
+    plan = BenchPlan(
+        node_counts=[9, 25], generation_budgets=[3], seeds=[[101, 9001], (102, 9002)],
+        algorithms=["bbbc"], radio_range=250,
+    )
+    assert plan.node_counts == (9, 25) and plan.generation_budgets == (3,)
+    assert plan.seeds == ((101, 9001), (102, 9002)) and plan.algorithms == ("bbbc",)
+    assert type(plan.radio_range) is float
+    path = tmp_path / "plan.json"
+    save_plan(plan, path)
+    assert load_plan(path) == plan
+    assert hash(load_plan(path)) == hash(plan)
+
+
+def test_plan_file_infinite_radio_range_gets_the_range_message():
+    with pytest.raises(ValueError, match="^radio_range must be positive and finite, got inf$"):
+        plan_from_dict(json.loads('{"radio_range": Infinity}'))
 
 
 def test_plan_from_dict_keeps_integer_radio_range_as_float():

@@ -453,13 +453,14 @@ def test_bench_domain_error_exits_3(tmp_path, capsys, monkeypatch, error):
         ('{"radio_range": true}', "radio_range"),
         ('{"seeds": [[-1, 9001]]}', "seeds"),
         ('{"radio_range": 0}', "radio_range"),
+        ('{"radio_range": Infinity}', "radio_range must be positive and finite, got inf"),
         ('{"seeds": [[101, 9001], [101, 9001]], "algorithms": ["bbbc", "bbbc"]}', "seeds repeats"),
     ],
     ids=[
         "node-counts-scalar", "seed-not-a-pair", "null-population", "text-range", "bare-number",
         "zero-generations", "population-one", "unknown-placement", "dropped-field",
         "float-node-count", "bool-generations", "text-seed", "float-population", "bool-range",
-        "negative-seed", "zero-range", "repeated-seed-pair",
+        "negative-seed", "zero-range", "infinite-range", "repeated-seed-pair",
     ],
 )
 def test_bench_rejects_malformed_plan(tmp_path, capsys, plan_text, field):

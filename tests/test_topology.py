@@ -647,6 +647,65 @@ def test_hand_built_scalars_keep_their_types(tmp_path):
     assert load_scenario(tmp_path / "s.json") == s
 
 
+TWO_NODES = [(0.0, 0.0), (1.0, 0.0)]
+
+
+@pytest.mark.parametrize(
+    "positions, links, metrics, message",
+    [
+        # a float endpoint and a text metric, which np.array(value, dtype) once coerced
+        (TWO_NODES, [(0.9, 1)], [("1.5", 2, 3)], "links must hold integers, not float64"),
+        (TWO_NODES, [(0, 1)], [("1.5", 2, 3)], "metrics must hold numbers, not <U"),
+        (TWO_NODES, np.array([(False, True)]), [(1.5, 2, 3)], "links must hold integers, not bool"),
+        (TWO_NODES, [("0", "1")], [(1.5, 2, 3)], "links must hold integers, not <U"),
+        (TWO_NODES, [(0, 1)], [(1.5, None, 3)], "metrics must hold numbers, not object"),
+        ([(True, False), (False, True)], [(0, 1)], [(1.5, 2, 3)], "positions must hold numbers, not bool"),
+        ([(0.0, 0.0), (0.0, "1")], [(0, 1)], [(1.5, 2, 3)], "positions must hold numbers, not <U"),
+        (np.array(TWO_NODES, dtype=object), [(0, 1)], [(1.5, 2, 3)], "positions must hold numbers, not object"),
+    ],
+    ids=[
+        "float-end", "text-metric", "bool-links", "text-links", "none-metric",
+        "bool-positions", "text-position", "object-positions",
+    ],
+)
+def test_hand_built_scenario_refuses_arrays_of_the_wrong_kind(positions, links, metrics, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+        NetworkScenario(0, 1.0, 1.0, positions, links, metrics)
+
+
+def test_hand_built_scenario_takes_integer_arrays_of_any_width_and_empty_input():
+    positions, links = np.array([(0, 0), (1, 0)], dtype=np.int8), np.array([(1, 0)], dtype=np.uint8)
+    s = NetworkScenario(0, 1.0, 1.0, positions, links, [(1, 2, 3)])
+    assert (s.positions.dtype, s.links.dtype, s.metrics.dtype) == (np.float64, np.int64, np.float64)
+    assert s.links.tolist() == [[1, 0]] and s.metrics.tolist() == [[1.0, 2.0, 3.0]]
+    # numpy makes a list that mixes bools and ints int64, so it passes
+    assert NetworkScenario(0, 1.0, 1.0, TWO_NODES, [(True, 0)], [(1, 2, 3)]).links.tolist() == [[1, 0]]
+    for empty in ([], np.zeros((0, 2), dtype=bool), np.array([], dtype=str)):
+        s = NetworkScenario(0, 1.0, 1.0, TWO_NODES, empty, empty)
+        assert s.links.shape == (0, 2) and s.links.dtype == np.int64
+        assert s.metrics.shape == (0, 3) and s.metrics.dtype == np.float64
+
+
+@pytest.mark.parametrize("end", [10**30, 2**63, -(2**63) - 1], ids=["1e30", "2**63", "below-int64"])
+def test_hand_built_endpoint_past_int64_gets_the_loaders_message(end):
+    args, data = three_node_scenario(links=(2, 1, end))
+    message = f"link 1 -> {end} has an endpoint outside 0..2"
+    for build in (lambda: NetworkScenario(**args), lambda: scenario_from_dict(data)):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            build()
+    # an earlier faulty link is named first, in the order given
+    args, data = three_node_scenario(links=(2, 1, end))
+    args["links"][1] = [1, 1]
+    for build in (lambda: NetworkScenario(**args), lambda: scenario_from_dict(scenario_dict(**args))):
+        with pytest.raises(ValueError, match="^self-loop link at node 1$"):
+            build()
+    # and a later one is not
+    args, _ = three_node_scenario(links=(2, 1, end))
+    args["links"][3] = [2, 2]
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        NetworkScenario(**args)
+
+
 finite_floats = st.floats(allow_nan=False, allow_infinity=False)
 metric_values = st.floats(min_value=0.0, allow_infinity=False)
 lengths = st.integers(1, 10**6) | st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
@@ -684,7 +743,9 @@ def scenario_arguments(draw):
             v = draw(st.integers(0, n - 1))
             link = [v, v]
             if fault == "endpoint":
-                link[draw(st.integers(0, 1))] = draw(st.integers(-(2**63), -1) | st.integers(n, 2**63 - 1))
+                # or past int64, where numpy holds no endpoint as an int64
+                past = st.sampled_from([2**63, 10**30, -(2**63) - 1])
+                link[draw(st.integers(0, 1))] = draw(st.integers(-(2**63), -1) | st.integers(n, 2**63 - 1) | past)
         links.insert(at, list(link))
         metrics.insert(at, draw(st.lists(metric_values, min_size=3, max_size=3)))
     elif fault == "metric" and links:
