@@ -26,14 +26,16 @@ row-major, in (from, to) order. No (n, n) array is built; the pairs, their
 order and the float ops of each distance test are those of a dense all-pairs
 comparison. Random placement redraws a layout until node 0 reaches node
 n-1. A layout is judged by one depth-first search of node 0's component
-over the same cells and the same test (_reaches), which stops at node n-1,
-so a rejected layout costs its bucketing plus work in proportion to the
-part of that component searched, and links are built once, for the layout
-kept. All metrics come from one (L, 3) uniform draw. A generator fills
-such a draw row by row, column by column, so it consumes the stream exactly
-as L successive (throughput, delay, jitter) scalar draws would: scenarios
-and their JSON stay bit-identical to drawing link by link, and any change
-to that order changes every scenario.
+(_reaches), which stops at node n-1: the layout is bucketed into the same
+cells, and each node the search pops costs one binary search for its
+cells plus the same distance test, in Python floats, on each of their
+nodes not yet seen. A rejected layout costs its bucketing plus work in
+proportion to the part of that component searched, and links are built
+once, for the layout kept. All metrics come from one (L, 3) uniform draw.
+A generator fills such a draw row by row, column by column, so it consumes
+the stream exactly as L successive (throughput, delay, jitter) scalar draws
+would: scenarios and their JSON stay bit-identical to drawing link by link,
+and any change to that order changes every scenario.
 """
 
 from __future__ import annotations
@@ -69,14 +71,23 @@ class ConnectivityError(RuntimeError):
     """Random placement failed to connect source and terminal within the retry budget."""
 
 
+# the Python types of a JSON integer and a JSON number
+_INTEGER = {int}
+_NUMBER = {int, float}
+
+
 def _rows(value, dtype, width: int, name: str) -> np.ndarray:
     """An (m, width) copy of value as dtype, np.int64 or np.float64.
 
     The dtype numpy picks for value must be of integer kind for int64 rows,
     and of integer or float kind for float64 rows: bool, string and object
     arrays are refused, though numpy makes a list that mixes bools and ints
-    int64. Python ints past int64, which numpy stores as uint64, float64 or
-    object, are kept exact in an object array, for _link_order to name.
+    int64. Python ints that numpy holds in no integer dtype are read as the
+    loader reads a JSON column. Int64 rows take any array of Python ints and
+    keep them exact in an object array, for _link_order to name. Float64
+    rows take an object array of ints and floats where numpy made it one for
+    an int past 64 bits; each int is rounded to the nearest float, and one
+    past float range is refused.
     """
     array = np.array(value)
     if array.size == 0:
@@ -84,9 +95,20 @@ def _rows(value, dtype, width: int, name: str) -> np.ndarray:
     integer = dtype is np.int64
     if array.dtype.kind not in ("iu" if integer else "iuf"):
         exact = np.array(value, dtype=object)
-        if not integer or not all(type(v) is int for v in exact.flat):
+        kinds = set(map(type, exact.flat))
+        if integer:
+            taken = kinds <= _INTEGER
+        else:
+            taken = kinds <= _NUMBER and any(type(v) is int and not -(2**63) <= v < 2**64 for v in exact.flat)
+        if not taken:
             raise ValueError(f"{name} must hold {'integers' if integer else 'numbers'}, not {array.dtype}")
-        array = exact
+        if integer:
+            array = exact
+        else:
+            try:
+                array = exact.astype(np.float64)
+            except OverflowError:
+                raise ValueError(f"{name} hold an integer past float range") from None
     if array.ndim != 2 or array.shape[1] != width:
         raise ValueError(f"{name} must have shape (m, {width}), got {array.shape}")
     return array.astype(dtype if np.can_cast(array.dtype, dtype) else object, copy=False)
@@ -135,7 +157,8 @@ class NetworkScenario:
     sorted. Scenarios are equal when their scalars are equal and their arrays
     hold equal values. Construction refuses links that numpy does not store
     as integers and positions or metrics that it does not store as integers
-    or floats (_rows), then, with the loader's message and in this order, a
+    or floats, apart from Python ints past 64 bits, which it reads as the
+    loader does (_rows), then, with the loader's message and in this order, a
     coordinate that is not finite, a faulty link or metric
     (_link_order), a seed that is not an integer >= 0, and an area side or
     radio range that is not a positive, finite number (bools are neither);
@@ -316,27 +339,43 @@ def _radio_pairs(positions: np.ndarray, radio_range: float) -> tuple[np.ndarray,
 def _reaches(positions: np.ndarray, radio_range: float, source: int, terminal: int) -> bool:
     """Does source reach terminal over the links _radio_pairs would find?
 
-    A depth-first search from source that stops as soon as terminal is
-    seen. Each popped node is tested against the nodes of its 3 x 3 block
-    of cells (_cells) with _radio_pairs' float test (_in_range), so the
-    links it follows are exactly _radio_pairs' links, but only the popped
-    nodes' links are looked for. The cost is the bucketing plus about one
-    small numpy pass per node of source's component that the search pops.
+    positions is (n, 2) float64. A depth-first search from source that stops
+    once terminal is seen. The layout is bucketed once (_cells); each popped
+    node v finds the three runs of its 3 x 3 block of cells with one
+    searchsorted, and its candidates j not yet seen are tested in a Python
+    loop: dx = x_v - x_j, dy = y_v - y_j, dx*dx + dy*dy <= r*r. Python
+    floats are IEEE doubles, and these are _in_range's subtractions,
+    squares and sum, in the same order and each rounded once, so every
+    verdict is _radio_pairs' and the links followed are exactly its links;
+    only the popped nodes' links are looked for. Coordinates, keys and the
+    cell order are read through memoryviews, element by element, and never
+    copied into Python lists: that copy grows with n, while the search of a
+    rejected layout at the default range pops about 8 nodes. The cost is
+    the bucketing plus a few microseconds per node of source's component
+    that the search pops.
     """
-    x, y = positions[:, 0], positions[:, 1]
-    r_sq = radio_range * radio_range
+    # numpy compares with r*r rounded to a float, which an int range's exact
+    # square may not be
+    r_sq = float(radio_range * radio_range)
     key, order, sorted_key, block = _cells(positions, radio_range)
-    seen = np.zeros(len(positions), dtype=bool)
-    seen[source] = True
+    xs, ys = memoryview(positions[:, 0]), memoryview(positions[:, 1])
+    keys, nodes = memoryview(key), memoryview(order)
+    seen = bytearray(len(positions))
+    seen[source] = 1
     stack = [source]
     while stack and not seen[terminal]:
         v = stack.pop()
-        a, b, c, d, e, f = sorted_key.searchsorted(key[v] + block).tolist()
-        near = np.concatenate((order[a:b], order[c:d], order[e:f]))
-        new = near[_in_range(x, y, v, near, r_sq) & ~seen[near]]
-        seen[new] = True
-        stack += new.tolist()
-    return bool(seen[terminal])
+        x, y = xs[v], ys[v]
+        a, b, c, d, e, f = sorted_key.searchsorted(block + keys[v]).tolist()
+        for lo, hi in ((a, b), (c, d), (e, f)):
+            for j in nodes[lo:hi]:
+                if not seen[j]:
+                    dx = x - xs[j]
+                    dy = y - ys[j]
+                    if dx * dx + dy * dy <= r_sq:
+                        seen[j] = 1
+                        stack.append(j)
+    return seen[terminal] == 1
 
 
 def check_placement(n: int, placement: str) -> None:
@@ -425,15 +464,12 @@ def _table(table: dict, keys: tuple[str, ...], name: str) -> list[list]:
     return columns
 
 
-_INTEGER = {int}
-_NUMBER = {int, float}
-
-
 def _array(values: list, integer: bool, owner: str, key: str) -> np.ndarray:
     """A column as an int64 or float64 array. Every entry must be a JSON
     integer (not a bool) or a JSON number; the first that is not is named.
-    An integer column with an entry past int64 is an object array of ints,
-    whose faulty link NetworkScenario names as the file writes it."""
+    A column with an integer past int64 (integer columns) or past float
+    range (number columns) is an object array, whose fault NetworkScenario
+    names as it names a hand-built one (_rows, _link_order)."""
     allowed = _INTEGER if integer else _NUMBER
     if not set(map(type, values)) <= allowed:
         k = next(k for k, v in enumerate(values) if type(v) not in allowed)
@@ -442,8 +478,6 @@ def _array(values: list, integer: bool, owner: str, key: str) -> np.ndarray:
     try:
         return np.array(values, dtype=np.int64 if integer else np.float64)
     except OverflowError:
-        if not integer:
-            raise
         return np.array(values, dtype=object)
 
 

@@ -313,6 +313,16 @@ def layouts_with_ends(draw):
 @example((np.array([[0.0, 0.0], [1e300, -1e300]]), 1e200, 0, 1))
 # a node reaches itself
 @example((np.array([[0.0, 0.0], [9.0, 0.0]]), 1.0, 1, 1))
+# a scenario's read-only positions
+@example((generate_scenario(9, "grid", 0).positions, 250.0, 0, 8))
+# coincident pairs along a line, r apart: the path hops from pair to pair
+@example((np.array([[0.0, 0.0], [0.0, 0.0], [2.0, 0.0], [2.0, 0.0], [4.0, 0.0], [4.0, 0.0]]), 2.0, 1, 5))
+# the terminal is the first candidate scanned, alone in the lowest cell row
+# of the source's block; node 1, far off in x, puts that row at y = -0.5
+@example((np.array([[0.0, 0.6], [100.0, -0.5], [0.0, 0.4]]), 1.0, 0, 2))
+# an int range whose square is no float: numpy rounds it up onto the
+# square of the float distance, so the two sites are linked
+@example((np.array([[0.0, 0.0], [389216663.0, 0.0]]), 389216663, 0, 1))
 def test_reaches_matches_dense_reachability(case):
     positions, r, source, terminal = case
     with warnings.catch_warnings(), np.errstate(over="ignore"):
@@ -360,12 +370,13 @@ def link_search_generate_scenario(n, seed, radio_range=DEFAULT_RADIO_RANGE_M):
 
 
 # (nodes, seeds, radio range): random400-short's seed-0 scenarios, a
-# 2500-node layout kept at attempt 111, and a dense range whose first
-# layout connects
+# 2500-node layout kept at attempt 111, and dense ranges whose first layouts
+# connect, so that the search pops much of the layout
 LINK_SEARCH_CASES = [
     (400, range(101, 133), DEFAULT_RADIO_RANGE_M),
     (2500, (103,), DEFAULT_RADIO_RANGE_M),
     (400, (101,), 600.0),
+    (2500, range(3), 400.0),
 ]
 
 
@@ -706,6 +717,20 @@ def test_hand_built_endpoint_past_int64_gets_the_loaders_message(end):
         NetworkScenario(**args)
 
 
+@pytest.mark.parametrize("key, row, col", [("positions", 1, 1), ("metrics", 2, 1)])
+def test_hand_built_number_past_int64_is_read_as_the_loader_reads_it(key, row, col):
+    # numpy holds a list with a Python int past 64 bits as an object array
+    args, data = three_node_scenario(**{key: (row, col, 10**30)})
+    s = NetworkScenario(**args)
+    assert s == scenario_from_dict(data)
+    assert getattr(s, key).tolist()[row][col] == 1e30
+    # past float range, both refuse it with one message
+    args, data = three_node_scenario(**{key: (row, col, -(10**400))})
+    for build in (lambda: NetworkScenario(**args), lambda: scenario_from_dict(data)):
+        with pytest.raises(ValueError, match=f"^{key} hold an integer past float range$"):
+            build()
+
+
 finite_floats = st.floats(allow_nan=False, allow_infinity=False)
 metric_values = st.floats(min_value=0.0, allow_infinity=False)
 lengths = st.integers(1, 10**6) | st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
@@ -984,7 +1009,7 @@ def test_load_names_endpoint_past_int64_as_out_of_range(version):
 def test_load_rejects_metric_past_float_range(version):
     d = grid9_in(version)
     set_entry(d, "links", 1, "delay_ms", 10**400)
-    with pytest.raises(ValueError, match=refusal(version, "malformed scenario: int too large")):
+    with pytest.raises(ValueError, match=refusal(version, "^metrics hold an integer past float range$")):
         scenario_from_dict(d)
 
 
