@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 from dataclasses import asdict, dataclass, replace
 from operator import attrgetter
 from pathlib import Path
@@ -21,7 +20,7 @@ from .bbo import check_population, run_bbo
 from .fuzzycost import build_cost_matrix
 from .oracle import shortest_path
 from .results import RunParams, RunResult
-from .topology import DEFAULT_RADIO_RANGE_M, check_placement, generate_scenario
+from .topology import DEFAULT_RADIO_RANGE_M, check_placement, check_radio_range, generate_scenario
 
 RESULTS_COLUMNS = (
     "algorithm",
@@ -75,8 +74,7 @@ class BenchPlan:
             raise ValueError("generation_budgets must all be >= 1")
         if min(min(pair) for pair in self.seeds) < 0:
             raise ValueError("seeds must all be >= 0")
-        if not (math.isfinite(self.radio_range) and self.radio_range > 0):
-            raise ValueError(f"radio_range must be positive and finite, got {self.radio_range}")
+        check_radio_range(self.radio_range)
         # the population checks every run makes, and BBO's floor, so a plan
         # that an optimizer cannot run fails before any cell runs
         RunParams(max_generations=1, population_size=self.population_size)

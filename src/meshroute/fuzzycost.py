@@ -52,7 +52,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .topology import METRIC_HIGH, METRIC_LOW, _link_order
+from .topology import METRIC_HIGH, METRIC_LOW, _column, _link_order
 
 ILC_FLOOR = 1e-6
 
@@ -153,13 +153,20 @@ class CostMatrix:
     @classmethod
     def from_arrays(cls, n: int, src, dst, costs) -> "CostMatrix":
         """Matrix of links src[l] -> dst[l] with cost costs[l]; a scalar cost
-        applies to every link. The first link with an endpoint outside
-        0..n-1, a self-loop, a repeat or a cost that is not finite is named
-        in a ValueError (topology._link_order, the rule of scenario links).
+        applies to every link. The arrays are read as a scenario file's
+        columns are (topology._column): an endpoint that is not an integer,
+        or a cost that is not a number, is named by its link, such as
+        "link 0 has 'from' 0.9, not an integer". Then the first link with an
+        endpoint outside 0..n-1, a self-loop, a repeat or a cost that is not
+        finite is named in a ValueError (topology._link_order, the rule of
+        scenario links), an endpoint past int64 as given.
         """
-        src = np.asarray(src, dtype=np.int64)
-        dst = np.asarray(dst, dtype=np.int64)
-        costs = np.broadcast_to(np.asarray(costs, dtype=float), src.shape)
+        src = _column(src, True, "link", "from", "links")
+        dst = _column(dst, True, "link", "to", "links")
+        # a scalar cost is read as a one-entry column and broadcast
+        if isinstance(costs, (str, bytes)) or not np.iterable(costs):
+            costs = np.atleast_1d(costs)
+        costs = np.broadcast_to(_column(costs, False, "link", "cost", "costs"), src.shape)
         order = _link_order(n, src, dst, ~np.isfinite(costs), "a cost that is not finite")
         return cls._from_sorted(n, src[order], dst[order], costs[order])
 

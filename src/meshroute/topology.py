@@ -13,9 +13,12 @@ read. It stores columns: "nodes" maps x_m and y_m to one list each, and
 "links" maps from, to, throughput_mbps, delay_ms and jitter_ms to one list
 each, in row-major (from, to) order. A version 1 file, with one object per
 node and per link, is refused with a hint to regenerate it: meshroute gen
-writes the same scenario for the same arguments. scenario_from_dict checks
-a file's layout and JSON types; NetworkScenario checks the kind of number
-each array holds (_rows) and every value, so a scenario that builds is one
+writes the same scenario for the same arguments. One reader (_column)
+decides what counts as an integer or a number in every array that enters:
+a file's columns, a hand-built scenario's positions, links and metrics
+(_rows), and CostMatrix.from_arrays's endpoints and costs, so each names
+the same fault in the same words. scenario_from_dict checks a file's
+layout, and NetworkScenario every value, so a scenario that builds is one
 that load_scenario reads back; its link rules (_link_order) are also
 CostMatrix.from_arrays's.
 
@@ -71,47 +74,79 @@ class ConnectivityError(RuntimeError):
     """Random placement failed to connect source and terminal within the retry budget."""
 
 
-# the Python types of a JSON integer and a JSON number
-_INTEGER = {int}
-_NUMBER = {int, float}
+def _cast(values, integer: bool) -> np.ndarray | None:
+    """values cast as it is to int64 (integer) or float64, if it is an
+    ndarray of integer kind (of integer or float kind for numbers) that
+    casts safely, else None. The kind is tested because np.can_cast(bool,
+    int64) is True."""
+    dtype = np.int64 if integer else np.float64
+    ok = isinstance(values, np.ndarray) and values.dtype.kind in ("iu" if integer else "iuf")
+    return values.astype(dtype, copy=False) if ok and np.can_cast(values.dtype, dtype) else None
 
 
-def _rows(value, dtype, width: int, name: str) -> np.ndarray:
-    """An (m, width) copy of value as dtype, np.int64 or np.float64.
+def _column(values, integer: bool, owner: str, key: str, name: str) -> np.ndarray:
+    """One column of input as an int64 (integer) or float64 array.
 
-    The dtype numpy picks for value must be of integer kind for int64 rows,
-    and of integer or float kind for float64 rows: bool, string and object
-    arrays are refused, though numpy makes a list that mixes bools and ints
-    int64. Python ints that numpy holds in no integer dtype are read as the
-    loader reads a JSON column. Int64 rows take any array of Python ints and
-    keep them exact in an object array, for _link_order to name. Float64
-    rows take an object array of ints and floats where numpy made it one for
-    an int past 64 bits; each int is rounded to the nearest float, and one
-    past float range is refused.
+    An ndarray that _cast takes is cast as it is. Any other value is read
+    entry by entry, an array through tolist, as a JSON column is: every
+    entry must be an integer, or a real number, and bools are neither; the
+    first that is not raises ValueError naming the owner's index and the
+    key, such as "link 0 has 'from' 0.9, not an integer". An integer past
+    int64 is kept exact in an object array of Python ints, for _link_order
+    to name; a number past float range raises ValueError naming the array
+    (name).
     """
-    array = np.array(value)
-    if array.size == 0:
-        return np.empty((0, width), dtype)
-    integer = dtype is np.int64
-    if array.dtype.kind not in ("iu" if integer else "iuf"):
-        exact = np.array(value, dtype=object)
-        kinds = set(map(type, exact.flat))
-        if integer:
-            taken = kinds <= _INTEGER
-        else:
-            taken = kinds <= _NUMBER and any(type(v) is int and not -(2**63) <= v < 2**64 for v in exact.flat)
-        if not taken:
-            raise ValueError(f"{name} must hold {'integers' if integer else 'numbers'}, not {array.dtype}")
-        if integer:
-            array = exact
-        else:
-            try:
-                array = exact.astype(np.float64)
-            except OverflowError:
-                raise ValueError(f"{name} hold an integer past float range") from None
-    if array.ndim != 2 or array.shape[1] != width:
-        raise ValueError(f"{name} must have shape (m, {width}), got {array.shape}")
-    return array.astype(dtype if np.can_cast(array.dtype, dtype) else object, copy=False)
+    if (cast := _cast(values, integer)) is not None:
+        return cast
+    values = values.tolist() if isinstance(values, np.ndarray) else values
+    kind = numbers.Integral if integer else numbers.Real
+    # one test per type present, not per entry
+    if any(t is bool or not issubclass(t, kind) for t in set(map(type, values))):
+        k = next(k for k, v in enumerate(values) if isinstance(v, bool) or not isinstance(v, kind))
+        raise ValueError(f"{owner} {k} has {key!r} {values[k]!r}, not {'an integer' if integer else 'a number'}")
+    try:
+        return np.array(values, dtype=np.int64 if integer else np.float64)
+    except OverflowError:
+        if not integer:
+            raise ValueError(f"{name} hold an integer past float range") from None
+        return np.array([int(v) for v in values], dtype=object)
+
+
+def _stack(columns, integer: bool, owner: str, keys: tuple[str, ...], name: str) -> np.ndarray:
+    """(m, len(keys)) rows of the columns, each read by _column."""
+    return np.column_stack([_column(column, integer, owner, key, name) for column, key in zip(columns, keys)])
+
+
+def _rows(value, integer: bool, owner: str, keys: tuple[str, ...], name: str) -> np.ndarray:
+    """A copy of value's (m, len(keys)) rows, read as _column reads.
+
+    value is a 2-D ndarray or a sequence of rows of len(keys) entries each.
+    An array that _cast takes is cast whole, as every column of it would
+    be; any other is read as the list of its rows, column by column
+    (_stack). Empty input ([], or an array of shape (0,) or (0, k) of any
+    dtype) has no rows.
+    """
+    width = len(keys)
+    if (cast := _cast(value, integer)) is not None and cast.ndim == 2 and cast.shape[1] == width:
+        return np.array(cast)
+    try:
+        rows = value.tolist() if isinstance(value, np.ndarray) else value
+        columns = list(zip(*rows, strict=True)) if len(rows) else [()] * width
+    except (TypeError, ValueError):
+        columns = ()
+    if len(columns) != width:
+        raise ValueError(f"{name} must have shape (m, {width}): rows of {width} entries")
+    return _stack(columns, integer, owner, keys, name)
+
+
+def _as_float(value) -> float:
+    """value as a float: nan if it is not a real number (bools are not), and
+    inf for an int past float range, so neither is finite."""
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    try:
+        return float(value) if real else math.nan
+    except OverflowError:
+        return math.inf
 
 
 def _link_order(n: int, src: np.ndarray, dst: np.ndarray, bad: np.ndarray, value: str) -> np.ndarray:
@@ -155,14 +190,17 @@ class NetworkScenario:
     is a read-only copy of what was passed, with the links and their metric
     rows put in row-major (from, to) order, so save_scenario writes them
     sorted. Scenarios are equal when their scalars are equal and their arrays
-    hold equal values. Construction refuses links that numpy does not store
-    as integers and positions or metrics that it does not store as integers
-    or floats, apart from Python ints past 64 bits, which it reads as the
-    loader does (_rows), then, with the loader's message and in this order, a
-    coordinate that is not finite, a faulty link or metric
-    (_link_order), a seed that is not an integer >= 0, and an area side or
-    radio range that is not a positive, finite number (bools are neither);
-    the seed is kept as an int and the lengths as floats.
+    hold equal values. Each array is read column by column as the loader
+    reads a file's columns (_rows, _column): an integer array, or a float
+    one for positions and metrics, is cast as it is, and any other value is
+    read entry by entry, so the first endpoint that is not an integer, or
+    coordinate or metric that is not a number, is named by its index, as
+    "link 0 has 'from' True, not an integer". Construction then refuses,
+    with the loader's message and in this order, a coordinate that is not
+    finite, a faulty link or metric (_link_order), a seed that is not an
+    integer >= 0, and an area side or radio range that is not a positive,
+    finite number (bools are neither, nor is an int past float range); the
+    seed is kept as an int and the lengths as floats.
     """
 
     seed: int
@@ -173,9 +211,9 @@ class NetworkScenario:
     metrics: np.ndarray
 
     def __post_init__(self):
-        positions = _rows(self.positions, np.float64, 2, "positions")
-        links = _rows(self.links, np.int64, 2, "links")
-        metrics = _rows(self.metrics, np.float64, 3, "metrics")
+        positions = _rows(self.positions, False, "node", NODE_COLUMNS, "positions")
+        links = _rows(self.links, True, "link", LINK_COLUMNS[:2], "links")
+        metrics = _rows(self.metrics, False, "link", LINK_COLUMNS[2:], "metrics")
         if len(metrics) != len(links):
             raise ValueError(f"{len(links)} links but {len(metrics)} metric rows")
         # column by column: a row-wise all() is several times slower on short rows
@@ -192,7 +230,7 @@ class NetworkScenario:
         if self.seed < 0:
             raise ValueError(f"scenario 'seed' is {self.seed!r}, which is negative")
         for key, value in (("area_side_m", self.area_side), ("radio_range_m", self.radio_range)):
-            if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+            if not math.isfinite(_as_float(value)):
                 raise ValueError(f"scenario {key!r} is {value!r}, not a finite number")
             if value <= 0:
                 raise ValueError(f"scenario {key!r} is {value!r}, which is not positive")
@@ -354,9 +392,7 @@ def _reaches(positions: np.ndarray, radio_range: float, source: int, terminal: i
     the bucketing plus a few microseconds per node of source's component
     that the search pops.
     """
-    # numpy compares with r*r rounded to a float, which an int range's exact
-    # square may not be
-    r_sq = float(radio_range * radio_range)
+    r_sq = radio_range * radio_range
     key, order, sorted_key, block = _cells(positions, radio_range)
     xs, ys = memoryview(positions[:, 0]), memoryview(positions[:, 1])
     keys, nodes = memoryview(key), memoryview(order)
@@ -376,6 +412,15 @@ def _reaches(positions: np.ndarray, radio_range: float, source: int, terminal: i
                         seen[j] = 1
                         stack.append(j)
     return seen[terminal] == 1
+
+
+def check_radio_range(radio_range) -> float:
+    """radio_range as a float; ValueError unless it is a positive, finite
+    number (bools are not)."""
+    r = _as_float(radio_range)
+    if not (math.isfinite(r) and r > 0):
+        raise ValueError(f"radio_range must be positive and finite, got {radio_range}")
+    return r
 
 
 def check_placement(n: int, placement: str) -> None:
@@ -405,8 +450,7 @@ def generate_scenario(
     layout kept.
     """
     check_placement(n, placement)
-    if not (math.isfinite(radio_range) and radio_range > 0):
-        raise ValueError(f"radio_range must be positive and finite, got {radio_range}")
+    radio_range = check_radio_range(radio_range)
     rng = np.random.default_rng(seed)
 
     if placement == "grid":
@@ -426,14 +470,8 @@ def generate_scenario(
             )
     src, dst = _radio_pairs(coords, radio_range)
 
-    return NetworkScenario(
-        seed=seed,
-        area_side=float(area_side),
-        radio_range=float(radio_range),
-        positions=coords,
-        links=np.stack((src, dst), 1),
-        metrics=_draw_metrics(rng, len(src)),
-    )
+    metrics = _draw_metrics(rng, len(src))
+    return NetworkScenario(seed, area_side, radio_range, coords, np.stack((src, dst), 1), metrics)
 
 
 def scenario_to_dict(scenario: NetworkScenario) -> dict:
@@ -464,33 +502,6 @@ def _table(table: dict, keys: tuple[str, ...], name: str) -> list[list]:
     return columns
 
 
-def _array(values: list, integer: bool, owner: str, key: str) -> np.ndarray:
-    """A column as an int64 or float64 array. Every entry must be a JSON
-    integer (not a bool) or a JSON number; the first that is not is named.
-    A column with an integer past int64 (integer columns) or past float
-    range (number columns) is an object array, whose fault NetworkScenario
-    names as it names a hand-built one (_rows, _link_order)."""
-    allowed = _INTEGER if integer else _NUMBER
-    if not set(map(type, values)) <= allowed:
-        k = next(k for k, v in enumerate(values) if type(v) not in allowed)
-        kind = "an integer" if integer else "a number"
-        raise ValueError(f"{owner} {k} has {key!r} {values[k]!r}, not {kind}")
-    try:
-        return np.array(values, dtype=np.int64 if integer else np.float64)
-    except OverflowError:
-        return np.array(values, dtype=object)
-
-
-def _from_columns(data: dict, x: list, y: list, link_columns: list[list]) -> NetworkScenario:
-    """Check the JSON types of the columns, nodes first, and build the
-    scenario, which checks the values."""
-    positions = np.stack((_array(x, False, "node", "x_m"), _array(y, False, "node", "y_m")), 1)
-    # from and to are integer columns, the metrics number columns
-    columns = [_array(column, k < 2, "link", LINK_COLUMNS[k]) for k, column in enumerate(link_columns)]
-    links, metrics = np.stack(columns[:2], 1), np.stack(columns[2:], 1)
-    return NetworkScenario(data["seed"], data["area_side_m"], data["radio_range_m"], positions, links, metrics)
-
-
 def scenario_from_dict(data: dict) -> NetworkScenario:
     """Parse a format-2 scenario; malformed input raises ValueError naming
     the fault.
@@ -512,12 +523,16 @@ def scenario_from_dict(data: dict) -> NetworkScenario:
             hint = "; regenerate the file with meshroute gen (same --nodes, --placement, --seed, --range)"
         raise ValueError(f"unsupported scenario format version {version!r}{hint}")
     try:
-        x, y = _table(data["nodes"], NODE_COLUMNS, "nodes")
-        return _from_columns(data, x, y, _table(data["links"], LINK_COLUMNS, "links"))
+        nodes = _table(data["nodes"], NODE_COLUMNS, "nodes")
+        links = _table(data["links"], LINK_COLUMNS, "links")
+        return NetworkScenario(
+            data["seed"], data["area_side_m"], data["radio_range_m"],
+            _stack(nodes, False, "node", NODE_COLUMNS, "positions"),
+            _stack(links[:2], True, "link", LINK_COLUMNS[:2], "links"),
+            _stack(links[2:], False, "link", LINK_COLUMNS[2:], "metrics"),
+        )
     except KeyError as exc:
         raise ValueError(f"scenario is missing the required key {exc}") from None
-    except (TypeError, OverflowError) as exc:
-        raise ValueError(f"malformed scenario: {exc}") from None
 
 
 def save_scenario(scenario: NetworkScenario, path: str | Path) -> None:

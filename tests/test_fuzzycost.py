@@ -1,6 +1,7 @@
 """Fuzzy link-cost evaluator: memberships, rule table, centroid, cost matrix."""
 
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -20,7 +21,7 @@ from meshroute.fuzzycost import (
     evaluate_ilc,
     ilc_costs,
 )
-from meshroute.topology import METRIC_HIGH, METRIC_LOW, NetworkScenario, generate_scenario
+from meshroute.topology import METRIC_HIGH, METRIC_LOW, NetworkScenario, generate_scenario, scenario_from_dict
 
 from helpers import dense_adjacency, dense_costs, from_entries, link_cost, out_neighbors, traced_peak_bytes
 
@@ -511,6 +512,60 @@ def test_from_arrays_matches_dense_reference(case):
 def test_cost_matrix_rejects_out_of_range_endpoint():
     with pytest.raises(ValueError, match="outside 0..2"):
         CostMatrix.from_arrays(3, [0, -1], [1, 0], [0.5, 0.5])
+
+
+PAST_INT64 = "link 1 -> 9223372036854775808 has an endpoint outside 0..2"
+
+
+@pytest.mark.parametrize(
+    "src, dst, costs, message",
+    [
+        pytest.param([0.9, 1], [1, 2], 0.5, "link 0 has 'from' 0.9, not an integer", id="float-end"),
+        pytest.param([True, 1], [1, 2], 0.5, "link 0 has 'from' True, not an integer", id="bool-end"),
+        pytest.param(["0"], [1], 0.5, "link 0 has 'from' '0', not an integer", id="text-end"),
+        pytest.param([0, 1], [1, 2**63], 0.5, PAST_INT64, id="past-int64"),
+        pytest.param([0, 1], np.array([1, 2**63], dtype=np.uint64), 0.5, PAST_INT64, id="uint64-end"),
+        pytest.param([0, 1], [1, 2], ["0.5", 0.5], "link 0 has 'cost' '0.5', not a number", id="text-cost"),
+        pytest.param([0, 1], [1, 2], [0.5, None], "link 1 has 'cost' None, not a number", id="none-cost"),
+        pytest.param([0, 1], [1, 2], True, "link 0 has 'cost' True, not a number", id="bool-cost"),
+        pytest.param([0, 1], [1, 2], 10**400, "costs hold an integer past float range", id="cost-past-float"),
+    ],
+)
+def test_from_arrays_reads_entries_as_the_loader_does(src, dst, costs, message):
+    # no endpoint or cost is coerced: 0.9, True and '0' once became nodes 0, 1 and 0
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        CostMatrix.from_arrays(3, src, dst, costs)
+
+
+def test_from_arrays_casts_arrays_of_the_right_kind():
+    src, dst = np.array([2, 0], dtype=np.int8), np.array([0, 1], dtype=np.uint32)
+    for costs in (np.array([0.3, 0.7], dtype=np.float32), np.array(0.5), np.float64(0.5), 1):
+        cm = CostMatrix.from_arrays(3, src, dst, costs)
+        expected = np.broadcast_to(np.asarray(costs, dtype=float), 2)
+        assert cm.links == (((1, float(expected[1])),), (), ((0, float(expected[0])),))
+
+
+@pytest.mark.parametrize(
+    "src, dst, message",
+    [
+        ([0, 1, 2], [1, True, 1], "link 1 has 'to' True, not an integer"),
+        ([0, 1.0], [1, 2], "link 1 has 'from' 1.0, not an integer"),
+        ([0, 1], [1, 10**30], f"link 1 -> {10**30} has an endpoint outside 0..2"),
+        ([0, 2, 1], [1, 2, 0], "self-loop link at node 2"),
+        ([0, 1, 0], [1, 2, 1], "duplicate link 0 -> 1"),
+    ],
+    ids=["bool-end", "float-end", "past-int64", "self-loop", "repeat"],
+)
+def test_from_arrays_and_the_loader_name_the_same_fault(src, dst, message):
+    metric = [1.0] * len(src)
+    data = {
+        "version": 2, "seed": 0, "area_side_m": 400.0, "radio_range_m": 250.0,
+        "nodes": {"x_m": [0.0, 200.0, 400.0], "y_m": [0.0, 0.0, 0.0]},
+        "links": {"from": src, "to": dst, "throughput_mbps": metric, "delay_ms": metric, "jitter_ms": metric},
+    }
+    for build in (lambda: scenario_from_dict(data), lambda: CostMatrix.from_arrays(3, src, dst, 0.5)):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            build()
 
 
 def test_build_rejects_hand_built_self_loop():

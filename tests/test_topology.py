@@ -132,6 +132,13 @@ def test_grid_link_counts(n, expected):
     assert len(generate_scenario(n, placement="grid", seed=1).links) == expected
 
 
+def test_int_radio_range_is_read_as_its_float():
+    # an int range is one float for the search, the link build and the scenario
+    s = generate_scenario(9, "grid", 0, 10**200)
+    assert s == generate_scenario(9, "grid", 0, 1e200) and len(s.links) == 72
+    assert generate_scenario(9, "random", 3, 300) == generate_scenario(9, "random", 3, 300.0)
+
+
 def test_grid_rejects_non_square():
     with pytest.raises(ValueError):
         generate_scenario(26, placement="grid", seed=0)
@@ -142,7 +149,9 @@ def test_short_range_yields_no_links():
     assert s.links.shape == (0, 2) and s.metrics.shape == (0, 3)
 
 
-@pytest.mark.parametrize("radio_range", [0.0, -1.0, math.nan, math.inf])
+@pytest.mark.parametrize(
+    "radio_range", [0.0, -1.0, math.nan, math.inf, True, pytest.param(10**400, id="10**400"), "250"]
+)
 def test_rejects_radio_range_not_positive_and_finite(radio_range):
     # NaN fails every comparison, so a bare `<= 0` check would let it through
     with pytest.raises(ValueError, match="radio_range"):
@@ -320,9 +329,9 @@ def layouts_with_ends(draw):
 # the terminal is the first candidate scanned, alone in the lowest cell row
 # of the source's block; node 1, far off in x, puts that row at y = -0.5
 @example((np.array([[0.0, 0.6], [100.0, -0.5], [0.0, 0.4]]), 1.0, 0, 2))
-# an int range whose square is no float: numpy rounds it up onto the
-# square of the float distance, so the two sites are linked
-@example((np.array([[0.0, 0.0], [389216663.0, 0.0]]), 389216663, 0, 1))
+# the sites are exactly r apart, and r*r, past 2**53, rounds as the
+# squared distance does, so they are linked
+@example((np.array([[0.0, 0.0], [389216663.0, 0.0]]), 389216663.0, 0, 1))
 def test_reaches_matches_dense_reachability(case):
     positions, r, source, terminal = case
     with warnings.catch_warnings(), np.errstate(over="ignore"):
@@ -665,14 +674,17 @@ TWO_NODES = [(0.0, 0.0), (1.0, 0.0)]
     "positions, links, metrics, message",
     [
         # a float endpoint and a text metric, which np.array(value, dtype) once coerced
-        (TWO_NODES, [(0.9, 1)], [("1.5", 2, 3)], "links must hold integers, not float64"),
-        (TWO_NODES, [(0, 1)], [("1.5", 2, 3)], "metrics must hold numbers, not <U"),
-        (TWO_NODES, np.array([(False, True)]), [(1.5, 2, 3)], "links must hold integers, not bool"),
-        (TWO_NODES, [("0", "1")], [(1.5, 2, 3)], "links must hold integers, not <U"),
-        (TWO_NODES, [(0, 1)], [(1.5, None, 3)], "metrics must hold numbers, not object"),
-        ([(True, False), (False, True)], [(0, 1)], [(1.5, 2, 3)], "positions must hold numbers, not bool"),
-        ([(0.0, 0.0), (0.0, "1")], [(0, 1)], [(1.5, 2, 3)], "positions must hold numbers, not <U"),
-        (np.array(TWO_NODES, dtype=object), [(0, 1)], [(1.5, 2, 3)], "positions must hold numbers, not object"),
+        (TWO_NODES, [(0.9, 1)], [("1.5", 2, 3)], "link 0 has 'from' 0.9, not an integer"),
+        (TWO_NODES, [(0, 1)], [("1.5", 2, 3)], "link 0 has 'throughput_mbps' '1.5', not a number"),
+        (TWO_NODES, np.array([(False, True)]), [(1.5, 2, 3)], "link 0 has 'from' False, not an integer"),
+        (TWO_NODES, [("0", "1")], [(1.5, 2, 3)], "link 0 has 'from' '0', not an integer"),
+        (TWO_NODES, [(0, 1)], [(1.5, None, 3)], "link 0 has 'delay_ms' None, not a number"),
+        ([(True, False), (False, True)], [(0, 1)], [(1.5, 2, 3)], "node 0 has 'x_m' True, not a number"),
+        ([(0.0, 0.0), (0.0, "1")], [(0, 1)], [(1.5, 2, 3)], "node 1 has 'y_m' '1', not a number"),
+        (
+            np.array([(0.0, 0.0), (1.0, None)], dtype=object), [(0, 1)], [(1.5, 2, 3)],
+            "node 1 has 'y_m' None, not a number",
+        ),
     ],
     ids=[
         "float-end", "text-metric", "bool-links", "text-links", "none-metric",
@@ -680,8 +692,12 @@ TWO_NODES = [(0.0, 0.0), (1.0, 0.0)]
     ],
 )
 def test_hand_built_scenario_refuses_arrays_of_the_wrong_kind(positions, links, metrics, message):
-    with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+    # each entry is read as the loader reads a JSON column, and named by its index
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         NetworkScenario(0, 1.0, 1.0, positions, links, metrics)
+    if not any(isinstance(value, np.ndarray) for value in (positions, links, metrics)):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            scenario_from_dict(scenario_dict(0, 1.0, 1.0, positions, links, metrics))
 
 
 def test_hand_built_scenario_takes_integer_arrays_of_any_width_and_empty_input():
@@ -689,8 +705,14 @@ def test_hand_built_scenario_takes_integer_arrays_of_any_width_and_empty_input()
     s = NetworkScenario(0, 1.0, 1.0, positions, links, [(1, 2, 3)])
     assert (s.positions.dtype, s.links.dtype, s.metrics.dtype) == (np.float64, np.int64, np.float64)
     assert s.links.tolist() == [[1, 0]] and s.metrics.tolist() == [[1.0, 2.0, 3.0]]
-    # numpy makes a list that mixes bools and ints int64, so it passes
-    assert NetworkScenario(0, 1.0, 1.0, TWO_NODES, [(True, 0)], [(1, 2, 3)]).links.tolist() == [[1, 0]]
+    # an object array of numbers is read entry by entry, as a list is
+    assert NetworkScenario(0, 1.0, 1.0, np.array(TWO_NODES, dtype=object), links, [(1, 2, 3)]) == s
+    # a list that mixes bools and ints, which numpy makes int64, is refused as the file is
+    message = "^link 0 has 'from' True, not an integer$"
+    with pytest.raises(ValueError, match=message):
+        NetworkScenario(0, 1.0, 1.0, TWO_NODES, [(True, 0)], [(1, 2, 3)])
+    with pytest.raises(ValueError, match=message):
+        scenario_from_dict(scenario_dict(0, 1.0, 1.0, TWO_NODES, [(True, 0)], [(1, 2, 3)]))
     for empty in ([], np.zeros((0, 2), dtype=bool), np.array([], dtype=str)):
         s = NetworkScenario(0, 1.0, 1.0, TWO_NODES, empty, empty)
         assert s.links.shape == (0, 2) and s.links.dtype == np.int64
@@ -715,6 +737,11 @@ def test_hand_built_endpoint_past_int64_gets_the_loaders_message(end):
     args["links"][3] = [2, 2]
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         NetworkScenario(**args)
+    # a uint64 array holds an endpoint from 2**63 up, which is named as given
+    if 0 <= end < 2**64:
+        args, _ = three_node_scenario(links=(2, 1, end))
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            NetworkScenario(**{**args, "links": np.array(args["links"], dtype=np.uint64)})
 
 
 @pytest.mark.parametrize("key, row, col", [("positions", 1, 1), ("metrics", 2, 1)])
@@ -788,6 +815,9 @@ def scenario_arguments(draw):
 @settings(max_examples=300, deadline=None)
 @given(scenario_arguments())
 @example(args=three_node_scenario(metrics=(2, 1, math.nan))[0])
+# a length past float range is not a finite number, hand-built or in a file
+@example(args=three_node_scenario(area_side=10**400)[0])
+@example(args=three_node_scenario(radio_range=-(10**400))[0])
 def test_scenario_builds_exactly_when_the_loader_reads_it(tmp_path_factory, args):
     # the one link contract: NetworkScenario and the file reader refuse the
     # same values with the same message, and what builds saves and loads back
