@@ -66,7 +66,6 @@ def migrate(
     roulette: tuple[np.ndarray, np.ndarray],
     elite_count: int,
     rng: np.random.Generator,
-    draws: np.ndarray | None = None,
 ) -> list[int]:
     """SIV migration in place on the (P, n) rows of sivs; returns the rows it changed.
 
@@ -76,15 +75,12 @@ def migrate(
     lambda_i, taking the key from a donor drawn roulette-wheel by emigration
     rate (self excluded). Donors give their pre-migration SIVs, so order of
     processing is immaterial. Each non-elite row draws n immigration keys
-    and then, only if some dimension immigrates, n donor keys. draws, when
-    given, is a (P - elite_count, 2, n) float64 array that receives them, as
-    for mutate. On a row with no donor of positive rate it raises ValueError
-    and leaves sivs unchanged.
+    and then, only if some dimension immigrates, n donor keys. On a row with
+    no donor of positive rate it raises ValueError and leaves sivs unchanged.
     """
     cum, totals = roulette
     n_pop, n_dims = sivs.shape
-    if draws is None:
-        draws = np.empty((n_pop - elite_count, 2, n_dims))
+    draws = np.empty((n_pop - elite_count, 2, n_dims))
     for i, (incoming, keys) in enumerate(draws, elite_count):
         rng.random(out=incoming)
         if not incoming.min() < immigration[i]:
@@ -136,7 +132,6 @@ def mutate(
     mutation_max: float,
     elite_count: int,
     rng: np.random.Generator,
-    draws: np.ndarray | None = None,
 ) -> list[int]:
     """Probability-driven mutation in place on the (P, n) rows of sivs; returns
     the rows it changed.
@@ -144,31 +139,21 @@ def mutate(
     m_i = m_max (1 - P_s_i / P_max), with P_s_i = p_s[i]: rows at improbable
     species counts mutate hardest. Every non-elite SIV is redrawn uniform with
     probability m_i; rows below elite_count are never modified. Each non-elite
-    row draws n flip keys, then n replacement keys. draws, when given, is a
-    (P - elite_count, 2, n) float64 array that receives them, so a caller
-    that mutates every generation need not allocate them each time.
+    row draws n flip keys, then n replacement keys.
     """
     p_max = p_s.max()
     rates = np.zeros_like(p_s) if p_max == 0.0 else mutation_max * (1.0 - p_s / p_max)
-    n_pop, n_dims = sivs.shape
-    if draws is None:
-        draws = np.empty((n_pop - elite_count, 2, n_dims))
-    rng.random(out=draws)
     mutable = sivs[elite_count:]
+    draws = rng.random((len(mutable), 2, sivs.shape[1]))
     flips = draws[:, 0] < rates[elite_count:, None]
-    replacement = draws[:, 1]
-    flips &= replacement != mutable
-    np.copyto(mutable, replacement, where=flips)
+    flips &= draws[:, 1] != mutable
+    np.copyto(mutable, draws[:, 1], where=flips)
     return (np.flatnonzero(flips.any(axis=1)) + elite_count).tolist()
 
 
 def run_bbo(cm: CostMatrix, source: int, terminal: int, params: RunParams) -> RunResult:
     check_population(params.population_size)
     n_pop = params.population_size
-    # migrate and mutate take their draws into one buffer for the whole run;
-    # scratch arrays allocated afresh each generation raised the 400-node
-    # random workload's peak RSS by about 1.7 MB
-    draws = np.empty((n_pop - ELITE_COUNT, 2, cm.n))
     # one shared distribution over species counts 0..n_pop, initially uniform;
     # cost rank r holds species count n_pop - r, so [:0:-1] reads by rank
     p_species = np.full(n_pop + 1, 1.0 / (n_pop + 1))
@@ -178,9 +163,9 @@ def run_bbo(cm: CostMatrix, source: int, terminal: int, params: RunParams) -> Ru
 
     def migrate_and_mutate(sivs, gen, rng):
         nonlocal p_species
-        migrated = migrate(sivs, immigration, roulette, ELITE_COUNT, rng, draws)
+        migrated = migrate(sivs, immigration, roulette, ELITE_COUNT, rng)
         p_species = update_probability(p_species, lam_k, mu_k)
-        mutated = mutate(sivs, p_species[:0:-1], MUTATION_MAX, ELITE_COUNT, rng, draws)
+        mutated = mutate(sivs, p_species[:0:-1], MUTATION_MAX, ELITE_COUNT, rng)
         return sorted({*migrated, *mutated})
 
     return evolve("bbo", cm, source, terminal, params, decode_path, migrate_and_mutate)

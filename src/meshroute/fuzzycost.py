@@ -52,7 +52,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .topology import METRIC_HIGH, METRIC_LOW, _column, _link_order
+from .topology import METRIC_HIGH, METRIC_LOW, _column, _is_integer, _link_order
 
 ILC_FLOOR = 1e-6
 
@@ -152,20 +152,30 @@ class CostMatrix:
 
     @classmethod
     def from_arrays(cls, n: int, src, dst, costs) -> "CostMatrix":
-        """Matrix of links src[l] -> dst[l] with cost costs[l]; a scalar cost
-        applies to every link. The arrays are read as a scenario file's
-        columns are (topology._column): an endpoint that is not an integer,
-        or a cost that is not a number, is named by its link, such as
-        "link 0 has 'from' 0.9, not an integer". Then the first link with an
-        endpoint outside 0..n-1, a self-loop, a repeat or a cost that is not
-        finite is named in a ValueError (topology._link_order, the rule of
-        scenario links), an endpoint past int64 as given.
+        """Matrix of links src[l] -> dst[l] with cost costs[l]; a scalar or
+        one-entry costs applies to every link. A ValueError names an n that is
+        not an integer >= 0, or a column that is not a list, tuple or 1-D
+        array as long as src, with both lengths as topology._table does.
+        Entries are read as a scenario file's columns are (topology._column):
+        an endpoint that is not an integer, or a cost that is not a number, is
+        named by its link, as "link 0 has 'from' 0.9, not an integer". Then
+        the first link with an endpoint outside 0..n-1, a self-loop, a repeat
+        or a cost that is not finite is named (topology._link_order, the rule
+        of scenario links), an endpoint past int64 as given.
         """
-        src = _column(src, True, "link", "from", "links")
-        dst = _column(dst, True, "link", "to", "links")
+        if not _is_integer(n) or n < 0:
+            raise ValueError(f"n must be an integer >= 0, got {n!r}")
         # a scalar cost is read as a one-entry column and broadcast
         if isinstance(costs, (str, bytes)) or not np.iterable(costs):
             costs = np.atleast_1d(costs)
+        for key, column in (("from", src), ("to", dst), ("cost", costs)):
+            if not (column.ndim == 1 if isinstance(column, np.ndarray) else isinstance(column, (list, tuple))):
+                kind = type(column).__name__
+                raise ValueError(f"links column {key!r} must be a list, tuple or 1-D array, not {kind}")
+            if len(column) != len(src) and not (key == "cost" and len(column) == 1):
+                raise ValueError(f"links column {key!r} has {len(column)} entries, 'from' has {len(src)}")
+        src = _column(src, True, "link", "from", "links")
+        dst = _column(dst, True, "link", "to", "links")
         costs = np.broadcast_to(_column(costs, False, "link", "cost", "costs"), src.shape)
         order = _link_order(n, src, dst, ~np.isfinite(costs), "a cost that is not finite")
         return cls._from_sorted(n, src[order], dst[order], costs[order])

@@ -81,14 +81,9 @@ def evolve(algorithm, cm, source, terminal, params: RunParams, decode, vary) -> 
     start = time.perf_counter()
     population = rng.random((n_pop, cm.n))
     paths = [decode(keys, cm, source, terminal) for keys in population]
-    # the sort reorders rows into spare and swaps, so no generation allocates
-    # a fresh (P, n) array; that allocation raised the 400-node random
-    # workload's peak RSS by about 1 MB on most runs
-    spare = np.empty_like(population)
     for gen in range(1, params.max_generations + 1):
         order = sorted(range(n_pop), key=lambda r: paths[r].cost)
-        np.take(population, order, axis=0, out=spare)
-        population, spare = spare, population
+        population = population[order]
         paths = [paths[r] for r in order]
         if best_path is None or paths[0].cost < best_path.cost:
             best_path = paths[0]

@@ -139,6 +139,19 @@ def _rows(value, integer: bool, owner: str, keys: tuple[str, ...], name: str) ->
     return _stack(columns, integer, owner, keys, name)
 
 
+def _is_integer(value) -> bool:
+    """Is value an integer, Python or numpy? Bools are not."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def check_seed(seed) -> None:
+    """Raise ValueError unless seed is an integer >= 0; bools are not."""
+    if not _is_integer(seed):
+        raise ValueError(f"scenario 'seed' is {seed!r}, not an integer")
+    if seed < 0:
+        raise ValueError(f"scenario 'seed' is {seed!r}, which is negative")
+
+
 def _as_float(value) -> float:
     """value as a float: nan if it is not a real number (bools are not), and
     inf for an int past float range, so neither is finite."""
@@ -225,10 +238,7 @@ class NetworkScenario:
         ok = (0.0 <= metrics) & (metrics < math.inf)
         bad_metric = ~(ok[:, 0] & ok[:, 1] & ok[:, 2])
         order = _link_order(len(positions), *links.T, bad_metric, "a metric that is negative or not finite")
-        if isinstance(self.seed, bool) or not isinstance(self.seed, numbers.Integral):
-            raise ValueError(f"scenario 'seed' is {self.seed!r}, not an integer")
-        if self.seed < 0:
-            raise ValueError(f"scenario 'seed' is {self.seed!r}, which is negative")
+        check_seed(self.seed)
         for key, value in (("area_side_m", self.area_side), ("radio_range_m", self.radio_range)):
             if not math.isfinite(_as_float(value)):
                 raise ValueError(f"scenario {key!r} is {value!r}, not a finite number")
@@ -425,11 +435,11 @@ def check_radio_range(radio_range) -> float:
 
 def check_placement(n: int, placement: str) -> None:
     """Raise ValueError unless `placement` can place n nodes: a known
-    placement, at least 2 nodes, and a perfect square for grid."""
+    placement, an integer count of at least 2 nodes, and a perfect square for grid."""
     if placement not in PLACEMENTS:
         raise ValueError(f"unknown placement {placement!r} (expected one of {PLACEMENTS})")
-    if n < 2:
-        raise ValueError(f"need at least 2 nodes, got {n}")
+    if not _is_integer(n) or n < 2:
+        raise ValueError(f"need an integer count of at least 2 nodes, got {n!r}")
     if placement == "grid" and math.isqrt(n) ** 2 != n:
         raise ValueError(f"grid placement needs a perfect-square node count, {n} is not a perfect square")
 
@@ -447,9 +457,10 @@ def generate_scenario(
     i.i.d. over a square holding the reference density and redraws the whole
     layout until node 0 and node n-1 are connected. Each layout drawn costs
     one search of node 0's component, and links are built once, for the
-    layout kept.
+    layout kept. Every argument is checked before anything is drawn.
     """
     check_placement(n, placement)
+    check_seed(seed)
     radio_range = check_radio_range(radio_range)
     rng = np.random.default_rng(seed)
 

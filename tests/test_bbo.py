@@ -298,10 +298,9 @@ def rowwise_mutate(sivs, p_s, mutation_max, elite_count, rng):
 
 @st.composite
 def operator_cases(draw):
-    """A population, its elite count, a seed, whether the generators enter
-    with a buffered 32-bit draw pending, and whether the operator gets a
-    draws buffer. Some populations repeat two rows, so that a migrant can
-    bring the key a row already holds."""
+    """A population, its elite count, a seed, and whether the generators enter
+    with a buffered 32-bit draw pending. Some populations repeat two rows, so
+    that a migrant can bring the key a row already holds."""
     n_pop = draw(st.integers(2, 12))
     n_dims = draw(st.integers(1, 40))
     elite_count = draw(st.integers(0, n_pop - 1))
@@ -309,7 +308,7 @@ def operator_cases(draw):
     sivs = make_sivs(n_dims, n_pop, seed)
     if draw(st.booleans()):
         sivs = sivs[np.arange(n_pop) % 2]
-    return sivs, elite_count, seed, draw(st.booleans()), draw(st.booleans())
+    return sivs, elite_count, seed, draw(st.booleans())
 
 
 def twin_generators(seed, pending):
@@ -328,8 +327,8 @@ RATES = st.floats(0.0, 1.2)
 @given(operator_cases(), st.data())
 @settings(max_examples=300, deadline=None)
 def test_migrate_matches_rowwise(case, data):
-    sivs, elite_count, seed, pending, buffered = case
-    n_pop, n_dims = sivs.shape
+    sivs, elite_count, seed, pending = case
+    n_pop = len(sivs)
     immigration = np.array(data.draw(st.lists(RATES, min_size=n_pop, max_size=n_pop)))
     emigration = np.array(
         data.draw(st.lists(st.sampled_from([0.0, 0.25]) | RATES, min_size=n_pop, max_size=n_pop))
@@ -339,16 +338,15 @@ def test_migrate_matches_rowwise(case, data):
         immigration, emigration = immigration[::-1].copy()[::-1], emigration[::-1].copy()[::-1]
     want_sivs = sivs.copy()
     got_rng, want_rng = twin_generators(seed, pending)
-    draws = np.empty((n_pop - elite_count, 2, n_dims)) if buffered else None
     try:
         want = rowwise_migrate(want_sivs, immigration, emigration, elite_count, want_rng)
     except ValueError:
         before = sivs.copy()
         with pytest.raises(ValueError):
-            migrate(sivs, immigration, donor_roulette(emigration), elite_count, got_rng, draws)
+            migrate(sivs, immigration, donor_roulette(emigration), elite_count, got_rng)
         assert np.array_equal(sivs, before)
     else:
-        got = migrate(sivs, immigration, donor_roulette(emigration), elite_count, got_rng, draws)
+        got = migrate(sivs, immigration, donor_roulette(emigration), elite_count, got_rng)
         assert got == want
         assert np.array_equal(sivs, want_sivs)
     assert got_rng.bit_generator.state == want_rng.bit_generator.state
@@ -357,17 +355,16 @@ def test_migrate_matches_rowwise(case, data):
 @given(operator_cases(), st.data())
 @settings(max_examples=300, deadline=None)
 def test_mutate_matches_rowwise(case, data):
-    sivs, elite_count, seed, pending, buffered = case
-    n_pop, n_dims = sivs.shape
+    sivs, elite_count, seed, pending = case
+    n_pop = len(sivs)
     p_s = np.array(
         data.draw(st.lists(st.sampled_from([0.0, 0.5]) | st.floats(0.0, 1.0), min_size=n_pop, max_size=n_pop))
     )
     mutation_max = data.draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0))
     want_sivs = sivs.copy()
     got_rng, want_rng = twin_generators(seed, pending)
-    draws = np.empty((n_pop - elite_count, 2, n_dims)) if buffered else None
     want = rowwise_mutate(want_sivs, p_s, mutation_max, elite_count, want_rng)
-    got = mutate(sivs, p_s, mutation_max, elite_count, got_rng, draws)
+    got = mutate(sivs, p_s, mutation_max, elite_count, got_rng)
     assert got == want
     assert np.array_equal(sivs, want_sivs)
     assert got_rng.bit_generator.state == want_rng.bit_generator.state

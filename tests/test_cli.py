@@ -191,6 +191,16 @@ def test_solve_refuses_negative_seed(tmp_path, capsys):
     assert captured.err == "error: rng_seed must be >= 0\n"
 
 
+def test_gen_refuses_negative_seed(tmp_path, capsys):
+    out = tmp_path / "grid9.json"
+    code = main(["gen", "--nodes", "9", "--seed", "-1", "--out", str(out)])
+    assert code == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: scenario 'seed' is -1, which is negative\n"
+    assert not out.exists()
+
+
 def test_solve_same_source_target(tmp_path):
     scenario = tmp_path / "line.json"
     write_line_scenario(scenario)

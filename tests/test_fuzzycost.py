@@ -159,7 +159,10 @@ def reference_from_arrays(n, src, dst, costs):
     src = np.asarray(src, dtype=np.int64).tolist()
     dst = np.asarray(dst, dtype=np.int64).tolist()
     # a scalar, or one cost, applies to every link
-    costs = np.broadcast_to(np.asarray(costs, dtype=float), (len(src),))
+    costs = np.asarray(costs, dtype=float)
+    if costs.ndim and len(costs) not in (1, len(src)):
+        raise ValueError(f"links column 'cost' has {len(costs)} entries, 'from' has {len(src)}")
+    costs = np.broadcast_to(costs, (len(src),))
     values = np.full((n, n), np.nan)
     for a, b, w in zip(src, dst, costs.tolist()):
         if not (0 <= a < n and 0 <= b < n):
@@ -518,23 +521,37 @@ PAST_INT64 = "link 1 -> 9223372036854775808 has an endpoint outside 0..2"
 
 
 @pytest.mark.parametrize(
-    "src, dst, costs, message",
+    "n, src, dst, costs, message",
     [
-        pytest.param([0.9, 1], [1, 2], 0.5, "link 0 has 'from' 0.9, not an integer", id="float-end"),
-        pytest.param([True, 1], [1, 2], 0.5, "link 0 has 'from' True, not an integer", id="bool-end"),
-        pytest.param(["0"], [1], 0.5, "link 0 has 'from' '0', not an integer", id="text-end"),
-        pytest.param([0, 1], [1, 2**63], 0.5, PAST_INT64, id="past-int64"),
-        pytest.param([0, 1], np.array([1, 2**63], dtype=np.uint64), 0.5, PAST_INT64, id="uint64-end"),
-        pytest.param([0, 1], [1, 2], ["0.5", 0.5], "link 0 has 'cost' '0.5', not a number", id="text-cost"),
-        pytest.param([0, 1], [1, 2], [0.5, None], "link 1 has 'cost' None, not a number", id="none-cost"),
-        pytest.param([0, 1], [1, 2], True, "link 0 has 'cost' True, not a number", id="bool-cost"),
-        pytest.param([0, 1], [1, 2], 10**400, "costs hold an integer past float range", id="cost-past-float"),
+        pytest.param(3, [0.9, 1], [1, 2], 0.5, "link 0 has 'from' 0.9, not an integer", id="float-end"),
+        pytest.param(3, [True, 1], [1, 2], 0.5, "link 0 has 'from' True, not an integer", id="bool-end"),
+        pytest.param(3, ["0"], [1], 0.5, "link 0 has 'from' '0', not an integer", id="text-end"),
+        pytest.param(3, [0, 1], [1, 2**63], 0.5, PAST_INT64, id="past-int64"),
+        pytest.param(3, [0, 1], np.array([1, 2**63], dtype=np.uint64), 0.5, PAST_INT64, id="uint64-end"),
+        pytest.param(3, [0, 1], [1, 2], ["0.5", 0.5], "link 0 has 'cost' '0.5', not a number", id="text-cost"),
+        pytest.param(3, [0, 1], [1, 2], [0.5, None], "link 1 has 'cost' None, not a number", id="none-cost"),
+        pytest.param(3, [0, 1], [1, 2], True, "link 0 has 'cost' True, not a number", id="bool-cost"),
+        pytest.param(3, [0, 1], [1, 2], 10**400, "costs hold an integer past float range", id="cost-past-float"),
+        pytest.param(3, [0], [1, 2], 0.5, "links column 'to' has 2 entries, 'from' has 1", id="long-to"),
+        pytest.param(3, [0, 1], [2], 0.5, "links column 'to' has 1 entries, 'from' has 2", id="short-to"),
+        pytest.param(3, [0, 1], [1, 2], [0.5] * 3, "links column 'cost' has 3 entries, 'from' has 2", id="long-cost"),
+        pytest.param(
+            3, [0, 1], None, 0.5, "links column 'to' must be a list, tuple or 1-D array, not NoneType", id="none-to"
+        ),
+        pytest.param(
+            3, np.array([[0, 1]]), [1], 0.5, "links column 'from' must be a list, tuple or 1-D array, not ndarray",
+            id="2d-from",
+        ),
+        pytest.param(-1, [0], [1], 0.5, "n must be an integer >= 0, got -1", id="negative-n"),
+        pytest.param(2.5, [0], [1], 0.5, "n must be an integer >= 0, got 2.5", id="float-n"),
+        pytest.param(True, [0], [1], 0.5, "n must be an integer >= 0, got True", id="bool-n"),
     ],
 )
-def test_from_arrays_reads_entries_as_the_loader_does(src, dst, costs, message):
-    # no endpoint or cost is coerced: 0.9, True and '0' once became nodes 0, 1 and 0
+def test_from_arrays_reads_entries_as_the_loader_does(n, src, dst, costs, message):
+    # no endpoint or cost is coerced: 0.9, True and '0' once became nodes 0, 1
+    # and 0, and no column is broadcast or cut to another's length
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        CostMatrix.from_arrays(3, src, dst, costs)
+        CostMatrix.from_arrays(n, src, dst, costs)
 
 
 def test_from_arrays_casts_arrays_of_the_right_kind():

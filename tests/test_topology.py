@@ -163,6 +163,41 @@ def test_unknown_placement():
         generate_scenario(25, placement="ring", seed=0)
 
 
+@pytest.mark.parametrize(
+    "n, placement",
+    [(9.0, "grid"), (100.0, "random"), (True, "random"), ("9", "grid"), (np.float64(9.0), "grid")],
+    ids=["float-grid", "float-random", "bool", "text", "numpy-float"],
+)
+def test_rejects_node_count_not_an_integer(n, placement, monkeypatch):
+    # refused before the generator is made, so nothing is drawn
+    monkeypatch.setattr(topology.np.random, "default_rng", None)
+    message = f"need an integer count of at least 2 nodes, got {n!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        generate_scenario(n, placement=placement, seed=0)
+
+
+def test_numpy_integer_node_count_builds():
+    assert generate_scenario(np.int64(9), placement="grid", seed=0) == generate_scenario(9, placement="grid", seed=0)
+
+
+@pytest.mark.parametrize(
+    "seed, message",
+    [
+        (-1, "scenario 'seed' is -1, which is negative"),
+        (1.5, "scenario 'seed' is 1.5, not an integer"),
+        (True, "scenario 'seed' is True, not an integer"),
+        (None, "scenario 'seed' is None, not an integer"),
+    ],
+    ids=["negative", "float", "bool", "none"],
+)
+@pytest.mark.parametrize("placement", ["grid", "random"])
+def test_generate_checks_seed_before_drawing(seed, message, placement, monkeypatch):
+    # the message is NetworkScenario's, from the one seed check both call
+    monkeypatch.setattr(topology.np.random, "default_rng", None)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        generate_scenario(9, placement=placement, seed=seed)
+
+
 def test_generation_is_deterministic():
     a = generate_scenario(25, placement="grid", seed=42)
     b = generate_scenario(25, placement="grid", seed=42)
