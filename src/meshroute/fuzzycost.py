@@ -52,7 +52,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .topology import METRIC_HIGH, METRIC_LOW, _column, _is_integer, _link_order
+from .topology import _MAX_NODES, METRIC_HIGH, METRIC_LOW, _column, _is_integer, _link_order
 
 ILC_FLOOR = 1e-6
 
@@ -154,7 +154,8 @@ class CostMatrix:
     def from_arrays(cls, n: int, src, dst, costs) -> "CostMatrix":
         """Matrix of links src[l] -> dst[l] with cost costs[l]; a scalar or
         one-entry costs applies to every link. A ValueError names an n that is
-        not an integer >= 0, or a column that is not a list, tuple or 1-D
+        not an integer >= 0, or one above topology._MAX_NODES, whose link keys
+        would overflow int64, or a column that is not a list, tuple or 1-D
         array as long as src, with both lengths as topology._table does.
         Entries are read as a scenario file's columns are (topology._column):
         an endpoint that is not an integer, or a cost that is not a number, is
@@ -165,6 +166,8 @@ class CostMatrix:
         """
         if not _is_integer(n) or n < 0:
             raise ValueError(f"n must be an integer >= 0, got {n!r}")
+        if n > _MAX_NODES:
+            raise ValueError(f"n must be an integer <= {_MAX_NODES}, got {n!r}")
         # a scalar cost is read as a one-entry column and broadcast
         if isinstance(costs, (str, bytes)) or not np.iterable(costs):
             costs = np.atleast_1d(costs)

@@ -20,6 +20,17 @@ is in neither, must therefore touch P: every node of D is not viable for the
 rest of the search, and skipping it is what the backtracking search would
 end up doing. Each node is pushed and popped at most once, so a decode costs
 O(V + E).
+
+The walk reads only the keys of the nodes it pushes, and it pushes only
+out-neighbors of nodes on its stack, so it never reads the key of a node the
+source does not reach. A decode on the matrix restricted to the source's
+reachable set (reachable_submatrix), with its nodes relabelled in ascending
+id order and given their own keys, therefore makes the same pushes and pops
+and reads the same hop costs: each out-link list keeps its order, so equal
+keys still fall to the lower id, and mapping the path back gives the same
+nodes and the same cost bit for bit. An optimizer run decodes thousands of
+key vectors for one source, so it restricts the matrix once and decodes on
+the smaller one, whose key copy costs its own node count rather than n.
 """
 
 from __future__ import annotations
@@ -97,6 +108,42 @@ def _walk(keys: np.ndarray, cm: CostMatrix, source: int, terminal: int):
     return stack, costs
 
 
+def reachable_submatrix(cm: CostMatrix, source: int, terminal: int) -> tuple[CostMatrix, list[int] | None]:
+    """cm restricted to the nodes source reaches, by one depth-first search
+    over cm.links, and those nodes' ids in cm: node i of the submatrix is
+    node nodes[i] of cm, in ascending id order, with its out-links in the
+    same order and at the same costs.
+
+    Returns (cm, None) when the restriction would change nothing or must not
+    be made: when source reaches every node, and when source and terminal
+    are not two distinct nodes of cm or source does not reach terminal, so
+    that decoding on cm raises as it always has.
+    """
+    n = cm.n
+    if not (0 <= source < n and 0 <= terminal < n) or source == terminal:
+        return cm, None
+    links = cm.links
+    seen = bytearray(n)
+    seen[source] = 1
+    stack = [source]
+    while stack:
+        for u, _ in links[stack.pop()]:
+            if not seen[u]:
+                seen[u] = 1
+                stack.append(u)
+    if not seen[terminal] or seen.count(1) == n:
+        return cm, None
+    kept = np.frombuffer(seen, dtype=bool)
+    nodes = np.flatnonzero(kept)
+    # a reached node's out-links lead only to reached nodes
+    degrees = np.diff(cm.indptr)
+    on_kept = np.repeat(kept, degrees)
+    heads = np.repeat(np.arange(len(nodes)), degrees[nodes])
+    relabel = np.cumsum(kept) - 1
+    sub = CostMatrix._from_sorted(len(nodes), heads, relabel[cm.adjacency[on_kept]], cm.values[on_kept])
+    return sub, nodes.tolist()
+
+
 def path_cost(nodes: tuple[int, ...], cm: CostMatrix) -> float:
     """Sum of hop costs, added left to right from 0.0 in hop order.
 
@@ -118,11 +165,12 @@ def decode_path(keys: np.ndarray, cm: CostMatrix, source: int, terminal: int) ->
     """Decode a key vector to a loop-free path, priced from the hop costs
     its walk read.
 
-    Keys must be finite: a NaN or infinite key never wins a comparison, so
-    its node is never taken. The search is exhaustive over simple paths in
-    priority order, so with finite keys it fails only when the terminal is
-    unreachable; a failed search over non-finite keys raises ValueError
-    naming the first of them instead of NoPathError.
+    Keys should be finite. A NaN or -inf key never wins a comparison, so its
+    node is never taken; a +inf key wins over every finite one. The search is
+    exhaustive over simple paths in priority order, so with finite keys it
+    fails only when the terminal is unreachable; a failed search over
+    non-finite keys raises ValueError naming the first of them instead of
+    NoPathError.
 
     The costs are added left to right from 0.0, as path_cost adds them, so
     the cost equals path_cost of the nodes bit for bit; sum() is compensated

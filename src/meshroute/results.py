@@ -8,7 +8,7 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from .oracle import percent_error
-from .pathcodec import Path
+from .pathcodec import Path, reachable_submatrix
 
 
 @dataclass(frozen=True)
@@ -72,7 +72,10 @@ def evolve(algorithm, cm, source, terminal, params: RunParams, decode, vary) -> 
     which edits rows in place and returns those it changed. A row is decoded
     once at the start and then once after each vary that changes it. decode
     is each optimizer's module-level decode_path, looked up when it runs, so
-    patching that name reroutes every decode.
+    patching that name reroutes every decode. Decodes run on the part of cm
+    that source reaches (pathcodec.reachable_submatrix), on those columns of
+    the rows, which gives the same paths (see pathcodec); only the best path
+    is mapped back to cm's node ids.
     """
     rng = np.random.default_rng(params.rng_seed)
     n_pop = params.population_size
@@ -80,7 +83,14 @@ def evolve(algorithm, cm, source, terminal, params: RunParams, decode, vary) -> 
     trace: list[TracePoint] = []
     start = time.perf_counter()
     population = rng.random((n_pop, cm.n))
-    paths = [decode(keys, cm, source, terminal) for keys in population]
+    sub, nodes = reachable_submatrix(cm, source, terminal)
+    ends = (source, terminal) if nodes is None else (nodes.index(source), nodes.index(terminal))
+
+    def decode_rows(population, rows):
+        keys = (population[r] for r in rows) if nodes is None else population[np.ix_(rows, nodes)]
+        return [decode(k, sub, *ends) for k in keys]
+
+    paths = decode_rows(population, range(n_pop))
     for gen in range(1, params.max_generations + 1):
         order = sorted(range(n_pop), key=lambda r: paths[r].cost)
         population = population[order]
@@ -91,8 +101,11 @@ def evolve(algorithm, cm, source, terminal, params: RunParams, decode, vary) -> 
 
         if gen == params.max_generations:
             break
-        for r in vary(population, gen, rng):
-            paths[r] = decode(population[r], cm, source, terminal)
+        changed = vary(population, gen, rng)
+        for r, path in zip(changed, decode_rows(population, changed)):
+            paths[r] = path
+    if nodes is not None:
+        best_path = Path(tuple(nodes[v] for v in best_path.nodes), best_path.cost)
     elapsed_ms = (time.perf_counter() - start) * 1000.0
 
     return RunResult(

@@ -162,8 +162,12 @@ def _as_float(value) -> float:
         return math.inf
 
 
+# the most nodes whose row-major link keys src * n + dst, up to n * n - 1, fit int64
+_MAX_NODES = math.isqrt(2**63)
+
+
 def _link_order(n: int, src: np.ndarray, dst: np.ndarray, bad: np.ndarray, value: str) -> np.ndarray:
-    """The row-major order of the links src[l] -> dst[l] among n nodes.
+    """The row-major order of the links src[l] -> dst[l] among n <= _MAX_NODES nodes.
 
     The first faulty link in the order given raises ValueError naming, of
     its faults, an endpoint outside 0..n-1, a self-loop, a repeat of an

@@ -21,7 +21,15 @@ from meshroute.fuzzycost import (
     evaluate_ilc,
     ilc_costs,
 )
-from meshroute.topology import METRIC_HIGH, METRIC_LOW, NetworkScenario, generate_scenario, scenario_from_dict
+from meshroute.topology import (
+    _MAX_NODES,
+    METRIC_HIGH,
+    METRIC_LOW,
+    NetworkScenario,
+    _link_order,
+    generate_scenario,
+    scenario_from_dict,
+)
 
 from helpers import dense_adjacency, dense_costs, from_entries, link_cost, out_neighbors, traced_peak_bytes
 
@@ -545,6 +553,8 @@ PAST_INT64 = "link 1 -> 9223372036854775808 has an endpoint outside 0..2"
         pytest.param(-1, [0], [1], 0.5, "n must be an integer >= 0, got -1", id="negative-n"),
         pytest.param(2.5, [0], [1], 0.5, "n must be an integer >= 0, got 2.5", id="float-n"),
         pytest.param(True, [0], [1], 0.5, "n must be an integer >= 0, got True", id="bool-n"),
+        pytest.param(10**30, [0], [1], 0.5, f"n must be an integer <= 3037000499, got {10**30}", id="n-past-int64"),
+        pytest.param(2**40, [0], [1], 0.5, f"n must be an integer <= 3037000499, got {2**40}", id="n-keys-past-int64"),
     ],
 )
 def test_from_arrays_reads_entries_as_the_loader_does(n, src, dst, costs, message):
@@ -552,6 +562,17 @@ def test_from_arrays_reads_entries_as_the_loader_does(n, src, dst, costs, messag
     # and 0, and no column is broadcast or cut to another's length
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         CostMatrix.from_arrays(n, src, dst, costs)
+
+
+def test_link_order_keys_fit_int64_up_to_the_node_bound():
+    # at the bound, the keys n * n - 2 and n * n - n - 1 of these links fit
+    # int64 and order them; at n + 1 nodes the largest key, (n + 1)**2 - 1,
+    # would not fit
+    n = _MAX_NODES
+    assert n * n <= 2**63 < (n + 1) * (n + 1)
+    src, dst = np.array([n - 1, n - 2]), np.array([n - 2, n - 1])
+    order = _link_order(n, src, dst, np.zeros(2, dtype=bool), "a bad value")
+    assert order.tolist() == [1, 0]
 
 
 def test_from_arrays_casts_arrays_of_the_right_kind():

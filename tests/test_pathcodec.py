@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from meshroute import bbbc, bbo
 from meshroute.bbbc import run_bbbc
 from meshroute.bbo import run_bbo
+from meshroute.bench import ALGORITHMS
 from meshroute.fuzzycost import build_cost_matrix
 from meshroute.pathcodec import (
     BrokenPathError,
@@ -18,6 +19,7 @@ from meshroute.pathcodec import (
     Path,
     decode_path,
     path_cost,
+    reachable_submatrix,
 )
 from meshroute.results import RunParams
 from meshroute.topology import generate_scenario
@@ -166,6 +168,15 @@ def test_nan_key_that_blocks_the_path_is_named(line3_cm):
 def test_minus_inf_key_that_blocks_the_path_is_named(line3_cm):
     with pytest.raises(ValueError, match="key 1 is not finite: -inf"):
         decode_path(np.array([0.5, -np.inf, 0.5]), line3_cm, 0, 2).nodes
+
+
+def test_plus_inf_key_wins_and_nan_or_minus_inf_never_does():
+    # from 0 either neighbor leads to terminal 2: through 1 when its key
+    # wins, or straight to 2
+    cm = cm_of(3, [(0, 1), (0, 2), (1, 2), (2, 1)])
+    assert decode_path(np.array([0.5, np.inf, 0.1]), cm, 0, 2).nodes == (0, 1, 2)
+    for bad in (np.nan, -np.inf):
+        assert decode_path(np.array([0.5, bad, 0.0]), cm, 0, 2).nodes == (0, 2)
 
 
 def test_decode_escapes_clique_trap():
@@ -500,3 +511,112 @@ def test_path_dataclass_is_frozen():
     p = Path((0, 1), 0.5)
     with pytest.raises(AttributeError):
         p.cost = 1.0
+
+
+def decode_through_submatrix(keys, cm, source, terminal):
+    """decode_path on reachable_submatrix(cm, source, terminal), on the keys
+    of its nodes, with the path mapped back to cm's ids, as evolve decodes."""
+    sub, nodes = reachable_submatrix(cm, source, terminal)
+    if nodes is None:
+        assert sub is cm
+        return decode_path(keys, cm, source, terminal)
+    path = decode_path(keys[nodes], sub, nodes.index(source), nodes.index(terminal))
+    return Path(tuple(nodes[v] for v in path.nodes), path.cost)
+
+
+def reached_from(cm, source):
+    """The nodes source reaches, by breadth-first search."""
+    reached = {source}
+    frontier = [source]
+    while frontier:
+        frontier = [u for v in frontier for u in out_neighbors(cm, v) if u not in reached]
+        reached.update(frontier)
+    return reached
+
+
+@st.composite
+def sparse_digraph_case(draw):
+    """A sparse digraph of at most 30 nodes in up to four clusters, with
+    mixed-sign costs, keys with frequent ties, and two distinct random
+    endpoints. Each cluster's nodes lie on one cycle, and up to n more links,
+    inside or between clusters, join some of them one way, so the source
+    usually reaches some clusters but not all; in at least a quarter of
+    the cases there is one cluster, and the source reaches every node."""
+    n = draw(st.integers(min_value=2, max_value=30))
+    node = st.integers(min_value=0, max_value=n - 1)
+    one_cluster = draw(st.integers(0, 3)) == 0
+    label = [0] * n if one_cluster else draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    pairs = set(draw(st.lists(st.tuples(node, node).filter(lambda p: p[0] != p[1]), max_size=n)))
+    for c in set(label):
+        members = [v for v in range(n) if label[v] == c]
+        if len(members) > 1:
+            pairs.update(zip(members, members[1:] + members[:1]))
+    pairs = sorted(pairs)
+    costs = draw(st.lists(st.floats(min_value=-1e16, max_value=1e16), min_size=len(pairs), max_size=len(pairs)))
+    key = st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(min_value=0.0, max_value=1.0))
+    keys = draw(st.lists(key, min_size=n, max_size=n))
+    cm = from_entries(n, dict(zip(pairs, costs)))
+    source = draw(node)
+    # half the time a terminal the source reaches, if it reaches one
+    reached = sorted(reached_from(cm, source) - {source})
+    if reached and draw(st.booleans()):
+        terminal = draw(st.sampled_from(reached))
+    else:
+        terminal = draw(node.filter(lambda t: t != source))
+    return cm, np.array(keys), source, terminal
+
+
+@given(sparse_digraph_case())
+@settings(max_examples=300, deadline=None)
+def test_decode_on_reachable_submatrix_matches_full_decode(case):
+    cm, keys, source, terminal = case
+    sub, nodes = reachable_submatrix(cm, source, terminal)
+    reached = reached_from(cm, source)
+    if terminal not in reached or len(reached) == cm.n:
+        assert sub is cm and nodes is None
+    else:
+        assert nodes == sorted(reached)
+        # each out-link list keeps its order and its costs, relabelled
+        for i, v in enumerate(nodes):
+            assert sub.links[i] == tuple((nodes.index(u), c) for u, c in cm.links[v])
+    try:
+        want = decode_path(keys, cm, source, terminal)
+    except NoPathError as error:
+        with pytest.raises(NoPathError, match=f"^{error}$"):
+            decode_through_submatrix(keys, cm, source, terminal)
+        return
+    got = decode_through_submatrix(keys, cm, source, terminal)
+    assert got.nodes == want.nodes
+    assert got.cost.hex() == want.cost.hex()
+
+
+@pytest.mark.parametrize("n", [100, 400])
+def test_decode_on_reachable_submatrix_matches_on_random_placement(n):
+    # node 0 reaches only part of a random layout
+    cm = scenario_cost_matrix(n, "random", 101)
+    sub, nodes = reachable_submatrix(cm, 0, n - 1)
+    assert nodes is not None and sub.n == len(nodes) < n
+    for keys in perturbed_genomes(np.random.default_rng(8), n, 40):
+        assert decode_through_submatrix(keys, cm, 0, n - 1) == decode_path(keys, cm, 0, n - 1)
+
+
+def test_reachable_submatrix_of_a_grid_is_the_grid(grid25):
+    _, cm, _ = grid25
+    assert reachable_submatrix(cm, 0, 24) == (cm, None)
+
+
+@pytest.mark.parametrize("name", ALGORITHMS)
+@pytest.mark.parametrize(
+    "source, terminal, error, message",
+    [
+        pytest.param(0, 4, NoPathError, "no path from 0 to 4", id="unreachable"),
+        pytest.param(1, 1, ValueError, "source and terminal must differ", id="same-node"),
+        pytest.param(0, 5, ValueError, "source 0 or terminal 5 out of range", id="terminal-past-n"),
+        pytest.param(-1, 2, ValueError, "source -1 or terminal 2 out of range", id="negative-source"),
+    ],
+)
+def test_optimizer_refuses_endpoints_as_decode_does(name, source, terminal, error, message):
+    # 0 -> 1 -> 2 and 3 -> 4: node 0 reaches 1 and 2 but not 3 or 4
+    cm = cm_of(5, [(0, 1), (1, 2), (2, 1), (3, 4)])
+    with pytest.raises(error, match=f"^{message}$"):
+        ALGORITHMS[name](cm, source, terminal, RunParams(max_generations=2, population_size=4))

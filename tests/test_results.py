@@ -10,7 +10,9 @@ from meshroute.pathcodec import Path
 from meshroute.results import RunParams, TracePoint, evolve
 
 N_POP, N_DIMS, SEED = 6, 4, 7
-CM = SimpleNamespace(n=N_DIMS)
+# a chain 0 -> 1 -> 2 -> 3: the source reaches every node, so evolve decodes
+# on CM itself, and the stub decoder can check that it was passed CM
+CM = SimpleNamespace(n=N_DIMS, links=tuple(((v + 1, 1.0),) for v in range(N_DIMS - 1)) + ((),))
 
 
 def initial_population():
