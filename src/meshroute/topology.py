@@ -20,7 +20,8 @@ a file's columns, a hand-built scenario's positions, links and metrics
 the same fault in the same words. scenario_from_dict checks a file's
 layout, and NetworkScenario every value, so a scenario that builds is one
 that load_scenario reads back; its link rules (_link_order) are also
-CostMatrix.from_arrays's.
+CostMatrix.from_arrays's. One layout (_layout) orders the keys for
+scenario_to_dict and save_scenario, which writes one column at a time.
 
 Links come from a cell list (_radio_pairs): nodes are bucketed into square
 cells about one radio range wide (_cells), each node is tested only against
@@ -489,16 +490,28 @@ def generate_scenario(
     return NetworkScenario(seed, area_side, radio_range, coords, np.stack((src, dst), 1), metrics)
 
 
-def scenario_to_dict(scenario: NetworkScenario) -> dict:
-    """The scenario as a format-2 JSON object: one list per column."""
-    return {
+def _layout(scenario: NetworkScenario) -> tuple[dict, dict]:
+    """The format-2 object in file order: its scalars, then its tables, each
+    a dict of column name to 1-D array. scenario_to_dict and save_scenario
+    both lay the file out from it."""
+    scalars = {
         "version": SCENARIO_FORMAT_VERSION,
         "seed": scenario.seed,
         "area_side_m": scenario.area_side,
         "radio_range_m": scenario.radio_range,
-        "nodes": dict(zip(NODE_COLUMNS, scenario.positions.T.tolist())),
-        "links": dict(zip(LINK_COLUMNS, scenario.links.T.tolist() + scenario.metrics.T.tolist())),
     }
+    tables = {
+        "nodes": dict(zip(NODE_COLUMNS, scenario.positions.T)),
+        "links": dict(zip(LINK_COLUMNS, (*scenario.links.T, *scenario.metrics.T))),
+    }
+    return scalars, tables
+
+
+def scenario_to_dict(scenario: NetworkScenario) -> dict:
+    """The scenario as a format-2 JSON object: one list per column."""
+    scalars, tables = _layout(scenario)
+    columns = {name: {key: column.tolist() for key, column in table.items()} for name, table in tables.items()}
+    return {**scalars, **columns}
 
 
 def _table(table: dict, keys: tuple[str, ...], name: str) -> list[list]:
@@ -553,11 +566,26 @@ def scenario_from_dict(data: dict) -> NetworkScenario:
 def save_scenario(scenario: NetworkScenario, path: str | Path) -> None:
     """Write the scenario as format-2 JSON, links in the order held.
 
-    Columns go through ndarray.tolist, so every float is written by repr
-    and reads back bit-identical, and the file is byte-stable for a given
-    scenario. The JSON is not indented, so json.dumps runs its C encoder.
+    The bytes are json.dumps(scenario_to_dict(scenario)) + "\n", written
+    column by column: each column goes through ndarray.tolist and json.dumps
+    alone, so every float is written by repr and reads back bit-identical,
+    and the file is byte-stable for a given scenario. Encoding the whole
+    object at once would hold every number as a Python object and, on
+    Python 3.10 and 3.11, as its own string until the join, several times
+    the file's size; column by column, at most one column's numbers and
+    their text are alive at a time.
     """
-    Path(path).write_text(json.dumps(scenario_to_dict(scenario)) + "\n")
+    scalars, tables = _layout(scenario)
+    with open(path, "w", encoding="ascii") as out:
+        # the scalars' object without its closing brace; the tables follow
+        out.write(json.dumps(scalars)[:-1])
+        for name, table in tables.items():
+            out.write(f", {json.dumps(name)}: {{")
+            for k, (key, column) in enumerate(table.items()):
+                out.write(f"{', ' if k else ''}{json.dumps(key)}: ")
+                out.write(json.dumps(column.tolist()))
+            out.write("}")
+        out.write("}\n")
 
 
 def load_scenario(path: str | Path) -> NetworkScenario:

@@ -524,12 +524,41 @@ def test_large_scenario_round_trip_is_lossless(tmp_path):
     assert load_scenario(path) == s
 
 
+def test_saving_a_large_scenario_holds_about_one_column(tmp_path):
+    # the writer encodes one column at a time, so its peak is a small
+    # multiple of the file, not of every number's string at once
+    s = generate_scenario(2500, placement="grid", seed=101)
+    path = tmp_path / "s.json"
+    _, peak = traced_peak_bytes(lambda: save_scenario(s, path))
+    size = path.stat().st_size
+    assert peak <= 3 * size, (peak, size)
+
+
 def test_scenario_file_is_byte_stable(tmp_path):
     s = generate_scenario(25, placement="grid", seed=42)
     p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
     save_scenario(s, p1)
     save_scenario(s, p2)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: generate_scenario(25, "grid", 101),
+        lambda: generate_scenario(2500, "grid", 101),
+        lambda: generate_scenario(100, "random", 101),
+        lambda: generate_scenario(400, "random", 101),
+        lambda: NetworkScenario(0, 200.0, 250.0, [(0.0, 0.0), (200.0, 0.0)], [], []),
+        lambda: generate_scenario(25, "grid", 2**64),
+    ],
+    ids=["grid25", "grid2500", "random100", "random400", "no-links", "seed-2**64"],
+)
+def test_scenario_file_is_the_dict_encoded_whole(make, tmp_path):
+    s = make()
+    path = tmp_path / "s.json"
+    save_scenario(s, path)
+    assert path.read_bytes() == (json.dumps(scenario_to_dict(s)) + "\n").encode()
 
 
 def test_scenario_version_check():
@@ -855,7 +884,8 @@ def scenario_arguments(draw):
 @example(args=three_node_scenario(radio_range=-(10**400))[0])
 def test_scenario_builds_exactly_when_the_loader_reads_it(tmp_path_factory, args):
     # the one link contract: NetworkScenario and the file reader refuse the
-    # same values with the same message, and what builds saves and loads back
+    # same values with the same message, and what builds saves, as the dict
+    # encoded whole, and loads back
     data = scenario_dict(**args)
     try:
         expected = scenario_from_dict(data)
@@ -866,11 +896,10 @@ def test_scenario_builds_exactly_when_the_loader_reads_it(tmp_path_factory, args
         return
     s = NetworkScenario(**args)
     assert s == expected
-    directory = tmp_path_factory.mktemp("contract")
-    save_scenario(s, directory / "a.json")
-    save_scenario(s, directory / "b.json")
-    assert (directory / "a.json").read_bytes() == (directory / "b.json").read_bytes()
-    assert load_scenario(directory / "a.json") == s
+    path = tmp_path_factory.mktemp("contract") / "s.json"
+    save_scenario(s, path)
+    assert path.read_bytes() == (json.dumps(scenario_to_dict(s)) + "\n").encode()
+    assert load_scenario(path) == s
 
 
 # --- malformed files -----------------------------------------------------------
