@@ -16,7 +16,7 @@ from pathlib import Path
 from . import bench as bench_mod
 from .fuzzycost import build_cost_matrix
 from .oracle import UnreachableError, shortest_path
-from .pathcodec import NoPathError
+from .pathcodec import NoPathError, check_endpoints
 from .results import RunParams
 from .topology import (
     DEFAULT_RADIO_RANGE_M,
@@ -78,9 +78,7 @@ def _cmd_gen(args) -> int:
 
 
 def _resolve_endpoints(scenario, source, target):
-    terminal = scenario.n - 1 if target is None else target
-    if not (0 <= source < scenario.n and 0 <= terminal < scenario.n):
-        raise ValueError(f"source {source} or target {terminal} out of range 0..{scenario.n - 1}")
+    source, terminal = check_endpoints(scenario.n, source, scenario.n - 1 if target is None else target)
     if source == terminal:
         raise ValueError("source and target must differ")
     return source, terminal

@@ -27,7 +27,7 @@ import heapq
 import math
 
 from .fuzzycost import CostMatrix
-from .pathcodec import Path
+from .pathcodec import Path, check_endpoints
 
 
 class UnreachableError(RuntimeError):
@@ -54,8 +54,7 @@ def shortest_path(cm: CostMatrix, source: int, terminal: int) -> Path:
     so the search always ends; fuzzy costs are at least ILC_FLOOR.
     """
     n = cm.n
-    if not (0 <= source < n and 0 <= terminal < n):
-        raise ValueError(f"source {source} or terminal {terminal} out of range")
+    source, terminal = check_endpoints(n, source, terminal)
     if source == terminal:
         return Path((source,), 0.0)
     links = cm.links
@@ -91,6 +90,7 @@ def brute_force_shortest(cm: CostMatrix, source: int, terminal: int) -> Path:
     n = cm.n
     if n > 12:
         raise ValueError(f"brute force limited to 12 nodes, got {n}")
+    source, terminal = check_endpoints(n, source, terminal)
     if source == terminal:
         return Path((source,), 0.0)
     best_cost = math.inf

@@ -31,6 +31,13 @@ keys still fall to the lower id, and mapping the path back gives the same
 nodes and the same cost bit for bit. An optimizer run decodes thousands of
 key vectors for one source, so it restricts the matrix once and decodes on
 the smaller one, whose key copy costs its own node count rather than n.
+When the source reaches every node the restriction is cm itself, with
+range(n) as its node ids, so a run has one decode path either way.
+
+Every route query names its two ends the same way (check_endpoints): a
+Python or numpy integer in 0..n-1, never a bool or a float, returned as a
+Python int, so that a route's nodes are Python ints whatever the caller
+passed. The decoder, the oracle, path_cost and the command line all call it.
 """
 
 from __future__ import annotations
@@ -42,6 +49,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fuzzycost import CostMatrix
+from .topology import _is_integer
 
 
 class NoPathError(RuntimeError):
@@ -61,14 +69,30 @@ class Path:
         return len(self.nodes)
 
 
+def check_endpoints(n: int, source, terminal) -> tuple[int, int]:
+    """source and terminal as Python ints, if both are node ids 0..n-1.
+
+    Python and numpy integers are node ids; bools, floats and anything else
+    are not, as in topology._is_integer. Two Python ints skip that test,
+    which takes about ten times as long as the rest: every decode calls
+    this, and an optimizer run decodes thousands of times.
+    """
+    s, t = source, terminal
+    if type(s) is not int or type(t) is not int:
+        # a value that is not an integer becomes -1, which the range refuses
+        s, t = (int(v) if _is_integer(v) else -1 for v in (s, t))
+    if not (0 <= s < n and 0 <= t < n):
+        raise ValueError(f"source {source!r} or terminal {terminal!r} is not a node id in 0..{n - 1}")
+    return s, t
+
+
 def _walk(keys: np.ndarray, cm: CostMatrix, source: int, terminal: int):
     """The visit-once priority DFS: its node stack and the cost of each hop
     into a node, side by side, with 0.0 for the source."""
     n = cm.n
     if len(keys) != n:
         raise ValueError(f"key vector length {len(keys)} != node count {n}")
-    if not (0 <= source < n and 0 <= terminal < n):
-        raise ValueError(f"source {source} or terminal {terminal} out of range")
+    source, terminal = check_endpoints(n, source, terminal)
     if source == terminal:
         raise ValueError("source and terminal must differ")
     # a seen node's key becomes -inf in this private copy, so one comparison
@@ -108,20 +132,19 @@ def _walk(keys: np.ndarray, cm: CostMatrix, source: int, terminal: int):
     return stack, costs
 
 
-def reachable_submatrix(cm: CostMatrix, source: int, terminal: int) -> tuple[CostMatrix, list[int] | None]:
+def reachable_submatrix(cm: CostMatrix, source: int, terminal: int) -> tuple[CostMatrix, list[int] | range]:
     """cm restricted to the nodes source reaches, by one depth-first search
     over cm.links, and those nodes' ids in cm: node i of the submatrix is
     node nodes[i] of cm, in ascending id order, with its out-links in the
     same order and at the same costs.
 
-    Returns (cm, None) when the restriction would change nothing or must not
-    be made: when source reaches every node, and when source and terminal
-    are not two distinct nodes of cm or source does not reach terminal, so
-    that decoding on cm raises as it always has.
+    When source reaches every node that is (cm, range(cm.n)), with no copy.
+    Raises ValueError unless both ends are node ids (check_endpoints), and
+    NoPathError when source does not reach terminal, with the decoder's
+    message. Equal ends pass; decoding on the result refuses them.
     """
     n = cm.n
-    if not (0 <= source < n and 0 <= terminal < n) or source == terminal:
-        return cm, None
+    source, terminal = check_endpoints(n, source, terminal)
     links = cm.links
     seen = bytearray(n)
     seen[source] = 1
@@ -131,8 +154,10 @@ def reachable_submatrix(cm: CostMatrix, source: int, terminal: int) -> tuple[Cos
             if not seen[u]:
                 seen[u] = 1
                 stack.append(u)
-    if not seen[terminal] or seen.count(1) == n:
-        return cm, None
+    if not seen[terminal]:
+        raise NoPathError(f"no path from {source} to {terminal}")
+    if seen.count(1) == n:
+        return cm, range(n)
     kept = np.frombuffer(seen, dtype=bool)
     nodes = np.flatnonzero(kept)
     # a reached node's out-links lead only to reached nodes
@@ -148,11 +173,13 @@ def path_cost(nodes: tuple[int, ...], cm: CostMatrix) -> float:
     """Sum of hop costs, added left to right from 0.0 in hop order.
 
     Each hop is found in cm.links by bisection, since a node's out-links
-    ascend by neighbor id; (dst,) sorts just before (dst, cost).
+    ascend by neighbor id; (dst,) sorts just before (dst, cost). Both ends
+    of each hop must be node ids (check_endpoints).
     """
     links = cm.links
     total = 0.0
     for src, dst in zip(nodes, nodes[1:]):
+        src, dst = check_endpoints(cm.n, src, dst)
         out = links[src]
         k = bisect_left(out, (dst,))
         if k == len(out) or out[k][0] != dst:

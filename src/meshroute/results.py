@@ -73,9 +73,11 @@ def evolve(algorithm, cm, source, terminal, params: RunParams, decode, vary) -> 
     once at the start and then once after each vary that changes it. decode
     is each optimizer's module-level decode_path, looked up when it runs, so
     patching that name reroutes every decode. Decodes run on the part of cm
-    that source reaches (pathcodec.reachable_submatrix), on those columns of
-    the rows, which gives the same paths (see pathcodec); only the best path
-    is mapped back to cm's node ids.
+    that source reaches (pathcodec.reachable_submatrix), which is cm itself
+    when source reaches every node, on those columns of the rows, which
+    gives the same paths (see pathcodec); only the best path is mapped back
+    to cm's node ids. Endpoints that are not two node ids, or between which
+    there is no path, raise before the first decode.
     """
     rng = np.random.default_rng(params.rng_seed)
     n_pop = params.population_size
@@ -84,11 +86,10 @@ def evolve(algorithm, cm, source, terminal, params: RunParams, decode, vary) -> 
     start = time.perf_counter()
     population = rng.random((n_pop, cm.n))
     sub, nodes = reachable_submatrix(cm, source, terminal)
-    ends = (source, terminal) if nodes is None else (nodes.index(source), nodes.index(terminal))
+    ends = nodes.index(source), nodes.index(terminal)
 
     def decode_rows(population, rows):
-        keys = (population[r] for r in rows) if nodes is None else population[np.ix_(rows, nodes)]
-        return [decode(k, sub, *ends) for k in keys]
+        return [decode(k, sub, *ends) for k in population[:, nodes][rows]]
 
     paths = decode_rows(population, range(n_pop))
     for gen in range(1, params.max_generations + 1):
@@ -104,8 +105,7 @@ def evolve(algorithm, cm, source, terminal, params: RunParams, decode, vary) -> 
         changed = vary(population, gen, rng)
         for r, path in zip(changed, decode_rows(population, changed)):
             paths[r] = path
-    if nodes is not None:
-        best_path = Path(tuple(nodes[v] for v in best_path.nodes), best_path.cost)
+    best_path = Path(tuple(nodes[v] for v in best_path.nodes), best_path.cost)
     elapsed_ms = (time.perf_counter() - start) * 1000.0
 
     return RunResult(

@@ -210,6 +210,16 @@ def test_solve_same_source_target(tmp_path):
     assert code == EXIT_USAGE
 
 
+def test_oracle_refuses_target_past_the_last_node(tmp_path, capsys):
+    scenario = tmp_path / "grid9.json"
+    save_scenario(generate_scenario(9, seed=0), scenario)
+    code = main(["oracle", "--scenario", str(scenario), "--target", "9"])
+    assert code == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: source 0 or terminal 9 is not a node id in 0..8\n"
+
+
 def test_solve_missing_scenario(tmp_path):
     code = main(
         ["solve", "--algo", "bbbc", "--scenario", str(tmp_path / "absent.json")]

@@ -1,6 +1,7 @@
 """Exact baseline: label-setting search, brute-force cross-check, percent error."""
 
 import heapq
+import re
 
 import numpy as np
 import pytest
@@ -110,9 +111,14 @@ def test_source_equals_terminal_is_trivial():
 
 
 def test_out_of_range_endpoint():
+    # the search and its brute-force cross-check refuse the same endpoints
+    # with the same error
     cm = from_entries(2, {(0, 1): 0.5})
-    with pytest.raises(ValueError):
-        shortest_path(cm, 0, 2)
+    for source, terminal in [(0, 2), (2, 0), (-1, 1), (0, 1.0), (0.5, 1), (True, 1), (0, False)]:
+        message = f"source {source!r} or terminal {terminal!r} is not a node id in 0..1"
+        for search in (shortest_path, brute_force_shortest):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                search(cm, source, terminal)
 
 
 def test_lexicographic_tie_break():

@@ -1,7 +1,9 @@
 """Random-keys decoding against reference searches, and path costing."""
 
 import dataclasses
+import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from meshroute.bbbc import run_bbbc
 from meshroute.bbo import run_bbo
 from meshroute.bench import ALGORITHMS
 from meshroute.fuzzycost import build_cost_matrix
+from meshroute.oracle import brute_force_shortest, shortest_path
 from meshroute.pathcodec import (
     BrokenPathError,
     NoPathError,
@@ -476,6 +479,16 @@ def test_path_cost_names_first_undefined_hop():
         path_cost((0, 1, 2, 3, 4), cm)
 
 
+@pytest.mark.parametrize("nodes", [(-1, 7), (7, -1), (0.0, 1), (0, 1.0), (True, 1), (8, 9)], ids=repr)
+def test_path_cost_refuses_what_is_not_a_node_id(nodes):
+    # unchecked, -1 reads node 8's links through negative indexing, pricing
+    # (-1, 7) as the hop 8 -> 7, and 1.0 finds node 1's link from node 0
+    cm = scenario_cost_matrix(9, "grid", 0)
+    message = f"source {nodes[0]!r} or terminal {nodes[1]!r} is not a node id in 0..8"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        path_cost(nodes, cm)
+
+
 def test_path_cost_adds_left_to_right():
     # each 1.0 vanishes into 1e16 when added in hop order; compensated
     # (math.fsum, or sum() from Python 3.12) and pairwise (np.sum) summation
@@ -517,9 +530,6 @@ def decode_through_submatrix(keys, cm, source, terminal):
     """decode_path on reachable_submatrix(cm, source, terminal), on the keys
     of its nodes, with the path mapped back to cm's ids, as evolve decodes."""
     sub, nodes = reachable_submatrix(cm, source, terminal)
-    if nodes is None:
-        assert sub is cm
-        return decode_path(keys, cm, source, terminal)
     path = decode_path(keys[nodes], sub, nodes.index(source), nodes.index(terminal))
     return Path(tuple(nodes[v] for v in path.nodes), path.cost)
 
@@ -570,15 +580,19 @@ def sparse_digraph_case(draw):
 @settings(max_examples=300, deadline=None)
 def test_decode_on_reachable_submatrix_matches_full_decode(case):
     cm, keys, source, terminal = case
-    sub, nodes = reachable_submatrix(cm, source, terminal)
     reached = reached_from(cm, source)
-    if terminal not in reached or len(reached) == cm.n:
-        assert sub is cm and nodes is None
+    if terminal not in reached:
+        with pytest.raises(NoPathError, match=f"^no path from {source} to {terminal}$"):
+            reachable_submatrix(cm, source, terminal)
     else:
-        assert nodes == sorted(reached)
-        # each out-link list keeps its order and its costs, relabelled
-        for i, v in enumerate(nodes):
-            assert sub.links[i] == tuple((nodes.index(u), c) for u, c in cm.links[v])
+        sub, nodes = reachable_submatrix(cm, source, terminal)
+        if len(reached) == cm.n:
+            assert sub is cm and nodes == range(cm.n)
+        else:
+            assert nodes == sorted(reached)
+            # each out-link list keeps its order and its costs, relabelled
+            for i, v in enumerate(nodes):
+                assert sub.links[i] == tuple((nodes.index(u), c) for u, c in cm.links[v])
     try:
         want = decode_path(keys, cm, source, terminal)
     except NoPathError as error:
@@ -595,14 +609,15 @@ def test_decode_on_reachable_submatrix_matches_on_random_placement(n):
     # node 0 reaches only part of a random layout
     cm = scenario_cost_matrix(n, "random", 101)
     sub, nodes = reachable_submatrix(cm, 0, n - 1)
-    assert nodes is not None and sub.n == len(nodes) < n
+    assert sub.n == len(nodes) < n
     for keys in perturbed_genomes(np.random.default_rng(8), n, 40):
         assert decode_through_submatrix(keys, cm, 0, n - 1) == decode_path(keys, cm, 0, n - 1)
 
 
 def test_reachable_submatrix_of_a_grid_is_the_grid(grid25):
     _, cm, _ = grid25
-    assert reachable_submatrix(cm, 0, 24) == (cm, None)
+    sub, nodes = reachable_submatrix(cm, 0, 24)
+    assert sub is cm and nodes == range(25)
 
 
 @pytest.mark.parametrize("name", ALGORITHMS)
@@ -611,8 +626,8 @@ def test_reachable_submatrix_of_a_grid_is_the_grid(grid25):
     [
         pytest.param(0, 4, NoPathError, "no path from 0 to 4", id="unreachable"),
         pytest.param(1, 1, ValueError, "source and terminal must differ", id="same-node"),
-        pytest.param(0, 5, ValueError, "source 0 or terminal 5 out of range", id="terminal-past-n"),
-        pytest.param(-1, 2, ValueError, "source -1 or terminal 2 out of range", id="negative-source"),
+        pytest.param(0, 5, ValueError, "source 0 or terminal 5 is not a node id in 0..4", id="terminal-past-n"),
+        pytest.param(-1, 2, ValueError, "source -1 or terminal 2 is not a node id in 0..4", id="negative-source"),
     ],
 )
 def test_optimizer_refuses_endpoints_as_decode_does(name, source, terminal, error, message):
@@ -620,3 +635,36 @@ def test_optimizer_refuses_endpoints_as_decode_does(name, source, terminal, erro
     cm = cm_of(5, [(0, 1), (1, 2), (2, 1), (3, 4)])
     with pytest.raises(error, match=f"^{message}$"):
         ALGORITHMS[name](cm, source, terminal, RunParams(max_generations=2, population_size=4))
+
+
+# every entry point that takes a (source, terminal) pair, returning a Path
+ROUTE_QUERIES = {
+    "decode_path": lambda cm, s, t: decode_path(np.random.default_rng(3).random(cm.n), cm, s, t),
+    "shortest_path": shortest_path,
+    "brute_force_shortest": brute_force_shortest,
+    "run_bbbc": lambda cm, s, t: run_bbbc(cm, s, t, RunParams(max_generations=2, population_size=4)).best_path,
+    "run_bbo": lambda cm, s, t: run_bbo(cm, s, t, RunParams(max_generations=2, population_size=4)).best_path,
+}
+
+
+@pytest.mark.parametrize("query", ROUTE_QUERIES)
+@pytest.mark.parametrize("end", ["source", "terminal"])
+@pytest.mark.parametrize("value", [0.0, 8.0, 7.5, True, False, -1, 9], ids=repr)
+def test_every_route_query_refuses_what_is_not_a_node_id(query, end, value):
+    # a float equal to a node id, a bool, a negative id and n are all refused
+    # with one message, on a 9-node grid
+    cm = scenario_cost_matrix(9, "grid", 0)
+    source, terminal = (value, 8) if end == "source" else (0, value)
+    message = f"source {source!r} or terminal {terminal!r} is not a node id in 0..8"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        ROUTE_QUERIES[query](cm, source, terminal)
+
+
+@pytest.mark.parametrize("query", ROUTE_QUERIES)
+def test_every_route_query_takes_numpy_node_ids_and_returns_python_ints(query):
+    cm = scenario_cost_matrix(9, "grid", 0)
+    path = ROUTE_QUERIES[query](cm, np.int64(0), np.int64(8))
+    assert all(type(v) is int for v in path.nodes)
+    assert json.loads(json.dumps(path.nodes)) == list(path.nodes)
+    assert path == ROUTE_QUERIES[query](cm, 0, 8)
+    assert path_cost(tuple(np.array(path.nodes)), cm) == path.cost
