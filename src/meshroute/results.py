@@ -75,7 +75,8 @@ def evolve(algorithm, cm, source, terminal, params: RunParams, decode, vary) -> 
     patching that name reroutes every decode. Decodes run on the part of cm
     that source reaches (pathcodec.reachable_submatrix), which is cm itself
     when source reaches every node, on those columns of the rows, which
-    gives the same paths (see pathcodec); only the best path is mapped back
+    gives the same paths (see pathcodec). The columns are gathered once per
+    generation and each row decodes from a view; only the best path is mapped back
     to cm's node ids. Endpoints that are not two node ids, or between which
     there is no path, raise before the first decode.
     """
@@ -87,9 +88,11 @@ def evolve(algorithm, cm, source, terminal, params: RunParams, decode, vary) -> 
     population = rng.random((n_pop, cm.n))
     sub, nodes = reachable_submatrix(cm, source, terminal)
     ends = nodes.index(source), nodes.index(terminal)
+    cols = np.asarray(nodes)
 
     def decode_rows(population, rows):
-        return [decode(k, sub, *ends) for k in population[:, nodes][rows]]
+        keys = population[:, cols]  # one gather per generation; rows are views
+        return [decode(keys[r], sub, *ends) for r in rows]
 
     paths = decode_rows(population, range(n_pop))
     for gen in range(1, params.max_generations + 1):

@@ -1,12 +1,16 @@
 """Helpers shared by several test modules."""
 
+import heapq
+import math
 import tracemalloc
 from functools import lru_cache
 
 import numpy as np
+from hypothesis import strategies as st
 
 from meshroute.fuzzycost import CostMatrix, build_cost_matrix
-from meshroute.pathcodec import Path, decode_path, path_cost
+from meshroute.oracle import UnreachableError, _route
+from meshroute.pathcodec import Path, check_endpoints, decode_path, path_cost
 from meshroute.topology import generate_scenario
 
 # (nodes, placement, scenario seed, optimizer seed) on which whole optimizer
@@ -31,6 +35,23 @@ def from_entries(n, entries):
 def scenario_cost_matrix(n, placement, seed):
     """The cost matrix of a generated scenario, built once per session."""
     return build_cost_matrix(generate_scenario(n, placement=placement, seed=seed))
+
+
+def clustered_links(draw, n):
+    """Draw the links, sorted, of a sparse digraph of n nodes in up to four
+    clusters. Each cluster's nodes lie on one cycle, and up to n more links,
+    inside or between clusters, join some of them one way, so a node usually
+    reaches some clusters but not all; in at least a quarter of the cases
+    there is one cluster, and every node reaches every other."""
+    node = st.integers(min_value=0, max_value=n - 1)
+    one_cluster = draw(st.integers(0, 3)) == 0
+    label = [0] * n if one_cluster else draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    pairs = set(draw(st.lists(st.tuples(node, node).filter(lambda p: p[0] != p[1]), max_size=n)))
+    for c in set(label):
+        members = [v for v in range(n) if label[v] == c]
+        if len(members) > 1:
+            pairs.update(zip(members, members[1:] + members[:1]))
+    return sorted(pairs)
 
 
 def _dense_view(cm, fill, entries):
@@ -93,3 +114,40 @@ def count_decodes(monkeypatch, module, decoder):
 
     monkeypatch.setattr(module, "decode_path", counted)
     return calls
+
+
+def forward_shortest_path(cm, source, terminal):
+    """oracle.shortest_path as it was before the two-sided search: one
+    forward Dijkstra with predecessor labels on every query, raising on a
+    non-positive cost only when it would change a label. The reference
+    that shortest_path must equal in nodes and cost bits."""
+    n = cm.n
+    source, terminal = check_endpoints(n, source, terminal)
+    if source == terminal:
+        return Path((source,), 0.0)
+    links = cm.links
+    dist = [math.inf] * n
+    pred = [-1] * n
+    dist[source] = 0.0
+    heap = [(0.0, source)]
+    pop, push = heapq.heappop, heapq.heappush
+    while heap:
+        cost, v = pop(heap)
+        if cost > dist[v]:
+            continue  # stale: v was pushed again at a lower cost
+        if v == terminal:
+            return Path(tuple(_route(pred, v)), cost)
+        for u, w in links[v]:
+            c = cost + w
+            d = dist[u]
+            if c > d:
+                continue
+            if w <= 0.0:
+                raise ValueError(f"link {v} -> {u} costs {w}; the oracle needs positive costs")
+            if c < d:
+                dist[u] = c
+                pred[u] = v
+                push(heap, (c, u))
+            elif _route(pred, v) + [u] < _route(pred, pred[u]) + [u]:
+                pred[u] = v
+    raise UnreachableError(f"node {terminal} unreachable from {source}")

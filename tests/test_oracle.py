@@ -1,12 +1,17 @@
 """Exact baseline: label-setting search, brute-force cross-check, percent error."""
 
+import gc
 import heapq
 import re
+import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from meshroute.fuzzycost import build_cost_matrix
+from meshroute import oracle
+from meshroute.fuzzycost import CostMatrix, build_cost_matrix
 from meshroute.oracle import (
     UnreachableError,
     brute_force_shortest,
@@ -16,7 +21,7 @@ from meshroute.oracle import (
 from meshroute.pathcodec import Path, path_cost
 from meshroute.topology import generate_scenario
 
-from helpers import dense_costs, from_entries, out_neighbors
+from helpers import clustered_links, dense_costs, forward_shortest_path, from_entries, out_neighbors
 
 CAMPAIGN_GRAPHS = 150
 CAMPAIGN_SEED = 2024
@@ -62,6 +67,22 @@ def reference_shortest_path(cm, source, terminal):
             if not settled[u]:
                 heapq.heappush(heap, (cost + float(values[v, u]), nodes + (u,)))
     raise UnreachableError(f"node {terminal} unreachable from {source}")
+
+
+def fresh(cm):
+    """A matrix with cm's links that the oracle has not seen, so that its
+    next query is a first query, which runs one-sided."""
+    return CostMatrix(cm.indptr, cm.adjacency, cm.values, cm.links)
+
+
+def answer(search, cm, source, terminal):
+    """The search's route as its nodes and the bits of its cost, or the
+    message of its UnreachableError."""
+    try:
+        path = search(cm, source, terminal)
+    except UnreachableError as error:
+        return str(error)
+    return path.nodes, path.cost.hex()
 
 
 def outcome(search, cm, source, terminal):
@@ -153,13 +174,47 @@ def test_equal_offer_keeps_or_replaces_label_by_whole_route():
     [(n, placement, seed, pairs) for n, placement, seeds, pairs in GOLDEN_CASES for seed in seeds],
 )
 def test_matches_reference_on_scenarios(n, placement, seed, pairs):
+    # every query is asked on a fresh copy of the matrix (one-sided), then
+    # twice over on one matrix: in the first round only the first query is
+    # that matrix's first, and in the second round every query is two-sided
     cm = build_cost_matrix(generate_scenario(n, placement=placement, seed=seed))
     rng = np.random.default_rng(seed)
     queries = [(0, n - 1)] + [tuple(int(x) for x in rng.integers(0, n, 2)) for _ in range(pairs)]
+    want = {}
     for source, terminal in queries:
-        assert outcome(shortest_path, cm, source, terminal) == outcome(
+        assert outcome(forward_shortest_path, cm, source, terminal) == outcome(
             reference_shortest_path, cm, source, terminal
         ), (source, terminal)
+        want[source, terminal] = answer(forward_shortest_path, cm, source, terminal)
+        assert answer(shortest_path, fresh(cm), source, terminal) == want[source, terminal], (source, terminal)
+    for _ in range(2):
+        for source, terminal in queries:
+            assert answer(shortest_path, cm, source, terminal) == want[source, terminal], (source, terminal)
+
+
+@st.composite
+def tie_digraph_case(draw):
+    """A digraph of at most 30 nodes in one-way-linked clusters
+    (helpers.clustered_links), with costs from TIE_COSTS, which force many
+    equal-cost routes, and two random endpoints, which may be equal or
+    unreachable from one another."""
+    n = draw(st.integers(min_value=2, max_value=30))
+    pairs = clustered_links(draw, n)
+    costs = draw(st.lists(st.sampled_from(TIE_COSTS), min_size=len(pairs), max_size=len(pairs)))
+    node = st.integers(min_value=0, max_value=n - 1)
+    return from_entries(n, dict(zip(pairs, costs))), draw(node), draw(node)
+
+
+@given(tie_digraph_case())
+@settings(max_examples=400, deadline=None)
+def test_two_sided_search_matches_forward_search(case):
+    # the matrix is fresh, so the first query runs one-sided and the second
+    # two-sided; both equal the forward search in nodes and cost bits, or
+    # raise its UnreachableError with its message
+    cm, source, terminal = case
+    want = answer(forward_shortest_path, cm, source, terminal)
+    assert answer(shortest_path, cm, source, terminal) == want
+    assert answer(shortest_path, cm, source, terminal) == want
 
 
 def test_matches_reference_and_brute_force_on_ties():
@@ -193,6 +248,31 @@ def test_non_positive_link_raises_instead_of_looping():
     cycle = from_entries(3, {(0, 1): 0.5, (1, 2): -1.0, (2, 1): 0.25})
     with pytest.raises(ValueError, match="link 1 -> 2 costs -1.0"):
         shortest_path(cycle, 0, 2)
+
+
+def test_non_positive_link_is_refused_on_every_query():
+    # the source never reaches the bad link 2 -> 3, so the forward search
+    # alone returns a route; the matrix is refused on its first query and
+    # on every later one, a trivial query included
+    cm = from_entries(4, {(0, 1): 0.5, (2, 3): -1.0, (3, 2): 0.25})
+    assert forward_shortest_path(cm, 0, 1) == Path((0, 1), 0.5)
+    message = "link 2 -> 3 costs -1.0; the oracle needs positive costs"
+    for source, terminal in [(0, 1), (0, 1), (1, 1), (2, 3)]:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            shortest_path(cm, source, terminal)
+
+
+def test_in_links_are_kept_from_the_second_query_while_the_matrix_lives():
+    cm = from_entries(3, {(0, 1): 0.5, (1, 2): 0.25, (0, 2): 1.0})
+    shortest_path(cm, 0, 2)
+    assert oracle._IN_LINKS[cm] is None
+    assert shortest_path(cm, 0, 2) == Path((0, 1, 2), 0.75)
+    assert oracle._IN_LINKS[cm] == [[], [(0, 0.5)], [(0, 1.0), (1, 0.25)]]
+    # the oracle holds cm weakly: once the caller drops it, it is gone
+    matrix = weakref.ref(cm)
+    del cm
+    gc.collect()
+    assert matrix() is None
 
 
 def test_returned_cost_matches_path(grid25):

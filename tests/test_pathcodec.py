@@ -29,6 +29,7 @@ from meshroute.topology import generate_scenario
 
 from helpers import (
     OPTIMIZER_GOLDEN_CASES,
+    clustered_links,
     dense_adjacency,
     dense_costs,
     from_entries,
@@ -546,22 +547,13 @@ def reached_from(cm, source):
 
 @st.composite
 def sparse_digraph_case(draw):
-    """A sparse digraph of at most 30 nodes in up to four clusters, with
-    mixed-sign costs, keys with frequent ties, and two distinct random
-    endpoints. Each cluster's nodes lie on one cycle, and up to n more links,
-    inside or between clusters, join some of them one way, so the source
-    usually reaches some clusters but not all; in at least a quarter of
-    the cases there is one cluster, and the source reaches every node."""
+    """A sparse digraph of at most 30 nodes in up to four one-way-linked
+    clusters (helpers.clustered_links), with mixed-sign costs, keys with
+    frequent ties, and two distinct random endpoints, so the source usually
+    reaches some clusters but not all."""
     n = draw(st.integers(min_value=2, max_value=30))
     node = st.integers(min_value=0, max_value=n - 1)
-    one_cluster = draw(st.integers(0, 3)) == 0
-    label = [0] * n if one_cluster else draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
-    pairs = set(draw(st.lists(st.tuples(node, node).filter(lambda p: p[0] != p[1]), max_size=n)))
-    for c in set(label):
-        members = [v for v in range(n) if label[v] == c]
-        if len(members) > 1:
-            pairs.update(zip(members, members[1:] + members[:1]))
-    pairs = sorted(pairs)
+    pairs = clustered_links(draw, n)
     costs = draw(st.lists(st.floats(min_value=-1e16, max_value=1e16), min_size=len(pairs), max_size=len(pairs)))
     key = st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(min_value=0.0, max_value=1.0))
     keys = draw(st.lists(key, min_size=n, max_size=n))
