@@ -58,7 +58,7 @@ infinite the bound is too, and nothing is skipped.
 
 Why the first query is one-sided. Building the in-links costs about 0.6 of
 a whole forward search (1.07 against 1.79 ms at grid 2500, 0.032 against
-0.053 ms at grid 100), so a matrix asked once, as in every solve and bench
+0.053 ms at grid 100, on a 2-CPU shared host), so a matrix asked once, as in every solve and bench
 cell, never pays it back. The first query therefore runs phase 2 alone,
 with mu and the backward heap top infinite, which skips nothing. It also
 checks every cost once and refuses the matrix, naming its first link in
