@@ -21,19 +21,24 @@ equal cost settle cannot change any route. For the same reason a settled
 node's predecessor never changes.
 
 Two-sided search. From a matrix's second query on, a backward search from
-the terminal over the matrix's in-links runs beside the forward one, in two
-phases (Pohl 1971, bi-directional search):
+the terminal over the matrix's in-links runs beside the forward one (Pohl
+1971, bi-directional search). One loop runs both, and its forward step is
+the same throughout: it skips a relaxation into u at cost c when
+c + lb(u) > bound. Here lb(u) = min(back[u], top) is u's backward label if
+the backward search settled u and the backward heap top otherwise, either
+way a lower bound on u's backward distance to the terminal; bound is
+mu * (1 + n * 2**-48), and mu the cheapest source -> terminal cost seen
+where the two searches touch. The loop has two phases:
 
 1. Each step grows the side whose heap top is lower, ties to the forward
-   side. Wherever one side improves a label of a node the other side has
-   labelled, the sum of the two labels is a source -> terminal cost, and mu
-   keeps the cheapest seen. The phase ends when the two heap tops sum to at
-   least mu.
-2. The forward search carries on alone. It skips a relaxation into u at
-   cost c when c + lb(u) > mu * (1 + n * 2**-48), where lb(u) is u's
-   backward label if the backward search settled u, and the backward heap
-   top otherwise: min(back[u], top) either way, a lower bound on u's
-   backward distance to the terminal.
+   side. mu falls whenever the two labels of a node sum to less: when the
+   backward side labels a node the forward side has labelled, and when
+   the forward side is about to pop a node the backward side has labelled.
+   Each time mu falls the bound follows it, so the skip test prunes from
+   the first step on. The phase ends, and the backward heap is dropped,
+   when the two heap tops sum to at least mu. If the backward side runs dry
+   first, the phase ends there and top becomes infinite.
+2. The forward search carries on alone, with mu, top and the bound held.
 
 Why it stays exact. The forward search is the one-sided search with some
 relaxations left out: it pops by (cost, node), with the same stale-entry
@@ -53,14 +58,19 @@ mu is the float sum of two such sums along some source -> terminal walk. A
 float sum of k positive terms is within a relative k * 2**-53 of the exact
 sum (to first order), and a cheapest route's exact cost within twice that
 of the least exact cost, so c + lb(u) exceeds mu by a relative 4n * 2**-53
-at most, which the slack n * 2**-48 = 32n * 2**-53 covers. While mu is
-infinite the bound is too, and nothing is skipped.
+at most, which the slack n * 2**-48 = 32n * 2**-53 covers. That holds at
+any moment, whatever mu is then, so the bound may fall during phase 1: any
+mu is the float sum of a real walk, and min(back[u], top) is a lower bound
+whenever it is read, since back[u] only falls and the backward search sets
+no label below its heap top. While mu is infinite the bound is too, and
+nothing is skipped.
 
 Why the first query is one-sided. Building the in-links costs about 0.6 of
 a whole forward search (1.07 against 1.79 ms at grid 2500, 0.032 against
-0.053 ms at grid 100, on a 2-CPU shared host), so a matrix asked once, as in every solve and bench
-cell, never pays it back. The first query therefore runs phase 2 alone,
-with mu and the backward heap top infinite, which skips nothing. It also
+0.053 ms at grid 100, on a 2-CPU shared host), so a matrix asked once, as
+in every solve and bench cell, never pays it back. The first query
+therefore runs the same loop with the backward heap empty: it starts in
+phase 2, with mu, top and the bound infinite, and skips nothing. It also
 checks every cost once and refuses the matrix, naming its first link in
 row-major order, if one is not positive; so each query on a matrix obeys
 one rule, however many came before. The in-links are built on the second
@@ -141,51 +151,37 @@ def shortest_path(cm: CostMatrix, source: int, terminal: int) -> Path:
     dist[source] = 0.0
     heap = [(0.0, source)]
     pop, push = heapq.heappop, heapq.heappush
-    mu = top = math.inf
+    mu = bound = top = math.inf
+    slack = 1.0 + n * 2.0**-48
+    back_heap = ()  # empty on a first query and once phase 1 ends
     if into is not None:
-        # phase 1: both sides, the one with the lower heap top first
         back[terminal] = 0.0
         back_heap = [(0.0, terminal)]
-        while heap and back_heap:
-            cost, top = heap[0][0], back_heap[0][0]
-            if cost + top >= mu:
-                break
-            if cost <= top:
-                cost, v = pop(heap)
-                if cost > dist[v]:
-                    continue
-                if v == terminal:
-                    return Path(tuple(_route(pred, v)), cost)
-                for u, w in links[v]:
-                    c = cost + w
-                    d = dist[u]
-                    if c > d:
-                        continue
-                    if c < d:
-                        dist[u] = c
-                        pred[u] = v
-                        push(heap, (c, u))
-                        c += back[u]
-                        if c < mu:
-                            mu = c
-                    elif _route(pred, v) + [u] < _route(pred, pred[u]) + [u]:
-                        pred[u] = v
-            else:
-                top, v = pop(back_heap)
-                if top > back[v]:
-                    continue
-                for u, w in into[v]:
-                    c = top + w
-                    if c < back[u]:
-                        back[u] = c
-                        push(back_heap, (c, u))
-                        c += dist[u]
-                        if c < mu:
-                            mu = c
-        top = back_heap[0][0] if back_heap else math.inf
-    # phase 2: the forward side alone, skipping offers off every cheapest route
-    bound = mu * (1.0 + n * 2.0**-48)
     while heap:
+        if back_heap:
+            # phase 1: grow the side whose heap top is lower, ties to the forward side
+            cost, v = heap[0]
+            top = back_heap[0][0]
+            if cost + top >= mu:
+                back_heap = ()  # phase 2: the forward side alone, top held
+            elif cost > top:
+                top, v = pop(back_heap)
+                if top <= back[v]:  # else stale
+                    for u, w in into[v]:
+                        c = top + w
+                        if c < back[u]:
+                            back[u] = c
+                            push(back_heap, (c, u))
+                            c += dist[u]
+                            if c < mu:
+                                mu = c
+                                bound = mu * slack
+                if not back_heap:
+                    top = math.inf  # the backward side ran dry
+                continue
+            elif cost + back[v] < mu:
+                mu = cost + back[v]
+                bound = mu * slack
         cost, v = pop(heap)
         if cost > dist[v]:
             continue  # stale: v was pushed again at a lower cost

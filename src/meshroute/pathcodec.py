@@ -86,52 +86,6 @@ def check_endpoints(n: int, source, terminal) -> tuple[int, int]:
     return s, t
 
 
-def _walk(keys: np.ndarray, cm: CostMatrix, source: int, terminal: int):
-    """The visit-once priority DFS: its node stack and the cost of each hop
-    into a node, side by side, with 0.0 for the source."""
-    n = cm.n
-    if len(keys) != n:
-        raise ValueError(f"key vector length {len(keys)} != node count {n}")
-    source, terminal = check_endpoints(n, source, terminal)
-    if source == terminal:
-        raise ValueError("source and terminal must differ")
-    # a seen node's key becomes -inf in this private copy, so one comparison
-    # skips it; a key that is -inf or NaN to begin with never wins either
-    seen_key = -math.inf
-    key_list = keys.tolist()
-    key_list[source] = seen_key
-    links = cm.links
-    stack = [source]
-    costs = [0.0]
-    v = source
-    while v != terminal:
-        best = -1
-        best_key = seen_key
-        for u, c in links[v]:
-            k = key_list[u]
-            if k > best_key:
-                best = u
-                best_key = k
-                best_cost = c
-        if best < 0:
-            # every neighbor is seen: v is dead for the rest of the decode
-            stack.pop()
-            costs.pop()
-            if not stack:
-                finite = np.isfinite(keys)
-                if not finite.all():
-                    bad = int(np.argmin(finite))
-                    raise ValueError(f"key {bad} is not finite: {keys[bad]}")
-                raise NoPathError(f"no path from {source} to {terminal}")
-            v = stack[-1]
-        else:
-            key_list[best] = seen_key
-            stack.append(best)
-            costs.append(best_cost)
-            v = best
-    return stack, costs
-
-
 def reachable_submatrix(cm: CostMatrix, source: int, terminal: int) -> tuple[CostMatrix, list[int] | range]:
     """cm restricted to the nodes source reaches, by one depth-first search
     over cm.links, and those nodes' ids in cm: node i of the submatrix is
@@ -203,7 +157,48 @@ def decode_path(keys: np.ndarray, cm: CostMatrix, source: int, terminal: int) ->
     the cost equals path_cost of the nodes bit for bit; sum() is compensated
     from Python 3.12 on and would round differently.
     """
-    stack, costs = _walk(keys, cm, source, terminal)
+    n = cm.n
+    if len(keys) != n:
+        raise ValueError(f"key vector length {len(keys)} != node count {n}")
+    source, terminal = check_endpoints(n, source, terminal)
+    if source == terminal:
+        raise ValueError("source and terminal must differ")
+    # a seen node's key becomes -inf in this private copy, so one comparison
+    # skips it; a key that is -inf or NaN to begin with never wins either
+    seen_key = -math.inf
+    key_list = keys.tolist()
+    key_list[source] = seen_key
+    links = cm.links
+    # the visit-once priority DFS: its node stack and the cost of each hop
+    # into a node, side by side, with 0.0 for the source
+    stack = [source]
+    costs = [0.0]
+    v = source
+    while v != terminal:
+        best = -1
+        best_key = seen_key
+        for u, c in links[v]:
+            k = key_list[u]
+            if k > best_key:
+                best = u
+                best_key = k
+                best_cost = c
+        if best < 0:
+            # every neighbor is seen: v is dead for the rest of the decode
+            stack.pop()
+            costs.pop()
+            if not stack:
+                finite = np.isfinite(keys)
+                if not finite.all():
+                    bad = int(np.argmin(finite))
+                    raise ValueError(f"key {bad} is not finite: {keys[bad]}")
+                raise NoPathError(f"no path from {source} to {terminal}")
+            v = stack[-1]
+        else:
+            key_list[best] = seen_key
+            stack.append(best)
+            costs.append(best_cost)
+            v = best
     total = 0.0
     for c in costs:
         total += c

@@ -37,6 +37,9 @@ GOLDEN_CASES = [
     (2500, "grid", (101,), 200),
 ]
 TIE_COSTS = (0.25, 0.5, 0.75, 1.0)
+# sums of these round (0.1 + 0.2 != 0.3), and a route's forward and backward
+# sums can differ in their last bits, which the two-sided search's slack covers
+ROUNDING_COSTS = (0.1, 0.2, 0.3, 0.7)
 TIE_GRAPHS = 3000
 TIE_SEED = 5150
 
@@ -196,11 +199,12 @@ def test_matches_reference_on_scenarios(n, placement, seed, pairs):
 def tie_digraph_case(draw):
     """A digraph of at most 30 nodes in one-way-linked clusters
     (helpers.clustered_links), with costs from TIE_COSTS, which force many
-    equal-cost routes, and two random endpoints, which may be equal or
-    unreachable from one another."""
+    equal-cost routes, or from ROUNDING_COSTS, whose sums round, and two
+    random endpoints, which may be equal or unreachable from one another."""
     n = draw(st.integers(min_value=2, max_value=30))
     pairs = clustered_links(draw, n)
-    costs = draw(st.lists(st.sampled_from(TIE_COSTS), min_size=len(pairs), max_size=len(pairs)))
+    values = draw(st.sampled_from((TIE_COSTS, ROUNDING_COSTS)))
+    costs = draw(st.lists(st.sampled_from(values), min_size=len(pairs), max_size=len(pairs)))
     node = st.integers(min_value=0, max_value=n - 1)
     return from_entries(n, dict(zip(pairs, costs))), draw(node), draw(node)
 
