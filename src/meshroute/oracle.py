@@ -42,18 +42,6 @@ where the two searches touch. The loop has two phases:
    infinite.
 2. The forward search carries on alone, with mu, top and the bound held.
 
-The dry-side stop. When no float sum of at most n - 1 costs can overflow,
-a backward side that runs dry has labelled every node that reaches the
-terminal. The source carries forward label 0 from the start, so had it
-been labelled, mu would be finite. So if mu is still infinite when the
-backward side runs dry, no route exists, and the query raises
-UnreachableError at once instead of finishing the forward search. A
-matrix's first query checks the condition once: (n - 1) * max cost *
-(1 + n * 2**-48) is finite, the slack covering the rounding of those sums.
-On a matrix that fails it (a cost within a factor n - 1 of the largest
-float) the forward search carries on as before, since a route's forward sum
-can stay finite where its backward sum overflows.
-
 Why it stays exact. The forward search is the one-sided search with some
 relaxations left out: it pops by (cost, node), with the same stale-entry
 test and the same whole-route tie rule. Call a source -> terminal route
@@ -88,8 +76,8 @@ phase 2, with mu, top and the bound infinite, and skips nothing. It also
 checks every cost once and refuses the matrix, naming its first link in
 row-major order, if one is not positive; so each query on a matrix obeys
 one rule, however many came before. The in-links are built on the second
-query and kept, with the overflow check's verdict, beside the matrix and no
-longer than it lives, in a weak-key dictionary.
+query and kept, beside the matrix and no longer than it lives, in a
+weak-key dictionary.
 """
 
 from __future__ import annotations
@@ -101,8 +89,7 @@ import weakref
 from .fuzzycost import CostMatrix
 from .pathcodec import Path, check_endpoints
 
-# per queried matrix: its in-links (None after its first query) and whether
-# a backward side that runs dry may end a query
+# per queried matrix: None after its first query, then its in-links
 _IN_LINKS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
@@ -120,34 +107,27 @@ def _route(pred: list[int], v: int) -> list[int]:
     return nodes
 
 
-def _slack(n: int) -> float:
-    """1 + n * 2**-48: covers the rounding of float sums of at most n costs."""
-    return 1.0 + n * 2.0**-48
-
-
 def _in_links(cm: CostMatrix):
-    """cm's record (into, dry_stop). On cm's first query, after refusing cm
-    if a link costs zero or less, into is None; from the second query on it
-    holds each node's in-links as (tail, cost) pairs, tails ascending, built
-    from cm.links once. dry_stop is whether (n - 1) * max cost * slack is
-    finite, so that no float sum of n - 1 or fewer costs overflows."""
-    record = _IN_LINKS.get(cm)
-    if record is None:
+    """None on cm's first query, after refusing cm if a link costs zero or
+    less; from the second query on, each node's in-links as (tail, cost)
+    pairs, tails ascending, built from cm.links once."""
+    into = _IN_LINKS.get(cm, False)
+    if into is False:
         bad = (cm.values <= 0.0).nonzero()[0]
         if len(bad):
             i = int(bad[0])
             v = int(cm.indptr.searchsorted(i, side="right")) - 1
             u, w = int(cm.adjacency[i]), float(cm.values[i])
             raise ValueError(f"link {v} -> {u} costs {w}; the oracle needs positive costs")
-        largest = float(cm.values.max(initial=0.0))
-        record = _IN_LINKS[cm] = None, math.isfinite((cm.n - 1) * largest * _slack(cm.n))
-    elif record[0] is None:
+        _IN_LINKS[cm] = None
+        return None
+    if into is None:
         into = [[] for _ in range(cm.n)]
         for v, out in enumerate(cm.links):
             for u, w in out:
                 into[u].append((v, w))
-        record = _IN_LINKS[cm] = into, record[1]
-    return record
+        _IN_LINKS[cm] = into
+    return into
 
 
 def shortest_path(cm: CostMatrix, source: int, terminal: int) -> Path:
@@ -163,7 +143,7 @@ def shortest_path(cm: CostMatrix, source: int, terminal: int) -> Path:
     """
     n = cm.n
     source, terminal = check_endpoints(n, source, terminal)
-    into, dry_stop = _in_links(cm)
+    into = _in_links(cm)
     if source == terminal:
         return Path((source,), 0.0)
     links = cm.links
@@ -174,7 +154,7 @@ def shortest_path(cm: CostMatrix, source: int, terminal: int) -> Path:
     heap = [(0.0, source)]
     pop, push = heapq.heappop, heapq.heappush
     mu = bound = top = math.inf
-    slack = _slack(n)
+    slack = 1.0 + n * 2.0**-48
     back_heap = ()  # empty on a first query and once phase 1 ends
     if into is not None:
         back[terminal] = 0.0
@@ -198,10 +178,8 @@ def shortest_path(cm: CostMatrix, source: int, terminal: int) -> Path:
                             if c < mu:
                                 mu = c
                                 bound = mu * slack
-                if not back_heap:  # the backward side ran dry
-                    if dry_stop and mu == math.inf:
-                        break  # it never labelled the source: no route
-                    top = math.inf
+                if not back_heap:
+                    top = math.inf  # the backward side ran dry
                 continue
             elif cost + back[v] < mu:
                 mu = cost + back[v]
