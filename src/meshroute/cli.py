@@ -15,7 +15,7 @@ from pathlib import Path
 
 from . import bench as bench_mod
 from .fuzzycost import build_cost_matrix
-from .oracle import UnreachableError, shortest_path
+from .oracle import shortest_path
 from .pathcodec import NoPathError, check_endpoints
 from .results import RunParams
 from .topology import (
@@ -154,7 +154,7 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (NoPathError, UnreachableError, ConnectivityError) as exc:
+    except (NoPathError, ConnectivityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
     except OSError as exc:

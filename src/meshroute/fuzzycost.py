@@ -161,8 +161,10 @@ class CostMatrix:
         an endpoint that is not an integer, or a cost that is not a number, is
         named by its link, as "link 0 has 'from' 0.9, not an integer". Then
         the first link with an endpoint outside 0..n-1, a self-loop, a repeat
-        or a cost that is not finite is named (topology._link_order, the rule
-        of scenario links), an endpoint past int64 as given.
+        or a cost that is zero, negative or not finite is named
+        (topology._link_order, the rule of scenario links), an endpoint past
+        int64 as given. So every link of a matrix built here costs more than
+        zero, which the oracle's search needs in order to end.
         """
         if not _is_integer(n) or n < 0:
             raise ValueError(f"n must be an integer >= 0, got {n!r}")
@@ -180,7 +182,8 @@ class CostMatrix:
         src = _column(src, True, "link", "from", "links")
         dst = _column(dst, True, "link", "to", "links")
         costs = np.broadcast_to(_column(costs, False, "link", "cost", "costs"), src.shape)
-        order = _link_order(n, src, dst, ~np.isfinite(costs), "a cost that is not finite")
+        bad = ~np.isfinite(costs) | (costs <= 0.0)
+        order = _link_order(n, src, dst, bad, "a cost that is zero, negative or not finite")
         return cls._from_sorted(n, src[order], dst[order], costs[order])
 
     @classmethod

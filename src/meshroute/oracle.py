@@ -15,10 +15,10 @@ at 0.5, 1->2 and 2->3 at 0.25, both routes to 3 cost 1.0 and (0, 1, 2, 3)
 is the smaller, although the parent route (0, 1) is a prefix of (0, 1, 2).
 
 Ties between different nodes need no rule. Every link costs more than
-zero (a matrix's first query refuses it otherwise), so a node settled at
-cost c only offers costs above c to others, and the order in which nodes of
-equal cost settle cannot change any route. For the same reason a settled
-node's predecessor never changes.
+zero (CostMatrix.from_arrays refuses any other cost, and fuzzy costs are at
+least ILC_FLOOR), so a node settled at cost c only offers costs above c to
+others, and the order in which nodes of equal cost settle cannot change any
+route. For the same reason a settled node's predecessor never changes.
 
 Two-sided search. From a matrix's second query on, a backward search from
 the terminal over the matrix's in-links runs beside the forward one (Pohl
@@ -72,12 +72,9 @@ a whole forward search (1.07 against 1.79 ms at grid 2500, 0.032 against
 0.053 ms at grid 100, on a 2-CPU shared host), so a matrix asked once, as
 in every solve and bench cell, never pays it back. The first query
 therefore runs the same loop with the backward heap empty: it starts in
-phase 2, with mu, top and the bound infinite, and skips nothing. It also
-checks every cost once and refuses the matrix, naming its first link in
-row-major order, if one is not positive; so each query on a matrix obeys
-one rule, however many came before. The in-links are built on the second
-query and kept, beside the matrix and no longer than it lives, in a
-weak-key dictionary.
+phase 2, with mu, top and the bound infinite, and skips nothing. The
+in-links are built on the second query and kept, beside the matrix and no
+longer than it lives, in a weak-key dictionary.
 """
 
 from __future__ import annotations
@@ -87,14 +84,14 @@ import math
 import weakref
 
 from .fuzzycost import CostMatrix
-from .pathcodec import Path, check_endpoints
+from .pathcodec import NoPathError, Path, check_endpoints
 
 # per queried matrix: None after its first query, then its in-links
 _IN_LINKS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
-class UnreachableError(RuntimeError):
-    """Terminal not reachable from source."""
+# The error's name from when the oracle raised its own, kept for importers.
+UnreachableError = NoPathError
 
 
 def _route(pred: list[int], v: int) -> list[int]:
@@ -108,17 +105,11 @@ def _route(pred: list[int], v: int) -> list[int]:
 
 
 def _in_links(cm: CostMatrix):
-    """None on cm's first query, after refusing cm if a link costs zero or
-    less; from the second query on, each node's in-links as (tail, cost)
-    pairs, tails ascending, built from cm.links once."""
+    """None on cm's first query; from the second query on, each node's
+    in-links as (tail, cost) pairs, tails ascending, built from cm.links
+    once."""
     into = _IN_LINKS.get(cm, False)
     if into is False:
-        bad = (cm.values <= 0.0).nonzero()[0]
-        if len(bad):
-            i = int(bad[0])
-            v = int(cm.indptr.searchsorted(i, side="right")) - 1
-            u, w = int(cm.adjacency[i]), float(cm.values[i])
-            raise ValueError(f"link {v} -> {u} costs {w}; the oracle needs positive costs")
         _IN_LINKS[cm] = None
         return None
     if into is None:
@@ -135,11 +126,13 @@ def shortest_path(cm: CostMatrix, source: int, terminal: int) -> Path:
 
     Among equal-cost paths the lexicographically smallest node sequence wins
     (see the module docstring). The cost is added left to right along the
-    returned path, so it equals `path_cost` of that path exactly. A matrix
-    with a link that costs zero or less raises ValueError on every query,
-    so the search always ends; fuzzy costs are at least ILC_FLOOR. From a
-    matrix's second query on, a backward search from the terminal bounds
-    the forward one, with the same result (see the module docstring).
+    returned path, so it equals `path_cost` of that path exactly. The
+    search ends because every cost is positive, which CostMatrix.from_arrays
+    and build_cost_matrix ensure; the raw CostMatrix constructor checks
+    nothing. Raises NoPathError when source does not reach terminal, with
+    the decoder's message. From a matrix's second query on, a backward
+    search from the terminal bounds the forward one, with the same result
+    (see the module docstring).
     """
     n = cm.n
     source, terminal = check_endpoints(n, source, terminal)
@@ -200,7 +193,7 @@ def shortest_path(cm: CostMatrix, source: int, terminal: int) -> Path:
                 push(heap, (c, u))
             elif _route(pred, v) + [u] < _route(pred, pred[u]) + [u]:
                 pred[u] = v
-    raise UnreachableError(f"node {terminal} unreachable from {source}")
+    raise NoPathError(f"no path from {source} to {terminal}")
 
 
 def brute_force_shortest(cm: CostMatrix, source: int, terminal: int) -> Path:
@@ -238,7 +231,7 @@ def brute_force_shortest(cm: CostMatrix, source: int, terminal: int) -> Path:
 
     walk(source, (source,), 0.0)
     if best_nodes is None:
-        raise UnreachableError(f"node {terminal} unreachable from {source}")
+        raise NoPathError(f"no path from {source} to {terminal}")
     return Path(best_nodes, float(best_cost))
 
 

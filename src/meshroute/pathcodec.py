@@ -53,7 +53,7 @@ from .topology import _is_integer
 
 
 class NoPathError(RuntimeError):
-    """Exhaustive decode found no source -> terminal path."""
+    """No source -> terminal path: an exhaustive decode or exact search found none."""
 
 
 class BrokenPathError(RuntimeError):

@@ -244,10 +244,13 @@ def test_oracle_line_scenario(tmp_path, capsys):
     assert payload["cost"] > 0
 
 
-def test_oracle_unreachable(tmp_path):
+def test_oracle_unreachable(tmp_path, capsys):
+    # oracle and solve word a missing route alike
     scenario = tmp_path / "split.json"
     write_split_scenario(scenario)
-    assert main(["oracle", "--scenario", str(scenario)]) == EXIT_DOMAIN
+    for command in (["oracle"], ["solve", "--algo", "bbbc"]):
+        assert main([*command, "--scenario", str(scenario)]) == EXIT_DOMAIN
+        assert capsys.readouterr().err == "error: no path from 0 to 1\n"
 
 
 @pytest.mark.parametrize(

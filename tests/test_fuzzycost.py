@@ -162,8 +162,8 @@ def reference_cost_matrix(scenario):
 def reference_from_arrays(n, src, dst, costs):
     """CostMatrix.from_arrays on dense (n, n) fields: the links it builds, or
     the fault it names, checking one link at a time in the order given for
-    an endpoint outside 0..n-1, a self-loop, a repeat and a cost that is not
-    finite."""
+    an endpoint outside 0..n-1, a self-loop, a repeat and a cost that is
+    zero, negative or not finite."""
     src = np.asarray(src, dtype=np.int64).tolist()
     dst = np.asarray(dst, dtype=np.int64).tolist()
     # a scalar, or one cost, applies to every link
@@ -179,8 +179,8 @@ def reference_from_arrays(n, src, dst, costs):
             raise ValueError(f"self-loop link at node {a}")
         if not math.isnan(values[a, b]):
             raise ValueError(f"duplicate link {a} -> {b}")
-        if not math.isfinite(w):
-            raise ValueError(f"link {a} -> {b} has a cost that is not finite")
+        if not 0.0 < w < math.inf:
+            raise ValueError(f"link {a} -> {b} has a cost that is zero, negative or not finite")
         values[a, b] = w
     return tuple(tuple((u, float(values[v, u])) for u in range(n) if not math.isnan(values[v, u])) for v in range(n))
 
@@ -424,57 +424,62 @@ def test_cost_matrix_equality_is_identity():
 
 
 def test_cost_matrix_duplicate_and_undefined_entries():
-    # a repeated link and a cost that is not finite are refused, not
-    # repaired: neither the last cost of a repeat nor dropping the link
+    # a repeated link and a cost that is zero, negative or not finite are
+    # refused, not repaired: neither the last cost of a repeat nor dropping
+    # the link; the first faulty link in the order given is named
     with pytest.raises(ValueError, match=r"^duplicate link 0 -> 1$"):
         CostMatrix.from_arrays(3, [0, 2, 0], [1, 0, 1], [0.2, 0.3, 0.7])
-    for cost in (np.nan, np.inf, -np.inf):
-        with pytest.raises(ValueError, match=r"^link 1 -> 2 has a cost that is not finite$"):
+    message = r"^link 1 -> 2 has a cost that is zero, negative or not finite$"
+    for cost in (0.0, -1.0, np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match=message):
             CostMatrix.from_arrays(3, [0, 1, 2], [1, 2, 0], [0.2, cost, 0.3])
-        with pytest.raises(ValueError, match=r"^link 1 -> 2 has a cost that is not finite$"):
+        with pytest.raises(ValueError, match=message):
             CostMatrix.from_arrays(3, [1, 0], [2, 1], cost)
+        with pytest.raises(ValueError, match=message):
+            CostMatrix.from_arrays(3, [2, 1, 0], [0, 2, 1], [0.3, cost, -1.0])
     cm = CostMatrix.from_arrays(3, [2, 0], [0, 1], [0.3, 0.7])
     assert link_cost(cm, 0, 1) == 0.7
     assert tuple(out_neighbors(cm, v) for v in range(3)) == ((1,), (), (0,))
     assert cm.links == (((1, 0.7),), (), ((0, 0.3),))
 
 
-finite_costs = st.floats(allow_nan=False, allow_infinity=False)
-non_finite_costs = st.sampled_from([math.nan, math.inf, -math.inf])
+positive_costs = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+faulty_costs = st.floats(max_value=0.0) | st.sampled_from([math.nan, math.inf])
 
 
 @st.composite
 def link_arrays(draw):
     """(n, src, dst, costs) for from_arrays: 0-6 nodes, up to 14 distinct
-    links in any order, finite costs as a list or one scalar, and at most
-    one flaw: a self-loop, an endpoint outside 0..n-1, a repeated link, a
-    cost that is not finite, or one cost too many or too few."""
+    links in any order, positive finite costs as a list or one scalar, and
+    at most one flaw: a self-loop, an endpoint outside 0..n-1, a repeated
+    link, a cost that is zero, negative or not finite, or one cost too many
+    or too few."""
     n = draw(st.integers(0, 6))
     pairs = [(a, b) for a in range(n) for b in range(n) if a != b]
     links = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=14)) if pairs else []
     src, dst = [a for a, _ in links], [b for _, b in links]
     size = len(links)
-    costs = draw(st.lists(finite_costs, min_size=size, max_size=size) | finite_costs)
+    costs = draw(st.lists(positive_costs, min_size=size, max_size=size) | positive_costs)
     flaw = draw(st.sampled_from([None, None, None, "self-loop", "endpoint", "repeat", "cost", "count"]))
     if flaw == "self-loop":
         v = draw(st.integers(0, max(n - 1, 0)))
         at = draw(st.integers(0, size))
         src, dst = src[:at] + [v] + src[at:], dst[:at] + [v] + dst[at:]
-        costs = costs[:at] + [draw(finite_costs)] + costs[at:] if isinstance(costs, list) else costs
+        costs = costs[:at] + [draw(positive_costs)] + costs[at:] if isinstance(costs, list) else costs
     elif flaw == "endpoint":
         end = draw(st.sampled_from([-1, n]))
         src, dst = (src + [end], dst + [0]) if draw(st.booleans()) else (src + [0], dst + [end])
-        costs = costs + [draw(finite_costs)] if isinstance(costs, list) else costs
+        costs = costs + [draw(positive_costs)] if isinstance(costs, list) else costs
     elif flaw == "repeat" and size:
         k = draw(st.integers(0, size - 1))
         at = draw(st.integers(k + 1, size))
         src, dst = src[:at] + [src[k]] + src[at:], dst[:at] + [dst[k]] + dst[at:]
-        costs = costs[:at] + [draw(finite_costs)] + costs[at:] if isinstance(costs, list) else costs
+        costs = costs[:at] + [draw(positive_costs)] + costs[at:] if isinstance(costs, list) else costs
     elif flaw == "cost":
         if isinstance(costs, list) and size:
-            costs[draw(st.integers(0, size - 1))] = draw(non_finite_costs)
+            costs[draw(st.integers(0, size - 1))] = draw(faulty_costs)
         else:
-            costs = draw(non_finite_costs)
+            costs = draw(faulty_costs)
     elif flaw == "count":
         costs = costs if isinstance(costs, list) else [costs] * size
         costs = costs + [0.5] if draw(st.booleans()) else costs[:-1]

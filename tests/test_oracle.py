@@ -1,5 +1,6 @@
 """Exact baseline: label-setting search, brute-force cross-check, percent error."""
 
+import dataclasses
 import gc
 import heapq
 import re
@@ -11,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from meshroute import oracle
-from meshroute.fuzzycost import CostMatrix, build_cost_matrix
+from meshroute.fuzzycost import build_cost_matrix
 from meshroute.oracle import (
     UnreachableError,
     brute_force_shortest,
@@ -69,13 +70,13 @@ def reference_shortest_path(cm, source, terminal):
         for u in out_neighbors(cm, v):
             if not settled[u]:
                 heapq.heappush(heap, (cost + float(values[v, u]), nodes + (u,)))
-    raise UnreachableError(f"node {terminal} unreachable from {source}")
+    raise UnreachableError(f"no path from {source} to {terminal}")
 
 
 def fresh(cm):
     """A matrix with cm's links that the oracle has not seen, so that its
     next query is a first query, which runs one-sided."""
-    return CostMatrix(cm.indptr, cm.adjacency, cm.values, cm.links)
+    return dataclasses.replace(cm)
 
 
 def answer(search, cm, source, terminal):
@@ -241,29 +242,6 @@ def test_matches_reference_and_brute_force_on_ties():
             assert fast == outcome(brute_force_shortest, cm, 0, terminal), (entries, terminal)
             unreachable += fast is None
     assert unreachable > 0
-
-
-def test_non_positive_link_raises_instead_of_looping():
-    # a zero-cost link out of the source, and a negative link that would
-    # lower a label (the old search returned an answer for both)
-    zero = from_entries(3, {(0, 1): 0.0, (1, 0): 0.0, (1, 2): 0.5})
-    with pytest.raises(ValueError, match="link 0 -> 1 costs 0.0"):
-        shortest_path(zero, 0, 2)
-    cycle = from_entries(3, {(0, 1): 0.5, (1, 2): -1.0, (2, 1): 0.25})
-    with pytest.raises(ValueError, match="link 1 -> 2 costs -1.0"):
-        shortest_path(cycle, 0, 2)
-
-
-def test_non_positive_link_is_refused_on_every_query():
-    # the source never reaches the bad link 2 -> 3, so the forward search
-    # alone returns a route; the matrix is refused on its first query and
-    # on every later one, a trivial query included
-    cm = from_entries(4, {(0, 1): 0.5, (2, 3): -1.0, (3, 2): 0.25})
-    assert forward_shortest_path(cm, 0, 1) == Path((0, 1), 0.5)
-    message = "link 2 -> 3 costs -1.0; the oracle needs positive costs"
-    for source, terminal in [(0, 1), (0, 1), (1, 1), (2, 3)]:
-        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            shortest_path(cm, source, terminal)
 
 
 def test_in_links_are_kept_from_the_second_query_while_the_matrix_lives():

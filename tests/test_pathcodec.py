@@ -244,11 +244,11 @@ def test_decode_matches_uncapped_dfs(case):
 @given(
     digraph_and_keys(),
     # one cost per link a 9-node digraph can have
-    st.lists(st.floats(min_value=-1e16, max_value=1e16), min_size=72, max_size=72),
+    st.lists(st.floats(min_value=0.0, max_value=1e16, exclude_min=True), min_size=72, max_size=72),
 )
 @settings(max_examples=300, deadline=None)
 def test_decode_path_cost_is_path_cost_of_its_nodes(case, costs):
-    # costs of mixed sign and far-apart magnitudes, on which another summation
+    # positive costs of far-apart magnitudes, on which another summation
     # order or a compensated sum rounds differently
     n, edges, keys = case
     cm = from_entries(n, dict(zip(edges, costs)))
@@ -491,23 +491,23 @@ def test_path_cost_refuses_what_is_not_a_node_id(nodes):
 
 
 def test_path_cost_adds_left_to_right():
-    # each 1.0 vanishes into 1e16 when added in hop order; compensated
-    # (math.fsum, or sum() from Python 3.12) and pairwise (np.sum) summation
-    # keep the first seven and give 14.0
-    costs = [1e16] + [1.0] * 7 + [-1e16] + [1.0] * 7
-    cm = from_entries(17, {(i, i + 1): c for i, c in enumerate(costs)})
-    got = path_cost(tuple(range(17)), cm)
-    assert got == 7.0 and type(got) is float
-    assert math.fsum(costs) == float(np.sum(costs)) == 14.0
+    # each 1.0 vanishes into 2**53 when added in hop order (a tie, rounded to
+    # even); compensated (math.fsum, or sum() from Python 3.12) and pairwise
+    # (np.sum) summation keep them and give 2**53 + 16
+    costs = [2.0**53] + [1.0] * 16
+    cm = from_entries(18, {(i, i + 1): c for i, c in enumerate(costs)})
+    got = path_cost(tuple(range(18)), cm)
+    assert got == 9007199254740992.0 and type(got) is float
+    assert math.fsum(costs) == float(np.sum(costs)) == 9007199254741008.0
 
 
 def test_decode_path_adds_left_to_right():
     # the chain above, priced on the walk that decodes it
-    costs = [1e16] + [1.0] * 7 + [-1e16] + [1.0] * 7
-    cm = from_entries(17, {(i, i + 1): c for i, c in enumerate(costs)})
-    got = decode_path(np.full(17, 0.5), cm, 0, 16)
-    assert got.nodes == tuple(range(17))
-    assert got.cost == 7.0 and type(got.cost) is float
+    costs = [2.0**53] + [1.0] * 16
+    cm = from_entries(18, {(i, i + 1): c for i, c in enumerate(costs)})
+    got = decode_path(np.full(18, 0.5), cm, 0, 17)
+    assert got.nodes == tuple(range(18))
+    assert got.cost == 9007199254740992.0 and type(got.cost) is float
 
 
 def test_random_keys_genome_contract():
@@ -548,13 +548,14 @@ def reached_from(cm, source):
 @st.composite
 def sparse_digraph_case(draw):
     """A sparse digraph of at most 30 nodes in up to four one-way-linked
-    clusters (helpers.clustered_links), with mixed-sign costs, keys with
-    frequent ties, and two distinct random endpoints, so the source usually
-    reaches some clusters but not all."""
+    clusters (helpers.clustered_links), with positive costs of far-apart
+    magnitudes, keys with frequent ties, and two distinct random endpoints,
+    so the source usually reaches some clusters but not all."""
     n = draw(st.integers(min_value=2, max_value=30))
     node = st.integers(min_value=0, max_value=n - 1)
     pairs = clustered_links(draw, n)
-    costs = draw(st.lists(st.floats(min_value=-1e16, max_value=1e16), min_size=len(pairs), max_size=len(pairs)))
+    cost = st.floats(min_value=0.0, max_value=1e16, exclude_min=True)
+    costs = draw(st.lists(cost, min_size=len(pairs), max_size=len(pairs)))
     key = st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(min_value=0.0, max_value=1.0))
     keys = draw(st.lists(key, min_size=n, max_size=n))
     cm = from_entries(n, dict(zip(pairs, costs)))
