@@ -244,6 +244,37 @@ def test_matches_reference_and_brute_force_on_ties():
     assert unreachable > 0
 
 
+NON_POSITIVE = "has a cost that is zero, negative or not finite"
+
+
+def test_non_positive_link_raises_instead_of_looping():
+    # a zero-cost link out of the source, and a negative link that would
+    # lower a label (the old search returned an answer for both): the matrix
+    # is refused where it is built, so no query can loop on it
+    with pytest.raises(ValueError, match=f"^link 0 -> 1 {NON_POSITIVE}$"):
+        from_entries(3, {(0, 1): 0.0, (1, 0): 0.0, (1, 2): 0.5})
+    with pytest.raises(ValueError, match=f"^link 1 -> 2 {NON_POSITIVE}$"):
+        from_entries(3, {(0, 1): 0.5, (1, 2): -1.0, (2, 1): 0.25})
+    # the same links at positive costs are answered
+    cm = from_entries(3, {(0, 1): 0.5, (1, 2): 0.25, (2, 1): 0.25})
+    assert shortest_path(cm, 0, 2) == Path((0, 1, 2), 0.75)
+
+
+def test_non_positive_link_is_refused_on_every_query():
+    # the source never reaches the bad link 2 -> 3, so a forward search
+    # alone would answer; the matrix is refused whole, before any query
+    entries = {(0, 1): 0.5, (2, 3): -1.0, (3, 2): 0.25}
+    with pytest.raises(ValueError, match=f"^link 2 -> 3 {NON_POSITIVE}$"):
+        from_entries(4, entries)
+    # without the bad link, every query of the first test is answered
+    cm = from_entries(4, {k: w for k, w in entries.items() if w > 0.0})
+    for source, terminal, path in [(0, 1, Path((0, 1), 0.5)), (0, 1, Path((0, 1), 0.5)), (1, 1, Path((1,), 0.0))]:
+        assert shortest_path(cm, source, terminal) == path
+        assert forward_shortest_path(cm, source, terminal) == path
+    with pytest.raises(UnreachableError, match=r"^no path from 2 to 3$"):
+        shortest_path(cm, 2, 3)
+
+
 def test_in_links_are_kept_from_the_second_query_while_the_matrix_lives():
     cm = from_entries(3, {(0, 1): 0.5, (1, 2): 0.25, (0, 2): 1.0})
     shortest_path(cm, 0, 2)
