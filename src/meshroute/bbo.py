@@ -24,6 +24,7 @@ import numpy as np
 from .fuzzycost import CostMatrix
 from .pathcodec import decode_path
 from .results import RunParams, RunResult, evolve
+from .topology import _check_integer
 
 
 # Immigration and emigration rates of the emptiest and the fullest habitat.
@@ -38,12 +39,6 @@ MIN_POPULATION = ELITE_COUNT + 1
 
 # The record's name from when each optimizer had its own, kept for importers.
 BboParams = RunParams
-
-
-def check_population(population_size: int) -> None:
-    """Refuse a population that run_bbo cannot run: below MIN_POPULATION."""
-    if population_size < MIN_POPULATION:
-        raise ValueError(f"population_size must be at least {MIN_POPULATION}")
 
 
 def migration_rates(k: np.ndarray, n: int, immigration_max: float, emigration_max: float):
@@ -152,8 +147,7 @@ def mutate(
 
 
 def run_bbo(cm: CostMatrix, source: int, terminal: int, params: RunParams) -> RunResult:
-    check_population(params.population_size)
-    n_pop = params.population_size
+    n_pop = _check_integer(params.population_size, "population_size", MIN_POPULATION)
     # one shared distribution over species counts 0..n_pop, initially uniform;
     # cost rank r holds species count n_pop - r, so [:0:-1] reads by rank
     p_species = np.full(n_pop + 1, 1.0 / (n_pop + 1))

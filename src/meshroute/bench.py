@@ -12,15 +12,25 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import asdict, dataclass, replace
+from functools import partial
 from operator import attrgetter
 from pathlib import Path
 
 from .bbbc import run_bbbc
-from .bbo import check_population, run_bbo
+from .bbo import MIN_POPULATION, run_bbo
 from .fuzzycost import build_cost_matrix
 from .oracle import shortest_path
-from .results import RunParams, RunResult
-from .topology import DEFAULT_RADIO_RANGE_M, check_placement, check_radio_range, generate_scenario
+from .results import RUN_FLOORS, RunParams, RunResult
+from .topology import (
+    _MAX_NODES,
+    DEFAULT_RADIO_RANGE_M,
+    MIN_NODES,
+    MIN_SEED,
+    _check_integer,
+    _check_length,
+    check_placement,
+    generate_scenario,
+)
 
 RESULTS_COLUMNS = (
     "algorithm",
@@ -56,7 +66,7 @@ class BenchPlan:
         for name, parse in _PLAN_FIELD_PARSERS.items():
             try:
                 value = parse(getattr(self, name))
-            except (ValueError, OverflowError) as exc:
+            except ValueError as exc:
                 raise ValueError(f"plan field {name!r} is malformed: {exc}") from None
             object.__setattr__(self, name, value)
         if not (self.node_counts and self.generation_budgets and self.seeds and self.algorithms):
@@ -70,17 +80,11 @@ class BenchPlan:
         unknown = set(self.algorithms) - set(ALGORITHMS)
         if unknown:
             raise ValueError(f"unknown algorithms {sorted(unknown)}")
-        if min(self.generation_budgets) < 1:
-            raise ValueError("generation_budgets must all be >= 1")
-        if min(min(pair) for pair in self.seeds) < 0:
-            raise ValueError("seeds must all be >= 0")
-        check_radio_range(self.radio_range)
-        # the population checks every run makes, and BBO's floor, so a plan
-        # that an optimizer cannot run fails before any cell runs
-        RunParams(max_generations=1, population_size=self.population_size)
+        # BBO's own population floor, so a plan that it cannot run fails
+        # before any cell runs
         if "bbo" in self.algorithms:
             try:
-                check_population(self.population_size)
+                _check_integer(self.population_size, "population_size", MIN_POPULATION)
             except ValueError as exc:
                 raise ValueError(f"plan cannot run bbo: {exc}") from None
         # every scenario is built before its first run, so check them all now
@@ -93,21 +97,6 @@ def plan_to_dict(plan: BenchPlan) -> dict:
     return json.loads(json.dumps(asdict(plan)))
 
 
-def _integer(value) -> int:
-    """A JSON integer; bools are not."""
-    if type(value) is not int:
-        raise ValueError(f"{value!r} is not an integer")
-    return value
-
-
-def _number(value) -> float:
-    """A JSON number as a float; bools are not numbers. BenchPlan refuses a
-    radio range that is not finite."""
-    if type(value) not in (int, float):
-        raise ValueError(f"{value!r} is not a finite number")
-    return float(value)
-
-
 def _string(value) -> str:
     if type(value) is not str:
         raise ValueError(f"{value!r} is not a string")
@@ -117,7 +106,10 @@ def _string(value) -> str:
 def _seed_pair(value) -> tuple[int, int]:
     if not isinstance(value, (list, tuple)) or len(value) != 2:
         raise ValueError(f"{value!r} is not a [scenario_seed, opt_seed] pair")
-    return _integer(value[0]), _integer(value[1])
+    return (
+        _check_integer(value[0], "scenario_seed", MIN_SEED),
+        _check_integer(value[1], "opt_seed", RUN_FLOORS["rng_seed"]),
+    )
 
 
 def _list_of(parse):
@@ -132,15 +124,18 @@ def _list_of(parse):
 
 
 # each parser takes the field's value as it is, as the scenario loader does:
-# no float, bool or string stands in for an integer, nor a bool for a number
+# no float, bool or string stands in for an integer, nor a bool for a number;
+# each integer is held to the floor of the setting it feeds
 _PLAN_FIELD_PARSERS = {
-    "node_counts": _list_of(_integer),
-    "generation_budgets": _list_of(_integer),
+    "node_counts": _list_of(partial(_check_integer, name="node count", least=MIN_NODES, most=_MAX_NODES)),
+    "generation_budgets": _list_of(
+        partial(_check_integer, name="generation budget", least=RUN_FLOORS["max_generations"])
+    ),
     "seeds": _list_of(_seed_pair),
     "algorithms": _list_of(_string),
-    "population_size": _integer,
+    "population_size": partial(_check_integer, name="population_size", least=RUN_FLOORS["population_size"]),
     "placement": _string,
-    "radio_range": _number,
+    "radio_range": partial(_check_length, name="radio_range"),
 }
 
 

@@ -52,7 +52,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .topology import _MAX_NODES, METRIC_HIGH, METRIC_LOW, _column, _is_integer, _link_order
+from .topology import _MAX_NODES, METRIC_HIGH, METRIC_LOW, _check_integer, _column, _link_order
 
 ILC_FLOOR = 1e-6
 
@@ -154,9 +154,10 @@ class CostMatrix:
     def from_arrays(cls, n: int, src, dst, costs) -> "CostMatrix":
         """Matrix of links src[l] -> dst[l] with cost costs[l]; a scalar or
         one-entry costs applies to every link. A ValueError names an n that is
-        not an integer >= 0, or one above topology._MAX_NODES, whose link keys
-        would overflow int64, or a column that is not a list, tuple or 1-D
-        array as long as src, with both lengths as topology._table does.
+        not an integer from 0 to topology._MAX_NODES, past which link keys
+        would overflow int64 (topology._check_integer), or a column that is
+        not a list, tuple or 1-D array as long as src, with both lengths as
+        topology._table does.
         Entries are read as a scenario file's columns are (topology._column):
         an endpoint that is not an integer, or a cost that is not a number, is
         named by its link, as "link 0 has 'from' 0.9, not an integer". Then
@@ -166,10 +167,7 @@ class CostMatrix:
         int64 as given. So every link of a matrix built here costs more than
         zero, which the oracle's search needs in order to end.
         """
-        if not _is_integer(n) or n < 0:
-            raise ValueError(f"n must be an integer >= 0, got {n!r}")
-        if n > _MAX_NODES:
-            raise ValueError(f"n must be an integer <= {_MAX_NODES}, got {n!r}")
+        n = _check_integer(n, "n", 0, _MAX_NODES)
         # a scalar cost is read as a one-entry column and broadcast
         if isinstance(costs, (str, bytes)) or not np.iterable(costs):
             costs = np.atleast_1d(costs)

@@ -9,6 +9,12 @@ import numpy as np
 
 from .oracle import percent_error
 from .pathcodec import Path, reachable_submatrix
+from .topology import MIN_SEED, _check_integer
+
+
+# the least value of each RunParams field; a plan's budgets, population and
+# optimizer seeds are held to the same floors
+RUN_FLOORS = {"max_generations": 1, "population_size": 2, "rng_seed": MIN_SEED}
 
 
 @dataclass(frozen=True)
@@ -16,6 +22,8 @@ class RunParams:
     """One optimizer run's budget: generations, population and seed.
 
     Both optimizers take it; their other settings are module constants.
+    Each field must be an integer, Python or numpy, of at least its
+    RUN_FLOORS entry (topology._check_integer), and is kept as an int.
     """
 
     max_generations: int
@@ -23,13 +31,8 @@ class RunParams:
     rng_seed: int = 0
 
     def __post_init__(self):
-        for name, least in (("max_generations", 1), ("population_size", 2), ("rng_seed", 0)):
-            value = getattr(self, name)
-            # as in a plan file, no float or bool stands in for an integer
-            if type(value) is not int:
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            if value < least:
-                raise ValueError(f"{name} must be >= {least}")
+        for name, least in RUN_FLOORS.items():
+            object.__setattr__(self, name, _check_integer(getattr(self, name), name, least))
 
 
 @dataclass(frozen=True)

@@ -17,11 +17,14 @@ writes the same scenario for the same arguments. One reader (_column)
 decides what counts as an integer or a number in every array that enters:
 a file's columns, a hand-built scenario's positions, links and metrics
 (_rows), and CostMatrix.from_arrays's endpoints and costs, so each names
-the same fault in the same words. scenario_from_dict checks a file's
-layout, and NetworkScenario every value, so a scenario that builds is one
-that load_scenario reads back; its link rules (_link_order) are also
-CostMatrix.from_arrays's. One layout (_layout) orders the keys for
-scenario_to_dict and save_scenario, which writes one column at a time.
+the same fault in the same words. Two checks judge every scalar setting,
+here and in every module that takes one: _check_integer each node count,
+seed, budget and population, and _check_length each radio range and area
+side. scenario_from_dict checks a file's layout, and NetworkScenario every
+value, so a scenario that builds is one that load_scenario reads back; its
+link rules (_link_order) are also CostMatrix.from_arrays's. One layout
+(_layout) orders the keys for scenario_to_dict and save_scenario, which
+writes one column at a time.
 
 Links come from a cell list (_radio_pairs): nodes are bucketed into square
 cells about one radio range wide (_cells), each node is tested only against
@@ -145,24 +148,37 @@ def _is_integer(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
-def check_seed(seed) -> None:
-    """Raise ValueError unless seed is an integer >= 0; bools are not."""
-    if not _is_integer(seed):
-        raise ValueError(f"scenario 'seed' is {seed!r}, not an integer")
-    if seed < 0:
-        raise ValueError(f"scenario 'seed' is {seed!r}, which is negative")
+def _check_integer(value, name: str, least: int, most: float = math.inf) -> int:
+    """value as an int; ValueError naming it (name) unless it is an integer,
+    Python or numpy (bools are not), from least to most. The one rule of
+    every integer setting: node counts, seeds, budgets and populations."""
+    if not _is_integer(value):
+        raise ValueError(f"{name} is {value!r}, not an integer")
+    if value < least:
+        raise ValueError(f"{name} is {value!r}, which is less than {least}")
+    if value > most:
+        raise ValueError(f"{name} is {value!r}, which is more than {most}")
+    return int(value)
 
 
-def _as_float(value) -> float:
-    """value as a float: nan if it is not a real number (bools are not), and
-    inf for an int past float range, so neither is finite."""
+def _check_length(value, name: str) -> float:
+    """value as a float; ValueError naming it (name) unless it is a positive,
+    finite number (bools are not, nor is an int past float range). The one
+    rule of every length setting: radio ranges and area sides."""
     real = isinstance(value, numbers.Real) and not isinstance(value, bool)
     try:
-        return float(value) if real else math.nan
+        length = float(value) if real else math.nan
     except OverflowError:
-        return math.inf
+        length = math.inf
+    if not (math.isfinite(length) and length > 0):
+        raise ValueError(f"{name} is {value!r}, not a positive finite number")
+    return length
 
 
+# numpy seeds its generators with integers of at least this
+MIN_SEED = 0
+# the fewest nodes a placement places: a source and a terminal
+MIN_NODES = 2
 # the most nodes whose row-major link keys src * n + dst, up to n * n - 1, fit int64
 _MAX_NODES = math.isqrt(2**63)
 
@@ -216,9 +232,9 @@ class NetworkScenario:
     "link 0 has 'from' True, not an integer". Construction then refuses,
     with the loader's message and in this order, a coordinate that is not
     finite, a faulty link or metric (_link_order), a seed that is not an
-    integer >= 0, and an area side or radio range that is not a positive,
-    finite number (bools are neither, nor is an int past float range); the
-    seed is kept as an int and the lengths as floats.
+    integer of at least MIN_SEED (_check_integer), and an area side or radio
+    range that is not a positive, finite number (_check_length); the seed is
+    kept as an int and the lengths as floats.
     """
 
     seed: int
@@ -243,18 +259,15 @@ class NetworkScenario:
         ok = (0.0 <= metrics) & (metrics < math.inf)
         bad_metric = ~(ok[:, 0] & ok[:, 1] & ok[:, 2])
         order = _link_order(len(positions), *links.T, bad_metric, "a metric that is negative or not finite")
-        check_seed(self.seed)
-        for key, value in (("area_side_m", self.area_side), ("radio_range_m", self.radio_range)):
-            if not math.isfinite(_as_float(value)):
-                raise ValueError(f"scenario {key!r} is {value!r}, not a finite number")
-            if value <= 0:
-                raise ValueError(f"scenario {key!r} is {value!r}, which is not positive")
+        seed = _check_integer(self.seed, "scenario 'seed'", MIN_SEED)
+        area_side = _check_length(self.area_side, "scenario 'area_side_m'")
+        radio_range = _check_length(self.radio_range, "scenario 'radio_range_m'")
         # take is much faster than fancy indexing on (L, 2) and (L, 3) rows
         links = np.take(links, order, axis=0).astype(np.int64, copy=False)
         metrics = np.take(metrics, order, axis=0)
         for array in (positions, links, metrics):
             array.flags.writeable = False
-        values = (int(self.seed), float(self.area_side), float(self.radio_range), positions, links, metrics)
+        values = (seed, area_side, radio_range, positions, links, metrics)
         for field, value in zip(fields(self), values):
             object.__setattr__(self, field.name, value)
 
@@ -429,24 +442,16 @@ def _reaches(positions: np.ndarray, radio_range: float, source: int, terminal: i
     return seen[terminal] == 1
 
 
-def check_radio_range(radio_range) -> float:
-    """radio_range as a float; ValueError unless it is a positive, finite
-    number (bools are not)."""
-    r = _as_float(radio_range)
-    if not (math.isfinite(r) and r > 0):
-        raise ValueError(f"radio_range must be positive and finite, got {radio_range}")
-    return r
-
-
-def check_placement(n: int, placement: str) -> None:
-    """Raise ValueError unless `placement` can place n nodes: a known
-    placement, an integer count of at least 2 nodes, and a perfect square for grid."""
+def check_placement(n: int, placement: str) -> int:
+    """n as an int; ValueError unless `placement` can place n nodes: a known
+    placement, an integer count from MIN_NODES to _MAX_NODES, and a perfect
+    square for grid."""
     if placement not in PLACEMENTS:
         raise ValueError(f"unknown placement {placement!r} (expected one of {PLACEMENTS})")
-    if not _is_integer(n) or n < 2:
-        raise ValueError(f"need an integer count of at least 2 nodes, got {n!r}")
+    n = _check_integer(n, "n", MIN_NODES, _MAX_NODES)
     if placement == "grid" and math.isqrt(n) ** 2 != n:
         raise ValueError(f"grid placement needs a perfect-square node count, {n} is not a perfect square")
+    return n
 
 
 def generate_scenario(
@@ -462,11 +467,12 @@ def generate_scenario(
     i.i.d. over a square holding the reference density and redraws the whole
     layout until node 0 and node n-1 are connected. Each layout drawn costs
     one search of node 0's component, and links are built once, for the
-    layout kept. Every argument is checked before anything is drawn.
+    layout kept. Every argument is checked before anything is drawn, the
+    seed and radio range in NetworkScenario's words.
     """
-    check_placement(n, placement)
-    check_seed(seed)
-    radio_range = check_radio_range(radio_range)
+    n = check_placement(n, placement)
+    seed = _check_integer(seed, "scenario 'seed'", MIN_SEED)
+    radio_range = _check_length(radio_range, "scenario 'radio_range_m'")
     rng = np.random.default_rng(seed)
 
     if placement == "grid":

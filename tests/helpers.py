@@ -149,3 +149,13 @@ def forward_shortest_path(cm, source, terminal):
             elif _route(pred, v) + [u] < _route(pred, pred[u]) + [u]:
                 pred[u] = v
     raise UnreachableError(f"no path from {source} to {terminal}")
+
+
+def answer(search, cm, source, terminal):
+    """The search's route as its nodes and the bits of its cost, or the
+    message of its UnreachableError."""
+    try:
+        path = search(cm, source, terminal)
+    except UnreachableError as error:
+        return str(error)
+    return path.nodes, path.cost.hex()

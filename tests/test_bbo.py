@@ -206,7 +206,7 @@ def test_run_refuses_population_below_floor_before_drawing(line3_cm, monkeypatch
     assert bbo.MIN_POPULATION == bbo.ELITE_COUNT + 1 == 3
     calls = []
     monkeypatch.setattr(bbo, "evolve", lambda *args: calls.append(args))
-    with pytest.raises(ValueError, match="^population_size must be at least 3$"):
+    with pytest.raises(ValueError, match="^population_size is 2, which is less than 3$"):
         run_bbo(line3_cm, 0, 2, RunParams(max_generations=5, population_size=2))
     assert calls == []
     run_bbo(line3_cm, 0, 2, RunParams(max_generations=5, population_size=3))

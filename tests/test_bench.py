@@ -64,7 +64,7 @@ def test_plan_validation():
     with pytest.raises(ValueError, match="population_size"):
         BenchPlan(population_size=1)
     # BBO keeps 2 elites, so it needs 3 habitats; BB-BC runs on 2 genomes
-    with pytest.raises(ValueError, match="^plan cannot run bbo: population_size must be at least 3$"):
+    with pytest.raises(ValueError, match="^plan cannot run bbo: population_size is 2, which is less than 3$"):
         BenchPlan(population_size=2)
     assert BenchPlan(population_size=2, algorithms=("bbbc",)).population_size == 2
     with pytest.raises(ValueError, match="placement"):
@@ -72,7 +72,7 @@ def test_plan_validation():
     # each node count is checked against the placement before any cell runs
     with pytest.raises(ValueError, match="perfect-square node count, 30"):
         BenchPlan(node_counts=(25, 30))
-    with pytest.raises(ValueError, match="at least 2 nodes"):
+    with pytest.raises(ValueError, match="node count is 1, which is less than 2$"):
         BenchPlan(node_counts=(1,), placement="random")
     assert BenchPlan(node_counts=(30,), placement="random").node_counts == (30,)
 
@@ -118,21 +118,21 @@ def test_plan_rejects_unknown_fields():
 # values a plan file once had coerced, or a hand-built plan took and failed
 # on mid-run, and the message each is refused with
 REFUSED_FIELD_VALUES = [
-    ("node_counts", [25.9], "25.9 is not an integer"),
-    ("node_counts", [True], "True is not an integer"),
-    ("generation_budgets", ["30"], "'30' is not an integer"),
-    ("seeds", [[101.5, 9001]], "101.5 is not an integer"),
-    ("seeds", [[101, "9001"]], "'9001' is not an integer"),
+    ("node_counts", [25.9], "node count is 25.9, not an integer"),
+    ("node_counts", [True], "node count is True, not an integer"),
+    ("generation_budgets", ["30"], "generation budget is '30', not an integer"),
+    ("seeds", [[101.5, 9001]], "scenario_seed is 101.5, not an integer"),
+    ("seeds", [[101, "9001"]], "opt_seed is '9001', not an integer"),
     ("seeds", [[101, 9001, 5]], "not a \\[scenario_seed, opt_seed\\] pair"),
-    ("population_size", 50.7, "50.7 is not an integer"),
-    ("population_size", False, "False is not an integer"),
-    ("radio_range", True, "True is not a finite number"),
-    ("radio_range", "250", "'250' is not a finite number"),
-    ("radio_range", 10**400, "int too large"),
+    ("population_size", 50.7, "population_size is 50.7, not an integer"),
+    ("population_size", False, "population_size is False, not an integer"),
+    ("radio_range", True, "radio_range is True, not a positive finite number"),
+    ("radio_range", "250", "radio_range is '250', not a positive finite number"),
+    ("radio_range", 10**400, "radio_range is 10{400}, not a positive finite number"),
     ("algorithms", "bbbc", "'bbbc' is not a list"),
     ("placement", 5, "5 is not a string"),
-    ("node_counts", [25.0], "25.0 is not an integer"),
-    ("generation_budgets", [2.5], "2.5 is not an integer"),
+    ("node_counts", [25.0], "node count is 25.0, not an integer"),
+    ("generation_budgets", [2.5], "generation budget is 2.5, not an integer"),
     ("seeds", [[101]], "not a \\[scenario_seed, opt_seed\\] pair"),
 ]
 
@@ -176,7 +176,9 @@ def test_plan_built_with_lists_stores_tuples(tmp_path):
 
 
 def test_plan_file_infinite_radio_range_gets_the_range_message():
-    with pytest.raises(ValueError, match="^radio_range must be positive and finite, got inf$"):
+    with pytest.raises(
+        ValueError, match="^plan field 'radio_range' is malformed: radio_range is inf, not a positive finite number$"
+    ):
         plan_from_dict(json.loads('{"radio_range": Infinity}'))
 
 
@@ -186,10 +188,12 @@ def test_plan_from_dict_keeps_integer_radio_range_as_float():
 
 
 def test_plan_rejects_values_no_scenario_can_have():
-    with pytest.raises(ValueError, match="seeds must all be >= 0"):
+    message = "plan field 'seeds' is malformed: scenario_seed is -1, which is less than 0"
+    with pytest.raises(ValueError, match=f"^{message}$"):
         BenchPlan(seeds=((101, 9001), (-1, 9002)))
     for radio_range in (0.0, -5.0, math.inf, math.nan):
-        with pytest.raises(ValueError, match="radio_range must be positive and finite"):
+        message = f"plan field 'radio_range' is malformed: radio_range is {radio_range!r}, not a positive finite number"
+        with pytest.raises(ValueError, match=f"^{message}$"):
             BenchPlan(radio_range=radio_range)
 
 

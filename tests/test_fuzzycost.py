@@ -555,11 +555,11 @@ PAST_INT64 = "link 1 -> 9223372036854775808 has an endpoint outside 0..2"
             3, np.array([[0, 1]]), [1], 0.5, "links column 'from' must be a list, tuple or 1-D array, not ndarray",
             id="2d-from",
         ),
-        pytest.param(-1, [0], [1], 0.5, "n must be an integer >= 0, got -1", id="negative-n"),
-        pytest.param(2.5, [0], [1], 0.5, "n must be an integer >= 0, got 2.5", id="float-n"),
-        pytest.param(True, [0], [1], 0.5, "n must be an integer >= 0, got True", id="bool-n"),
-        pytest.param(10**30, [0], [1], 0.5, f"n must be an integer <= 3037000499, got {10**30}", id="n-past-int64"),
-        pytest.param(2**40, [0], [1], 0.5, f"n must be an integer <= 3037000499, got {2**40}", id="n-keys-past-int64"),
+        pytest.param(-1, [0], [1], 0.5, "n is -1, which is less than 0", id="negative-n"),
+        pytest.param(2.5, [0], [1], 0.5, "n is 2.5, not an integer", id="float-n"),
+        pytest.param(True, [0], [1], 0.5, "n is True, not an integer", id="bool-n"),
+        pytest.param(10**30, [0], [1], 0.5, f"n is {10**30}, which is more than 3037000499", id="n-past-int64"),
+        pytest.param(2**40, [0], [1], 0.5, f"n is {2**40}, which is more than 3037000499", id="n-keys-past-int64"),
     ],
 )
 def test_from_arrays_reads_entries_as_the_loader_does(n, src, dst, costs, message):

@@ -22,7 +22,7 @@ from meshroute.oracle import (
 from meshroute.pathcodec import Path, path_cost
 from meshroute.topology import generate_scenario
 
-from helpers import clustered_links, dense_costs, forward_shortest_path, from_entries, out_neighbors
+from helpers import answer, clustered_links, dense_costs, forward_shortest_path, from_entries, out_neighbors
 
 CAMPAIGN_GRAPHS = 150
 CAMPAIGN_SEED = 2024
@@ -77,16 +77,6 @@ def fresh(cm):
     """A matrix with cm's links that the oracle has not seen, so that its
     next query is a first query, which runs one-sided."""
     return dataclasses.replace(cm)
-
-
-def answer(search, cm, source, terminal):
-    """The search's route as its nodes and the bits of its cost, or the
-    message of its UnreachableError."""
-    try:
-        path = search(cm, source, terminal)
-    except UnreachableError as error:
-        return str(error)
-    return path.nodes, path.cost.hex()
 
 
 def outcome(search, cm, source, terminal):

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from meshroute import topology
 from meshroute.fuzzycost import build_cost_matrix
 from meshroute.topology import (
+    _MAX_NODES,
     DEFAULT_RADIO_RANGE_M,
     DELAY_RANGE_MS,
     GRID_SPACING_M,
@@ -153,8 +154,10 @@ def test_short_range_yields_no_links():
     "radio_range", [0.0, -1.0, math.nan, math.inf, True, pytest.param(10**400, id="10**400"), "250"]
 )
 def test_rejects_radio_range_not_positive_and_finite(radio_range):
-    # NaN fails every comparison, so a bare `<= 0` check would let it through
-    with pytest.raises(ValueError, match="radio_range"):
+    # NaN fails every comparison, so a bare `<= 0` check would let it through;
+    # the message is NetworkScenario's
+    message = f"scenario 'radio_range_m' is {radio_range!r}, not a positive finite number"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         generate_scenario(4, placement="grid", seed=0, radio_range=radio_range)
 
 
@@ -171,7 +174,7 @@ def test_unknown_placement():
 def test_rejects_node_count_not_an_integer(n, placement, monkeypatch):
     # refused before the generator is made, so nothing is drawn
     monkeypatch.setattr(topology.np.random, "default_rng", None)
-    message = f"need an integer count of at least 2 nodes, got {n!r}"
+    message = f"n is {n!r}, not an integer"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         generate_scenario(n, placement=placement, seed=0)
 
@@ -180,10 +183,26 @@ def test_numpy_integer_node_count_builds():
     assert generate_scenario(np.int64(9), placement="grid", seed=0) == generate_scenario(9, placement="grid", seed=0)
 
 
+@pytest.mark.parametrize("n", [_MAX_NODES + 1, 10**30, 10**400], ids=["bound", "10**30", "10**400"])
+@pytest.mark.parametrize("placement", ["grid", "random"])
+def test_node_count_past_the_link_key_bound_is_refused_before_anything_is_made(n, placement, monkeypatch):
+    # the ceiling CostMatrix.from_arrays has, named as n, not numpy's
+    # "Maximum allowed size exceeded" from an array of n rows
+    monkeypatch.setattr(topology.np.random, "default_rng", None)
+    message = f"n is {n!r}, which is more than {_MAX_NODES}"
+
+    def refused():
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            generate_scenario(n, placement=placement, seed=0)
+
+    _, peak = traced_peak_bytes(refused)
+    assert peak < 20_000, peak
+
+
 @pytest.mark.parametrize(
     "seed, message",
     [
-        (-1, "scenario 'seed' is -1, which is negative"),
+        (-1, "scenario 'seed' is -1, which is less than 0"),
         (1.5, "scenario 'seed' is 1.5, not an integer"),
         (True, "scenario 'seed' is True, not an integer"),
         (None, "scenario 'seed' is None, not an integer"),
@@ -705,12 +724,14 @@ HAND_BUILT_FAULTS = [
     pytest.param({"links": (2, 0, -1)}, "link -1 -> 2 has an endpoint outside 0..2", id="negative-end"),
     pytest.param({"positions": (1, 0, math.nan)}, "node 1 has a coordinate that is not finite", id="x-nan"),
     pytest.param({"positions": (2, 1, -math.inf)}, "node 2 has a coordinate that is not finite", id="y-inf"),
-    pytest.param({"seed": -1}, "scenario 'seed' is -1, which is negative", id="seed"),
-    pytest.param({"area_side": 0.0}, "scenario 'area_side_m' is 0.0, which is not positive", id="area-0"),
-    pytest.param({"area_side": -5}, "scenario 'area_side_m' is -5, which is not positive", id="area-neg"),
-    pytest.param({"area_side": math.inf}, "scenario 'area_side_m' is inf, not a finite number", id="area-inf"),
-    pytest.param({"radio_range": 0}, "scenario 'radio_range_m' is 0, which is not positive", id="range-0"),
-    pytest.param({"radio_range": math.nan}, "scenario 'radio_range_m' is nan, not a finite number", id="range-nan"),
+    pytest.param({"seed": -1}, "scenario 'seed' is -1, which is less than 0", id="seed"),
+    pytest.param({"area_side": 0.0}, "scenario 'area_side_m' is 0.0, not a positive finite number", id="area-0"),
+    pytest.param({"area_side": -5}, "scenario 'area_side_m' is -5, not a positive finite number", id="area-neg"),
+    pytest.param({"area_side": math.inf}, "scenario 'area_side_m' is inf, not a positive finite number", id="area-inf"),
+    pytest.param({"radio_range": 0}, "scenario 'radio_range_m' is 0, not a positive finite number", id="range-0"),
+    pytest.param(
+        {"radio_range": math.nan}, "scenario 'radio_range_m' is nan, not a positive finite number", id="range-nan"
+    ),
 ]
 
 
@@ -1110,10 +1131,10 @@ def test_load_rejects_metric_past_float_range(version):
 SCALARS = [
     ("seed", 1.7, r"scenario 'seed' is 1\.7, not an integer"),
     ("seed", True, r"scenario 'seed' is True, not an integer"),
-    ("area_side_m", "12", r"scenario 'area_side_m' is '12', not a finite number"),
-    ("area_side_m", math.inf, r"scenario 'area_side_m' is inf, not a finite number"),
-    ("radio_range_m", True, r"scenario 'radio_range_m' is True, not a finite number"),
-    ("radio_range_m", None, r"scenario 'radio_range_m' is None, not a finite number"),
+    ("area_side_m", "12", r"scenario 'area_side_m' is '12', not a positive finite number"),
+    ("area_side_m", math.inf, r"scenario 'area_side_m' is inf, not a positive finite number"),
+    ("radio_range_m", True, r"scenario 'radio_range_m' is True, not a positive finite number"),
+    ("radio_range_m", None, r"scenario 'radio_range_m' is None, not a positive finite number"),
 ]
 
 
@@ -1130,11 +1151,11 @@ def test_load_rejects_scalar_it_used_to_coerce(version, key, value, message):
 @pytest.mark.parametrize(
     "key, value, message",
     [
-        ("seed", -3, r"scenario 'seed' is -3, which is negative"),
-        ("area_side_m", 0, r"scenario 'area_side_m' is 0, which is not positive"),
-        ("area_side_m", -1.5, r"scenario 'area_side_m' is -1\.5, which is not positive"),
-        ("radio_range_m", 0.0, r"scenario 'radio_range_m' is 0\.0, which is not positive"),
-        ("radio_range_m", -5, r"scenario 'radio_range_m' is -5, which is not positive"),
+        ("seed", -3, r"scenario 'seed' is -3, which is less than 0"),
+        ("area_side_m", 0, r"scenario 'area_side_m' is 0, not a positive finite number"),
+        ("area_side_m", -1.5, r"scenario 'area_side_m' is -1\.5, not a positive finite number"),
+        ("radio_range_m", 0.0, r"scenario 'radio_range_m' is 0\.0, not a positive finite number"),
+        ("radio_range_m", -5, r"scenario 'radio_range_m' is -5, not a positive finite number"),
     ],
 )
 def test_load_rejects_scalar_generate_scenario_never_writes(version, key, value, message):
